@@ -31,8 +31,8 @@ from .rough_data import RoughSpec, generate_rough
 from .spectral import mean_value, read_field, sobolev_norm, write_field
 from .studies import (
     StudyConfig,
-    _json_token,
     emit_report,
+    json_text,
     render_report_csv,
     render_report_json,
     run_convergence_study,
@@ -287,7 +287,7 @@ def cmd_verify(args) -> int:
     if args.output:
         payload = {"all_pass": all_pass, "checks": [r.as_dict() for r in results]}
         with open(args.output, "w") as fh:
-            fh.write(_json_token(payload) + "\n")
+            fh.write(json_text(payload) + "\n")
         print(f"wrote verification results to {args.output}")
     return 0 if all_pass else 1
 

@@ -462,26 +462,22 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
     return exp_airy(Field.from_spectrum(g, w), t_final)
 
 
+def _elri2_final(u0, t_final, tau, dealias):
+    """Field at t_final of the production ELRI2 scheme with step tau."""
+    run = SolverRun(
+        scheme=SchemeKind.ELRI2,
+        tau=tau,
+        t_final=t_final,
+        initial=u0,
+        dealias=dealias,
+    )
+    return evolve(run).final
+
+
 def _reference_pair(u0, t_final, tau_ref, cross_tau, dealias=False):
-    """Fine ELRI2 field, its Richardson error estimate, and the RK4 field."""
-    fine = evolve(
-        SolverRun(
-            scheme=SchemeKind.ELRI2,
-            tau=tau_ref,
-            t_final=t_final,
-            initial=u0,
-            dealias=dealias,
-        )
-    ).final
-    coarse = evolve(
-        SolverRun(
-            scheme=SchemeKind.ELRI2,
-            tau=2 * tau_ref,
-            t_final=t_final,
-            initial=u0,
-            dealias=dealias,
-        )
-    ).final
+    """Fine ELRI2 field, its L2 distance to the RK4 field, and the allowed one."""
+    fine = _elri2_final(u0, t_final, tau_ref, dealias)
+    coarse = _elri2_final(u0, t_final, 2 * tau_ref, dealias)
     est = (
         sobolev_norm(
             Field.from_spectrum(u0.grid, fine.spectrum - coarse.spectrum), 0.0
@@ -491,7 +487,11 @@ def _reference_pair(u0, t_final, tau_ref, cross_tau, dealias=False):
     other = ifrk4_solve(
         u0, t_final, cross_tau if cross_tau else 10.0 * tau_ref, dealias=dealias
     )
-    return fine, est, other
+    disagreement = sobolev_norm(
+        Field.from_spectrum(u0.grid, fine.spectrum - other.spectrum), 0.0
+    )
+    bound = 10.0 * max(est, 1e-13 * max(sobolev_norm(fine, 0.0), 1.0))
+    return fine, disagreement, bound
 
 
 def reference_solution(
@@ -515,21 +515,10 @@ def reference_solution(
     """
     _require_zero_mean(u0, "reference_solution")
     if not cross_check:
-        return evolve(
-            SolverRun(
-                scheme=SchemeKind.ELRI2,
-                tau=tau_ref,
-                t_final=t_final,
-                initial=u0,
-                dealias=dealias,
-            )
-        ).final
-    fine, est, other = _reference_pair(u0, t_final, tau_ref, cross_tau, dealias)
-    norm = sobolev_norm(fine, 0.0)
-    disagreement = sobolev_norm(
-        Field.from_spectrum(u0.grid, fine.spectrum - other.spectrum), 0.0
+        return _elri2_final(u0, t_final, tau_ref, dealias)
+    fine, disagreement, bound = _reference_pair(
+        u0, t_final, tau_ref, cross_tau, dealias
     )
-    bound = 10.0 * max(est, 1e-13 * max(norm, 1.0))
     if disagreement > bound:
         raise ReferenceMismatchError(
             f"reference solvers disagree: |ELRI2 - IFRK4| = {disagreement:.3e} "
@@ -746,11 +735,7 @@ def _check_embedded_equivalence(variant):
 def _check_reference_cross():
     grid = Grid(64)
     u0 = Field.from_values(grid, np.cos(grid.x))
-    fine, est, other = _reference_pair(u0, 0.25, 5e-4, 5e-3)
-    disagreement = sobolev_norm(
-        Field.from_spectrum(grid, fine.spectrum - other.spectrum), 0.0
-    )
-    bound = 10.0 * max(est, 1e-13 * max(sobolev_norm(fine, 0.0), 1.0))
+    _, disagreement, bound = _reference_pair(u0, 0.25, 5e-4, 5e-3)
     return CheckResult("reference_cross_check_smooth", disagreement, bound)
 
 

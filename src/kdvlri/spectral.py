@@ -271,7 +271,7 @@ def read_field_csv(path) -> Field:
         raise ValueError(
             f"{path}: header says n={n} but file has {values.shape[0]} values"
         )
-    return Field.from_values(Grid(n), values)
+    return _field_from_file(path, values)
 
 
 def write_field_binary(f: Field, path) -> None:
@@ -296,7 +296,17 @@ def read_field_binary(path) -> Field:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f8", offset=_BINARY_HEADER.size)
-    return Field.from_values(Grid(n), values.astype(np.float64))
+    return _field_from_file(path, values.astype(np.float64))
+
+
+def _field_from_file(path, values):
+    # checked here, not in Field, so the stepping loop pays nothing for it
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"{path}: non-finite value {values[bad[0]]} at index {bad[0]}"
+        )
+    return Field.from_values(Grid(values.size), values)
 
 
 def write_field(f: Field, path, fmt: str = "csv") -> None:

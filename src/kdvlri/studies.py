@@ -5,20 +5,13 @@ A study takes a scheme list and a descending tau ladder, runs every
 log-log slopes and emits a deterministic report: CSV rows with the exact
 column set scheme,tau,error_rel,gamma,n_points,theta,seed,t_final,status,
 or JSON carrying the same rows plus the fitted orders.  Identical configs
-produce byte-identical CSV files.
-
-Independent runs may execute in parallel threads; set the KDVLRI_WORKERS
-environment variable (default 1).  Report assembly sorts by scheme then
-descending tau, so the output does not depend on completion order.
+produce byte-identical CSV and JSON files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as _field
 
 import numpy as np
@@ -27,8 +20,6 @@ from .integrators import BlowUpError, SchemeKind, SolverRun, evolve, step_functi
 from .oracles import ifrk4_solve, reference_solution
 from .rough_data import RoughSpec, generate_rough
 from .spectral import Field, Grid, sobolev_norm
-
-WORKERS_ENV = "KDVLRI_WORKERS"
 
 CSV_HEADER = "scheme,tau,error_rel,gamma,n_points,theta,seed,t_final,status"
 
@@ -64,11 +55,11 @@ class StudyConfig:
         if not self.schemes:
             raise ValueError("study needs at least one scheme")
         for s in self.schemes:
-            step_function(s)  # rejects the reserved LRI2 name
+            step_function(s)  # rejects unknown scheme names
         if not self.taus:
             raise ValueError("study needs at least one tau")
-        if any(t <= 0 for t in self.taus):
-            raise ValueError(f"taus must be positive, got {self.taus}")
+        if not all(math.isfinite(t) and t > 0 for t in self.taus):
+            raise ValueError(f"taus must be positive and finite, got {self.taus}")
         if any(a <= b for a, b in zip(self.taus, self.taus[1:])):
             raise ValueError(f"tau ladder must be strictly decreasing: {self.taus}")
         if self.ref_tau > min(self.taus) / 10.0:
@@ -105,7 +96,6 @@ class ConvergenceReport:
     fits: list = _field(default_factory=list)
     flags: list = _field(default_factory=list)
     kind: str = "convergence"
-    wall_time_s: float = 0.0
 
     def fit_for(self, scheme) -> SchemeFit:
         for f in self.fits:
@@ -154,23 +144,6 @@ def _fit_scheme(scheme, rows):
     return SchemeFit(scheme=scheme, fitted_order=slope, fit_residual=residual)
 
 
-def _worker_count():
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(count, 1)
-
-
-def _run_jobs(jobs, worker):
-    n_workers = _worker_count()
-    if n_workers == 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def _monotonicity_flags(rows, schemes):
     flags = []
     for scheme in schemes:
@@ -193,7 +166,6 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     excluded from slope fits.  Relative errors are measured in H^gamma_err
     against the ELRI2 reference at ref_tau, normalized by its norm.
     """
-    start = time.perf_counter()
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
     ref = reference_solution(
         u0, cfg.t_final, cfg.ref_tau, cross_check=cfg.cross_check,
@@ -201,8 +173,7 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     )
     ref_norm = sobolev_norm(ref, cfg.gamma_err)
 
-    def one(job):
-        scheme, tau = job
+    def one(scheme, tau):
         run = SolverRun(
             scheme=scheme,
             tau=tau,
@@ -217,8 +188,7 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
         diff = Field.from_spectrum(u0.grid, final.spectrum - ref.spectrum)
         return RunResult(scheme, tau, sobolev_norm(diff, cfg.gamma_err) / ref_norm, "ok")
 
-    jobs = [(s, t) for s in cfg.schemes for t in cfg.taus]
-    rows = _run_jobs(jobs, one)
+    rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
     rows.sort(key=lambda r: (r.scheme.value, -r.tau))
     fits = [_fit_scheme(s, rows) for s in cfg.schemes]
     return ConvergenceReport(
@@ -227,7 +197,6 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
         fits=fits,
         flags=_monotonicity_flags(rows, cfg.schemes),
         kind="convergence",
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -243,28 +212,14 @@ def run_local_error_study(cfg: StudyConfig) -> ConvergenceReport:
     64 substeps, cross-checked against an ELRI2 run with 256 substeps; a
     disagreement above 5% of the smallest scheme error is flagged.
     """
-    start = time.perf_counter()
     grid = Grid(cfg.n_points)
     u0 = smooth_test_data(grid)
     flags = []
     rows = []
 
-    def references(tau):
-        ref_a = ifrk4_solve(u0, tau, tau / 64.0, dealias=cfg.dealias)
-        ref_b = evolve(
-            SolverRun(
-                scheme=SchemeKind.ELRI2,
-                tau=tau / 256.0,
-                t_final=tau,
-                initial=u0,
-                dealias=cfg.dealias,
-            )
-        ).final
-        return ref_a, ref_b
-
-    ref_pairs = dict(zip(cfg.taus, _run_jobs(list(cfg.taus), references)))
     for tau in cfg.taus:
-        ref, ref_check = ref_pairs[tau]
+        ref = ifrk4_solve(u0, tau, tau / 64.0, dealias=cfg.dealias)
+        ref_check = reference_solution(u0, tau, tau / 256.0, dealias=cfg.dealias)
         ref_norm = sobolev_norm(ref, cfg.gamma_err)
         dual_gap = sobolev_norm(
             Field.from_spectrum(grid, ref.spectrum - ref_check.spectrum),
@@ -292,7 +247,6 @@ def run_local_error_study(cfg: StudyConfig) -> ConvergenceReport:
         fits=fits,
         flags=flags,
         kind="local_error",
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -352,7 +306,8 @@ def parse_report_csv(text: str):
     return out
 
 
-def _json_token(value) -> str:
+def json_text(value) -> str:
+    """JSON text of None, a bool, number or str, or a list or dict of them."""
     # hand-rolled so floats serialize with 17 significant digits; stdlib
     # json offers no control over float formatting
     if value is None:
@@ -368,10 +323,10 @@ def _json_token(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_token(v) for v in value) + "]"
+        return "[" + ", ".join(json_text(v) for v in value) + "]"
     if isinstance(value, dict):
         items = ", ".join(
-            f"{json.dumps(str(k))}: {_json_token(v)}" for k, v in value.items()
+            f"{json.dumps(str(k))}: {json_text(v)}" for k, v in value.items()
         )
         return "{" + items + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -389,7 +344,6 @@ def report_as_dict(report: ConvergenceReport) -> dict:
             "t_final": cfg.t_final,
             "ref_tau": cfg.ref_tau,
             "dealias": cfg.dealias,
-            "wall_time_s": report.wall_time_s,
         },
         "rows": [
             {
@@ -419,7 +373,7 @@ def report_as_dict(report: ConvergenceReport) -> dict:
 
 
 def render_report_json(report: ConvergenceReport) -> str:
-    return _json_token(report_as_dict(report)) + "\n"
+    return json_text(report_as_dict(report)) + "\n"
 
 
 #: jsonschema document the JSON report validates against
@@ -439,7 +393,6 @@ REPORT_JSON_SCHEMA = {
                 "t_final": {"type": "number", "exclusiveMinimum": 0},
                 "ref_tau": {"type": "number", "exclusiveMinimum": 0},
                 "dealias": {"type": "boolean"},
-                "wall_time_s": {"type": "number", "minimum": 0},
             },
         },
         "rows": {

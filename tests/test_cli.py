@@ -9,7 +9,7 @@ import pytest
 from kdvlri.cli import main, parse_schemes, parse_tau_ladder, parse_tau_token
 from kdvlri.integrators import SchemeKind
 from kdvlri.rough_data import RoughSpec, generate_rough
-from kdvlri.spectral import Field, read_field, write_field
+from kdvlri.spectral import Field, Grid, read_field, write_field
 from kdvlri.studies import CSV_HEADER, REPORT_JSON_SCHEMA, parse_report_csv
 
 
@@ -35,8 +35,9 @@ def test_parse_tau_ladder():
 def test_parse_schemes():
     assert parse_schemes("elri1,elri2") == (SchemeKind.ELRI1, SchemeKind.ELRI2)
     assert parse_schemes(" LRI1 ") == (SchemeKind.LRI1,)
-    with pytest.raises(ValueError, match="valid names"):
-        parse_schemes("rk4")
+    for name in ("rk4", "lri2"):
+        with pytest.raises(ValueError, match="valid names"):
+            parse_schemes(name)
     with pytest.raises(ValueError):
         parse_schemes(",")
 
@@ -115,6 +116,28 @@ def test_solve_reports_blow_up(tmp_path, capsys):
     )
     assert rc == 1
     assert "diverged at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--tau", "nan"], "tau must be positive and finite, got nan"),
+        (["--tau", "2^-4", "--t-final", "inf"], "t_final must be positive and finite"),
+        (["--tau", "2^-4", "--input", "{csv}"], "u0.csv: non-finite value nan"),
+    ],
+)
+def test_solve_rejects_non_finite_input(tmp_path, capsys, args, named):
+    g = Grid(64)
+    values = np.cos(g.x)
+    values[5] = np.nan
+    path = tmp_path / "u0.csv"
+    write_field(Field.from_values(g, values), path, fmt="csv")
+    argv = ["solve", "--scheme", "elri1", "--n", "64"]
+    rc = main(argv + [a.format(csv=path) for a in args])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert named in err
 
 
 def test_solve_mean_shift_flag(capsys):

@@ -46,8 +46,8 @@ def test_step_function_dispatch():
     assert step_function(SchemeKind.LRI1) is lri1_step
     assert step_function(SchemeKind.ELRI1) is elri1_step
     assert step_function(SchemeKind.ELRI2) is elri2_step
-    with pytest.raises(SchemeConfigError, match="reserved"):
-        step_function(SchemeKind.LRI2)
+    with pytest.raises(SchemeConfigError, match="unknown scheme"):
+        step_function("lri2")
 
 
 def test_zero_field_is_fixed_point():
@@ -134,8 +134,8 @@ def test_solver_run_validation():
         SolverRun(SchemeKind.ELRI1, 0.3, 1.0, u)
     with pytest.raises(SchemeConfigError, match="record_every"):
         SolverRun(SchemeKind.ELRI1, 0.1, 1.0, u, record_every=-1)
-    with pytest.raises(SchemeConfigError, match="reserved"):
-        SolverRun(SchemeKind.LRI2, 0.1, 1.0, u)
+    with pytest.raises(SchemeConfigError, match="unknown scheme"):
+        SolverRun("lri2", 0.1, 1.0, u)
     g = Grid(32)
     shifted = Field.from_values(g, 1.0 + np.cos(g.x))
     with pytest.raises(SchemeConfigError, match="zero-mean"):

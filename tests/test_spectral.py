@@ -317,3 +317,8 @@ def test_binary_rejects_corrupt_files(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])  # drop one value
     with pytest.raises(ValueError):
         read_field(path, fmt="bin")
+    values = np.cos(g.x)
+    values[3] = np.inf
+    write_field(Field.from_values(g, values), path, fmt="bin")
+    with pytest.raises(ValueError, match="non-finite value inf at index 3"):
+        read_field(path, fmt="bin")
