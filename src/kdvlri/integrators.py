@@ -1,7 +1,9 @@
 """Time stepping for the KdV equation u_t + u_xxx = (1/2) d_x(u^2) on (0, 2*pi).
 
 Three explicit exponential-type schemes, all built from FFT-diagonal
-operators (exp_airy, inv_dx) and pointwise grid products:
+operators (the Airy symbol e^{i tau k^3}, the antiderivative 1/(i k)) and
+pointwise grid products.  They nest, LRI1 within ELRI1 within ELRI2, and
+one update body (_update) adds their terms in that cumulative order:
 
 * LRI1   -- classical three-term low-regularity integrator (baseline):
              e^{-tau dx^3} u - (1/6) e^{-tau dx^3}(dxinv u)^2
@@ -11,6 +13,10 @@ operators (exp_airy, inv_dx) and pointwise grid products:
              H^(gamma+1) data.
 * ELRI2  -- ELRI1 plus two tau/36 correction terms; second order for
              H^(gamma+3) data.
+
+The update works on raw spectrum and grid-value arrays; a Field appears
+only at the step boundary.  evolve builds the Airy symbol once per run,
+each public *_step once per call.
 
 The schemes assume zero-mean data (the mode-0 coefficient of the update is
 only conserved, never evolved); solve_with_mean_shift removes a nonzero
@@ -26,15 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import (
-    Field,
-    exp_airy,
-    integral,
-    inv_dx,
-    project_zero_mean,
-    translate,
-    truncate_two_thirds,
-)
+from .spectral import TWO_PI, Field, translate, truncate_two_thirds
 
 MEAN_TOL = 1e-12
 
@@ -66,91 +64,75 @@ def _require_zero_mean(u, where):
         )
 
 
-def _grid_product(g, a, b):
-    # pseudo-spectral product: formed pointwise on the grid, no dealiasing
-    return Field.from_values(g, a * b)
+def _update(kind, u, tau, airy):
+    """Update spectrum of the zero-mean Field u; airy is its grid's symbol at tau.
 
+    Adds the LRI1 terms, then the six ELRI1 terms, then the two ELRI2 terms,
+    returning once the terms of `kind` are in.  Each cancelling pair is added
+    as one difference, so every scheme is the exact identity at tau = 0.
+    """
+    n, inv_ik = u.grid.n, u.grid.inv_ik
+    s = u.spectrum
+    p = s * inv_ik  # dxinv u
+    ep = p * airy  # e^{-tau dx^3} dxinv u
+    p_v = np.fft.ifft(p * n).real
+    ep_v = np.fft.ifft(ep * n).real
+    # pseudo-spectral products: formed pointwise on the grid, no dealiasing
+    p2_v = p_v * p_v
+    ep2_v = ep_v * ep_v
+    p2 = np.fft.fft(p2_v) / n
+    ep2 = np.fft.fft(ep2_v) / n
+    out = s * airy
+    out += (ep2 - p2 * airy) / 6.0
+    if kind is SchemeKind.LRI1:
+        return out
 
-def _lri1_spectrum(u, tau):
-    """Three-term LRI1 update spectrum."""
-    g = u.grid
-    p = inv_dx(u)
-    ep = exp_airy(p, tau)
-    p2 = _grid_product(g, p.values, p.values)
-    ep2 = _grid_product(g, ep.values, ep.values)
-    out = exp_airy(u, tau).spectrum.copy()
-    # paired difference so the two terms cancel exactly at tau = 0
-    out += (ep2.spectrum - exp_airy(p2, tau).spectrum) / 6.0
-    return out
-
-
-def _elri1_terms(u, tau):
-    """Nine-term ELRI1 update spectrum plus pieces reused by ELRI2."""
-    g = u.grid
-    p = inv_dx(u)  # dxinv u
-    ep = exp_airy(p, tau)  # e^{-tau dx^3} dxinv u
-    eu = exp_airy(u, tau)
-    p2 = _grid_product(g, p.values, p.values)
-    ep2 = _grid_product(g, ep.values, ep.values)
-    p3 = _grid_product(g, p.values, p2.values)
-    ep3 = _grid_product(g, ep.values, ep2.values)
-    u3 = Field.from_values(g, u.values**3)
-
-    out = eu.spectrum.copy()
-    # each pair is added as one difference so it cancels exactly at tau = 0
-    out += (ep2.spectrum - exp_airy(p2, tau).spectrum) / 6.0
+    v = u.values
+    u3 = np.fft.fft(v**3) / n
     # projected cubic pair, 1/18
-    q_plus = _grid_product(g, ep.values, inv_dx(ep2).values)
-    q_minus = _grid_product(g, ep.values, exp_airy(inv_dx(p2), tau).values)
-    out += (
-        project_zero_mean(q_plus).spectrum - project_zero_mean(q_minus).spectrum
-    ) / 18.0
+    q_plus = np.fft.fft(ep_v * np.fft.ifft(ep2 * inv_ik * n).real) / n
+    q_minus = np.fft.fft(ep_v * np.fft.ifft(p2 * inv_ik * airy * n).real) / n
+    q_plus[0] = q_minus[0] = 0.0  # zero-mean projection
+    out += (q_plus - q_minus) / 18.0
     # antiderivative cubic pair, 1/54
-    out += (exp_airy(inv_dx(p3), tau).spectrum - inv_dx(ep3).spectrum) / 54.0
+    out += (
+        np.fft.fft(p_v * p2_v) / n * inv_ik * airy
+        - np.fft.fft(ep_v * ep2_v) / n * inv_ik
+    ) / 54.0
     # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
-    mass = integral(_grid_product(g, u.values, u.values))
-    out += (tau / (12.0 * np.pi) * mass) * ep.spectrum
+    out += (tau / (12.0 * np.pi) * (TWO_PI * np.mean(v * v))) * ep
     # resonant cubic term
-    out -= (tau / 18.0) * inv_dx(exp_airy(u3, tau)).spectrum
-    return out, eu, u3
+    out -= (tau / 18.0) * (u3 * airy * inv_ik)
+    if kind is SchemeKind.ELRI1:
+        return out
+    # freed before the ELRI2 terms: fewer fresh pages per step at large N
+    del p, ep, p_v, ep_v, p2_v, ep2_v, p2, ep2, q_plus, q_minus
 
-
-def _elri1_spectrum(u, tau):
-    return _elri1_terms(u, tau)[0]
-
-
-def _elri2_spectrum(u, tau):
-    # the nine-term intermediates are freed before the two ELRI2 terms;
-    # keeping them alive slowed an N = 2^14 step by about 5%
-    out, eu, u3 = _elri1_terms(u, tau)
-    eu3 = Field.from_values(u.grid, eu.values**3)
-    out += (tau / 36.0) * (
-        exp_airy(inv_dx(u3), tau).spectrum - inv_dx(eu3).spectrum
-    )
+    eu3 = np.fft.fft(np.fft.ifft(s * airy * n).real ** 3) / n
+    out += (tau / 36.0) * (u3 * inv_ik * airy - eu3 * inv_ik)
     return out
 
 
-def _advance(kind, u, tau, dealias):
+def _advance(kind, u, tau, airy, dealias):
     # no mean gate: evolve checks the initial mean once in SolverRun, and a
     # diverging iterate must reach the non-finite check (BlowUpError), not
     # trip the absolute mean gate
     if dealias:
         u = truncate_two_thirds(u)
-    spectrum, _ = _SCHEMES[kind]
-    out = Field.from_spectrum(u.grid, spectrum(u, tau))
+    out = Field.from_spectrum(u.grid, _update(kind, u, tau, airy))
     return truncate_two_thirds(out) if dealias else out
 
 
 def lri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
     """One step of the three-term baseline integrator LRI1."""
     _require_zero_mean(u, "lri1_step")
-    return _advance(SchemeKind.LRI1, u, tau, dealias)
+    return _advance(SchemeKind.LRI1, u, tau, u.grid.airy(tau), dealias)
 
 
 def elri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
     """One step of the first-order embedded low-regularity integrator."""
     _require_zero_mean(u, "elri1_step")
-    return _advance(SchemeKind.ELRI1, u, tau, dealias)
+    return _advance(SchemeKind.ELRI1, u, tau, u.grid.airy(tau), dealias)
 
 
 def elri2_step(u: Field, tau: float, dealias: bool = False) -> Field:
@@ -160,27 +142,26 @@ def elri2_step(u: Field, tau: float, dealias: bool = False) -> Field:
     (tau/36) e^{-tau dx^3} dxinv(u^3) - (tau/36) dxinv(e^{-tau dx^3} u)^3.
     """
     _require_zero_mean(u, "elri2_step")
-    return _advance(SchemeKind.ELRI2, u, tau, dealias)
+    return _advance(SchemeKind.ELRI2, u, tau, u.grid.airy(tau), dealias)
 
 
-# scheme -> (update spectrum of a zero-mean field, public zero-mean-gated step)
-_SCHEMES = {
-    SchemeKind.LRI1: (_lri1_spectrum, lri1_step),
-    SchemeKind.ELRI1: (_elri1_spectrum, elri1_step),
-    SchemeKind.ELRI2: (_elri2_spectrum, elri2_step),
+# scheme -> public zero-mean-gated step
+_STEPS = {
+    SchemeKind.LRI1: lri1_step,
+    SchemeKind.ELRI1: elri1_step,
+    SchemeKind.ELRI2: elri2_step,
 }
 
 
 def step_function(kind: SchemeKind):
     """Public step of a scheme; anything but a SchemeKind member is rejected."""
     try:
-        _, step = _SCHEMES[kind]
+        return _STEPS[kind]
     except (KeyError, TypeError):
         valid = ", ".join(k.value for k in SchemeKind)
         raise SchemeConfigError(
             f"unknown scheme {kind!r}; choose one of {valid}"
         ) from None
-    return step
 
 
 @dataclass
@@ -257,6 +238,7 @@ def evolve(run: SolverRun) -> Trajectory:
         return solve_with_mean_shift(run)
     n_steps = run.n_steps
     u = run.initial
+    airy = u.grid.airy(run.tau)
     mean0 = complex(u.spectrum[0])
     samples = [(0.0, u)]
     drift = 0.0
@@ -264,7 +246,7 @@ def evolve(run: SolverRun) -> Trajectory:
         # a diverging iterate overflows before the isfinite check catches it;
         # the warnings would only duplicate the BlowUpError diagnostic
         with np.errstate(over="ignore", invalid="ignore"):
-            u = _advance(run.scheme, u, run.tau, run.dealias)
+            u = _advance(run.scheme, u, run.tau, airy, run.dealias)
             s = u.spectrum
         if not np.all(np.isfinite(s)):
             raise BlowUpError(

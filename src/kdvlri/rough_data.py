@@ -45,8 +45,8 @@ class RoughSpec:
     def __post_init__(self):
         if self.n_points < 4 or self.n_points % 2 != 0:
             raise ValueError(f"n_points must be even and >= 4, got {self.n_points}")
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if not 0 <= self.theta < np.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

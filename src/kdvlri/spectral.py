@@ -37,8 +37,9 @@ class Grid:
     """Uniform N-point grid on (0, 2*pi), N even and at least 4.
 
     Caches the integer wavenumbers (FFT order) and the multiplier arrays
-    shared by the spectral operators.  Cached arrays are read-only, so a Grid
-    can be used concurrently from several threads.
+    shared by the spectral operators: inv_ik is the mean-free antiderivative
+    multiplier 1/(i xi), and airy(t) builds the Airy symbol.  Cached arrays
+    are read-only, so a Grid can be used concurrently from several threads.
     """
 
     def __init__(self, n: int):
@@ -61,10 +62,14 @@ class Grid:
         k3 = k**3
         k3[self.nyquist_index] = 0.0  # phase symbols carry no Nyquist phase
         self._ik = ik
-        self._inv_ik = inv_ik
+        self.inv_ik = inv_ik
         self._k3 = k3
-        for arr in (self.x, self.wavenumbers, self._ik, self._inv_ik, self._k3):
+        for arr in (self.x, self.wavenumbers, self._ik, self.inv_ik, self._k3):
             arr.flags.writeable = False
+
+    def airy(self, t: float) -> np.ndarray:
+        """Symbol e^{i t xi^3} of e^{-t d^3/dx^3}; phase 1 at the Nyquist mode."""
+        return np.exp(1j * t * self._k3)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
@@ -168,7 +173,7 @@ def dx(f: Field, order: int = 1) -> Field:
 
 def inv_dx(f: Field) -> Field:
     """Mean-free antiderivative: uhat(xi)/(i xi) for xi != 0, else 0."""
-    return _apply_symbol(f, f.grid._inv_ik)
+    return _apply_symbol(f, f.grid.inv_ik)
 
 
 def exp_airy(f: Field, t: float) -> Field:
@@ -177,7 +182,7 @@ def exp_airy(f: Field, t: float) -> Field:
     exp_airy(cos(x), t) = cos(x + t).  Exact inverse is exp_airy(., -t);
     the map is an isometry of every H^gamma norm and a group action in t.
     """
-    return _apply_symbol(f, np.exp(1j * t * f.grid._k3))
+    return _apply_symbol(f, f.grid.airy(t))
 
 
 def translate(f: Field, a: float) -> Field:

@@ -62,13 +62,15 @@ class StudyConfig:
             raise ValueError(f"taus must be positive and finite, got {self.taus}")
         if any(a <= b for a, b in zip(self.taus, self.taus[1:])):
             raise ValueError(f"tau ladder must be strictly decreasing: {self.taus}")
+        if not (math.isfinite(self.ref_tau) and self.ref_tau > 0):
+            raise ValueError(f"ref_tau must be positive and finite, got {self.ref_tau}")
         if self.ref_tau > min(self.taus) / 10.0:
             raise ValueError(
                 f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "
                 f"{min(self.taus) / 10.0:g}"
             )
-        if self.gamma_err < 0:
-            raise ValueError(f"gamma_err must be >= 0, got {self.gamma_err}")
+        if not 0 <= self.gamma_err < math.inf:
+            raise ValueError(f"gamma_err must be finite and >= 0, got {self.gamma_err}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 

@@ -200,6 +200,9 @@ def test_converge_bad_ladder_is_config_error(capsys):
     rc = main(["converge", "--tau-ladder", "2^-5,2^-4", "--n", "64"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+    rc = main(["converge", "--n", "64", "--gamma", "nan"])
+    assert rc == 2
+    assert "gamma_err must be finite" in capsys.readouterr().err
 
 
 def test_converge_unwritable_output_is_io_error(tmp_path, capsys):
@@ -276,7 +279,12 @@ def test_gen_data_is_deterministic(tmp_path, capsys):
     assert abs(np.max(np.abs(f.values)) - 1.0) < 1e-12
 
 
-def test_gen_data_bad_size_is_config_error(capsys):
+def test_gen_data_bad_size_is_config_error(tmp_path, capsys):
     rc = main(["gen-data", "--n", "7", "--output", "x.csv"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+    out = tmp_path / "nan.csv"
+    rc = main(["gen-data", "--theta", "nan", "--output", str(out)])
+    assert rc == 2
+    assert "theta must be finite" in capsys.readouterr().err
+    assert not out.exists()

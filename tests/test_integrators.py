@@ -156,15 +156,26 @@ def test_solver_run_step_count():
 
 
 def test_evolve_single_step_matches_public_step():
-    u = rough(n=64, theta=2.0, seed=13)
+    # evolve builds the Airy symbol once per run, each public step once per
+    # call; both paths must agree bit for bit, whichever representation the
+    # initial field was built from
+    base = rough(n=64, theta=2.0, seed=13)
     tau = 0.05
+    initials = (base, Field.from_values(base.grid, base.values))
     for kind, step in zip(
         (SchemeKind.LRI1, SchemeKind.ELRI1, SchemeKind.ELRI2), ALL_STEPS
     ):
-        traj = evolve(SolverRun(kind, tau, tau, u))
-        direct = step(u, tau)
-        assert traj.n_steps == 1
-        assert np.array_equal(traj.final.values, direct.values)
+        for u in initials:
+            for n_steps in (1, 3):
+                for dealias in (False, True):
+                    run = SolverRun(kind, tau, n_steps * tau, u, dealias=dealias)
+                    traj = evolve(run)
+                    direct = u
+                    for _ in range(n_steps):
+                        direct = step(direct, tau, dealias=dealias)
+                    assert traj.n_steps == n_steps
+                    assert np.array_equal(traj.final.values, direct.values)
+                    assert np.array_equal(traj.final.spectrum, direct.spectrum)
 
 
 def test_evolve_recording_pattern():

@@ -57,8 +57,9 @@ def test_rough_spec_validation():
         RoughSpec(3, 1.0)
     with pytest.raises(ValueError):
         RoughSpec(7, 1.0)
-    with pytest.raises(ValueError):
-        RoughSpec(64, -0.5)
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="theta"):
+            RoughSpec(64, bad)
     with pytest.raises(ValueError):
         RoughSpec(64, 1.0, seed=2**64)
     with pytest.raises(ValueError):

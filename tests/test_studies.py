@@ -106,10 +106,14 @@ def test_study_config_validation():
         tiny_config(taus=(0.1, 0.1, 0.05))
     with pytest.raises(ValueError, match="ref_tau"):
         tiny_config(ref_tau=0.01)
+    for bad in (float("nan"), -0.001):
+        with pytest.raises(ValueError, match="ref_tau must be positive and finite"):
+            tiny_config(ref_tau=bad)
     with pytest.raises(ValueError, match="format"):
         tiny_config(fmt="yaml")
-    with pytest.raises(ValueError, match="gamma_err"):
-        tiny_config(gamma_err=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma_err"):
+            tiny_config(gamma_err=bad)
     with pytest.raises(ValueError, match="unknown scheme"):
         tiny_config(schemes=("lri2",))
 
