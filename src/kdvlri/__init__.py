@@ -60,6 +60,7 @@ from .studies import (
     emit_report,
     estimate_order,
     parse_report_csv,
+    render_report,
     run_convergence_study,
     run_local_error_study,
     smooth_test_data,
@@ -104,6 +105,7 @@ __all__ = [
     "project_zero_mean",
     "read_field",
     "reference_solution",
+    "render_report",
     "run_convergence_study",
     "run_local_error_study",
     "smooth_test_data",

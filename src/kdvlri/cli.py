@@ -33,8 +33,7 @@ from .studies import (
     StudyConfig,
     emit_report,
     json_text,
-    render_report_csv,
-    render_report_json,
+    render_report,
     run_convergence_study,
     run_local_error_study,
 )
@@ -52,9 +51,12 @@ def parse_tau_token(token: str) -> float:
     token = token.strip()
     if not token:
         raise ValueError("empty step-size entry")
-    if token.startswith("2^"):
-        return 2.0 ** int(token[2:])
-    return float(token)
+    try:
+        return 2.0 ** int(token[2:]) if token.startswith("2^") else float(token)
+    except (OverflowError, ValueError):
+        raise ValueError(
+            f"bad step size {token!r}: expected a float or 2^K in float range"
+        ) from None
 
 
 def parse_tau_ladder(text: str):
@@ -77,8 +79,8 @@ def parse_schemes(text: str):
     return tuple(out)
 
 
-def _add_data_flags(p):
-    p.add_argument("--n", type=int, default=1024, help="number of grid points")
+def _add_data_flags(p, n_default=1024):
+    p.add_argument("--n", type=int, default=n_default, help="number of grid points")
     p.add_argument(
         "--theta", type=float, default=2.0, help="roughness exponent of the data"
     )
@@ -130,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("converge", help="global convergence study")
     _add_study_flags(conv, "elri1,elri2")
-    _add_data_flags(conv)
-    conv.add_argument("--t-final", type=float, default=1.0)
+    _add_data_flags(conv, None)  # None: not given, so --paper-scale may set it
+    conv.add_argument("--t-final", type=float, default=None)
     conv.add_argument(
         "--ref-tau",
         type=parse_tau_token,
@@ -200,13 +202,12 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _report_exit(report, cfg) -> int:
-    if cfg.output:
-        emit_report(report, cfg.fmt, cfg.output)
-        print(f"wrote {report.kind} report ({len(report.rows)} rows) to {cfg.output}")
+def _report_exit(report, args) -> int:
+    if args.output:
+        emit_report(report, args.format, args.output)
+        print(f"wrote {report.kind} report ({len(report.rows)} rows) to {args.output}")
     else:
-        render = render_report_csv if cfg.fmt == "csv" else render_report_json
-        sys.stdout.write(render(report))
+        sys.stdout.write(render_report(report, args.format))
     for fit in report.fits:
         if fit.fitted_order is None:
             line = f"{fit.scheme.value}: no fitted order (insufficient finite points)"
@@ -232,6 +233,9 @@ def cmd_converge(args) -> int:
     )
     n, t_final, ref_tau = args.n, args.t_final, args.ref_tau
     if args.paper_scale:
+        for flag, value in (("--n", n), ("--t-final", t_final)):
+            if value is not None:
+                raise ValueError(f"--paper-scale sets N and T itself; drop {flag}")
         n = PAPER_SCALE_N
         t_final = PAPER_SCALE_T_FINAL
         if ref_tau is None:
@@ -243,18 +247,16 @@ def cmd_converge(args) -> int:
     cfg = StudyConfig(
         schemes=parse_schemes(args.scheme),
         taus=taus,
-        n_points=n,
+        n_points=1024 if n is None else n,
         theta=args.theta,
         seed=args.seed,
         gamma_err=args.gamma,
-        t_final=t_final,
+        t_final=1.0 if t_final is None else t_final,
         ref_tau=ref_tau,
-        output=args.output,
-        fmt=args.format,
         dealias=args.dealias,
         cross_check=args.cross_check,
     )
-    return _report_exit(run_convergence_study(cfg), cfg)
+    return _report_exit(run_convergence_study(cfg), args)
 
 
 def cmd_local_error(args) -> int:
@@ -267,11 +269,9 @@ def cmd_local_error(args) -> int:
         n_points=args.n,
         gamma_err=args.gamma,
         ref_tau=min(taus) / 16.0,
-        output=args.output,
-        fmt=args.format,
         dealias=args.dealias,
     )
-    return _report_exit(run_local_error_study(cfg), cfg)
+    return _report_exit(run_local_error_study(cfg), args)
 
 
 def cmd_verify(args) -> int:

@@ -32,6 +32,7 @@ from .spectral import (
     exp_airy,
     integral,
     inv_dx,
+    sobolev_distance,
     sobolev_norm,
     truncate_two_thirds,
 )
@@ -478,18 +479,11 @@ def _reference_pair(u0, t_final, tau_ref, cross_tau, dealias=False):
     """Fine ELRI2 field, its L2 distance to the RK4 field, and the allowed one."""
     fine = _elri2_final(u0, t_final, tau_ref, dealias)
     coarse = _elri2_final(u0, t_final, 2 * tau_ref, dealias)
-    est = (
-        sobolev_norm(
-            Field.from_spectrum(u0.grid, fine.spectrum - coarse.spectrum), 0.0
-        )
-        / 3.0
-    )
+    est = sobolev_distance(fine, coarse) / 3.0
     other = ifrk4_solve(
         u0, t_final, cross_tau if cross_tau else 10.0 * tau_ref, dealias=dealias
     )
-    disagreement = sobolev_norm(
-        Field.from_spectrum(u0.grid, fine.spectrum - other.spectrum), 0.0
-    )
+    disagreement = sobolev_distance(fine, other)
     bound = 10.0 * max(est, 1e-13 * max(sobolev_norm(fine, 0.0), 1.0))
     return fine, disagreement, bound
 
@@ -557,8 +551,7 @@ def _check_projection_identity():
         f = random_band_field(grid, grid.n // 2 - 1, seed=10_000 + seed)
         lhs = inv_dx(dx(f, 1))
         rhs = Field.from_spectrum(grid, f.spectrum * (grid.wavenumbers != 0))
-        num = sobolev_norm(Field.from_spectrum(grid, lhs.spectrum - rhs.spectrum), 0.0)
-        worst = max(worst, num / sobolev_norm(f, 0.0))
+        worst = max(worst, sobolev_distance(lhs, rhs) / sobolev_norm(f, 0.0))
     return CheckResult("inv_dx_dx_equals_projection", worst, 1e-10)
 
 
@@ -585,10 +578,7 @@ def _check_airy_group():
         st = 4.0 * splitmix64_uniform(50_000 + seed, 2) - 2.0
         once = exp_airy(f, st[0] + st[1])
         twice = exp_airy(exp_airy(f, st[0]), st[1])
-        num = sobolev_norm(
-            Field.from_spectrum(grid, once.spectrum - twice.spectrum), 0.0
-        )
-        worst = max(worst, num / sobolev_norm(f, 0.0))
+        worst = max(worst, sobolev_distance(once, twice) / sobolev_norm(f, 0.0))
     return CheckResult("exp_airy_group_action", worst, 1e-10)
 
 
@@ -635,15 +625,7 @@ def _check_fn_quadrature():
             for s in (0.01, 0.05):
                 closed = fn_closed_form(w, t_n, s)
                 quad = fn_quadrature(w, t_n, s, nodes=64)
-                worst = max(
-                    worst,
-                    sobolev_norm(
-                        Field.from_spectrum(
-                            grid, closed.spectrum - quad.spectrum
-                        ),
-                        0.0,
-                    ),
-                )
+                worst = max(worst, sobolev_distance(closed, quad))
     return CheckResult("fn_closed_form_vs_quadrature", worst, 1e-10)
 
 
@@ -722,12 +704,7 @@ def _check_embedded_equivalence(variant):
             for tau in (0.01, 0.05):
                 direct = step(v, tau)
                 oracle = embedded_form_step(v, 0.0, tau, variant=variant)
-                num = sobolev_norm(
-                    Field.from_spectrum(
-                        grid, direct.spectrum - oracle.spectrum
-                    ),
-                    0.0,
-                )
+                num = sobolev_distance(direct, oracle)
                 worst = max(worst, num / sobolev_norm(direct, 0.0))
     return CheckResult(f"embedded_form_matches_{variant}", worst, 1e-10)
 

@@ -213,6 +213,11 @@ def sobolev_norm(f: Field, gamma: float = 0.0) -> float:
     return float(np.sqrt(TWO_PI * np.sum(weighted)))
 
 
+def sobolev_distance(a: Field, b: Field, gamma: float = 0.0) -> float:
+    """H^gamma norm of a - b, taken on the spectra of a's grid."""
+    return sobolev_norm(Field.from_spectrum(a.grid, a.spectrum - b.spectrum), gamma)
+
+
 def integral(f: Field) -> float:
     """Integral over the torus: 2 pi * uhat(0) = (2 pi / N) sum_j f(x_j).
 

@@ -2,10 +2,11 @@
 
 A study takes a scheme list and a descending tau ladder, runs every
 (scheme, tau) combination against a shared high-accuracy reference, fits
-log-log slopes and emits a deterministic report: CSV rows with the exact
-column set scheme,tau,error_rel,gamma,n_points,theta,seed,t_final,status,
-or JSON carrying the same rows plus the fitted orders.  Identical configs
-produce byte-identical CSV and JSON files.
+log-log slopes and emits a deterministic report: CSV rows, or JSON carrying
+the same rows plus the fitted orders.  ``COLUMNS`` is the one definition of
+a row: the CSV header, writer and parser, the JSON rows and the JSON
+schema's row keys all derive from it.  Identical configs produce
+byte-identical CSV and JSON files.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ import numpy as np
 from .integrators import BlowUpError, SchemeKind, SolverRun, evolve, step_function
 from .oracles import ifrk4_solve, reference_solution
 from .rough_data import RoughSpec, generate_rough
-from .spectral import Field, Grid, sobolev_norm
+from .spectral import Field, Grid, sobolev_distance, sobolev_norm
 
-CSV_HEADER = "scheme,tau,error_rel,gamma,n_points,theta,seed,t_final,status"
+#: one report row: column names, and the type each CSV cell parses back to
+COLUMNS = (
+    "scheme", "tau", "error_rel", "gamma", "n_points", "theta", "seed", "t_final",
+    "status",
+)
+_TYPES = (str, float, float, float, int, float, int, float, str)
+CSV_HEADER = ",".join(COLUMNS)
 
 # pre-asymptotic guard: when the log-log fit is this bad, drop the two
 # largest-tau points and refit (recorded in the report)
@@ -44,8 +51,6 @@ class StudyConfig:
     gamma_err: float = 1.0
     t_final: float = 1.0
     ref_tau: float = 2.0**-14
-    output: str = None
-    fmt: str = "csv"
     dealias: bool = False
     cross_check: bool = False
 
@@ -71,8 +76,6 @@ class StudyConfig:
             )
         if not 0 <= self.gamma_err < math.inf:
             raise ValueError(f"gamma_err must be finite and >= 0, got {self.gamma_err}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
 
 @dataclass
@@ -161,6 +164,12 @@ def _monotonicity_flags(rows, schemes):
     return flags
 
 
+def _report(cfg, rows, flags, kind):
+    rows.sort(key=lambda r: (r.scheme.value, -r.tau))
+    fits = [_fit_scheme(s, rows) for s in cfg.schemes]
+    return ConvergenceReport(config=cfg, rows=rows, fits=fits, flags=flags, kind=kind)
+
+
 def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     """Rough data once, reference once, then every (scheme, tau) run.
 
@@ -187,19 +196,11 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
             final = evolve(run).final
         except BlowUpError:
             return RunResult(scheme, tau, float("inf"), "diverged")
-        diff = Field.from_spectrum(u0.grid, final.spectrum - ref.spectrum)
-        return RunResult(scheme, tau, sobolev_norm(diff, cfg.gamma_err) / ref_norm, "ok")
+        err = sobolev_distance(final, ref, cfg.gamma_err) / ref_norm
+        return RunResult(scheme, tau, err, "ok")
 
     rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
-    rows.sort(key=lambda r: (r.scheme.value, -r.tau))
-    fits = [_fit_scheme(s, rows) for s in cfg.schemes]
-    return ConvergenceReport(
-        config=cfg,
-        rows=rows,
-        fits=fits,
-        flags=_monotonicity_flags(rows, cfg.schemes),
-        kind="convergence",
-    )
+    return _report(cfg, rows, _monotonicity_flags(rows, cfg.schemes), "convergence")
 
 
 def smooth_test_data(grid: Grid) -> Field:
@@ -223,15 +224,11 @@ def run_local_error_study(cfg: StudyConfig) -> ConvergenceReport:
         ref = ifrk4_solve(u0, tau, tau / 64.0, dealias=cfg.dealias)
         ref_check = reference_solution(u0, tau, tau / 256.0, dealias=cfg.dealias)
         ref_norm = sobolev_norm(ref, cfg.gamma_err)
-        dual_gap = sobolev_norm(
-            Field.from_spectrum(grid, ref.spectrum - ref_check.spectrum),
-            cfg.gamma_err,
-        )
+        dual_gap = sobolev_distance(ref, ref_check, cfg.gamma_err)
         tau_errors = []
         for scheme in cfg.schemes:
             stepped = step_function(scheme)(u0, tau, dealias=cfg.dealias)
-            diff = Field.from_spectrum(grid, stepped.spectrum - ref.spectrum)
-            err = sobolev_norm(diff, cfg.gamma_err) / ref_norm
+            err = sobolev_distance(stepped, ref, cfg.gamma_err) / ref_norm
             tau_errors.append(err)
             rows.append(RunResult(scheme, tau, err, "ok"))
         smallest = min(tau_errors)
@@ -240,16 +237,7 @@ def run_local_error_study(cfg: StudyConfig) -> ConvergenceReport:
                 f"tau={tau:g}: one-step references disagree by "
                 f"{dual_gap / ref_norm:.3e} (>5% of smallest error {smallest:.3e})"
             )
-
-    rows.sort(key=lambda r: (r.scheme.value, -r.tau))
-    fits = [_fit_scheme(s, rows) for s in cfg.schemes]
-    return ConvergenceReport(
-        config=cfg,
-        rows=rows,
-        fits=fits,
-        flags=flags,
-        kind="local_error",
-    )
+    return _report(cfg, rows, flags, "local_error")
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +248,19 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _row(r: RunResult, cfg: StudyConfig) -> tuple:
+    """The values of one report row, in COLUMNS order."""
+    return (
+        r.scheme.value, r.tau, r.error_rel, cfg.gamma_err, cfg.n_points, cfg.theta,
+        cfg.seed, cfg.t_final, r.status,
+    )
+
+
 def render_report_csv(report: ConvergenceReport) -> str:
-    cfg = report.config
     lines = [CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    r.scheme.value,
-                    _g17(r.tau),
-                    _g17(r.error_rel),
-                    _g17(cfg.gamma_err),
-                    str(cfg.n_points),
-                    _g17(cfg.theta),
-                    str(cfg.seed),
-                    _g17(cfg.t_final),
-                    r.status,
-                )
-            )
-        )
+        cells = zip(_TYPES, _row(r, report.config))
+        lines.append(",".join(_g17(v) if t is float else str(v) for t, v in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -290,21 +272,9 @@ def parse_report_csv(text: str):
     out = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 9:
+        if len(parts) != len(COLUMNS):
             raise ValueError(f"bad report row: {ln!r}")
-        out.append(
-            {
-                "scheme": parts[0],
-                "tau": float(parts[1]),
-                "error_rel": float(parts[2]),
-                "gamma": float(parts[3]),
-                "n_points": int(parts[4]),
-                "theta": float(parts[5]),
-                "seed": int(parts[6]),
-                "t_final": float(parts[7]),
-                "status": parts[8],
-            }
-        )
+        out.append({c: t(p) for c, t, p in zip(COLUMNS, _TYPES, parts)})
     return out
 
 
@@ -347,20 +317,7 @@ def report_as_dict(report: ConvergenceReport) -> dict:
             "ref_tau": cfg.ref_tau,
             "dealias": cfg.dealias,
         },
-        "rows": [
-            {
-                "scheme": r.scheme.value,
-                "tau": r.tau,
-                "error_rel": r.error_rel,
-                "gamma": cfg.gamma_err,
-                "n_points": cfg.n_points,
-                "theta": cfg.theta,
-                "seed": cfg.seed,
-                "t_final": cfg.t_final,
-                "status": r.status,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(COLUMNS, _row(r, cfg))) for r in report.rows],
         "fits": [
             {
                 "scheme": f.scheme.value,
@@ -401,28 +358,18 @@ REPORT_JSON_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": [
-                    "scheme",
-                    "tau",
-                    "error_rel",
-                    "gamma",
-                    "n_points",
-                    "theta",
-                    "seed",
-                    "t_final",
-                    "status",
-                ],
-                "properties": {
-                    "scheme": {"enum": ["lri1", "elri1", "elri2"]},
-                    "tau": {"type": "number", "exclusiveMinimum": 0},
-                    "error_rel": {"type": ["number", "null"], "minimum": 0},
-                    "gamma": {"type": "number", "minimum": 0},
-                    "n_points": {"type": "integer"},
-                    "theta": {"type": "number"},
-                    "seed": {"type": "integer"},
-                    "t_final": {"type": "number"},
-                    "status": {"enum": ["ok", "diverged"]},
-                },
+                "required": list(COLUMNS),
+                "properties": dict(zip(COLUMNS, (
+                    {"enum": ["lri1", "elri1", "elri2"]},
+                    {"type": "number", "exclusiveMinimum": 0},
+                    {"type": ["number", "null"], "minimum": 0},  # null: diverged
+                    {"type": "number", "minimum": 0},
+                    {"type": "integer"},
+                    {"type": "number"},
+                    {"type": "integer"},
+                    {"type": "number"},
+                    {"enum": ["ok", "diverged"]},
+                ))),
             },
         },
         "fits": {
@@ -443,14 +390,18 @@ REPORT_JSON_SCHEMA = {
 }
 
 
-def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
-    """Write the report as CSV or JSON; files always end with a newline."""
+def render_report(report: ConvergenceReport, fmt: str) -> str:
+    """The report as CSV or JSON text, ending with a newline."""
     if fmt == "csv":
-        text = render_report_csv(report)
-    elif fmt == "json":
-        text = render_report_json(report)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        return render_report_csv(report)
+    if fmt == "json":
+        return render_report_json(report)
+    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+
+
+def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
+    """Write render_report(report, fmt) to path."""
+    text = render_report(report, fmt)
     try:
         with open(path, "w") as fh:
             fh.write(text)

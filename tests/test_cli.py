@@ -1,6 +1,7 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -17,15 +18,21 @@ from kdvlri.studies import CSV_HEADER, REPORT_JSON_SCHEMA, parse_report_csv
 # argument parsing helpers
 
 
-def test_parse_tau_token():
+def test_parse_tau_token(capsys):
     assert parse_tau_token("2^-8") == 2.0**-8
     assert parse_tau_token("2^3") == 8.0
     assert parse_tau_token("0.125") == 0.125
     assert parse_tau_token(" 1e-3 ") == 1e-3
     with pytest.raises(ValueError):
         parse_tau_token("")
-    with pytest.raises(ValueError):
-        parse_tau_token("2^x")
+    for bad in ("2^x", "2^2000", "2^", "0.1.2"):
+        with pytest.raises(ValueError, match=f"bad step size '{re.escape(bad)}'"):
+            parse_tau_token(bad)
+    # as an argparse type, a bad --tau is a usage error naming the token
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--scheme", "elri1", "--tau", "2^2000", "--n", "64"])
+    assert info.value.code == 2
+    assert "'2^2000'" in capsys.readouterr().err
 
 
 def test_parse_tau_ladder():
@@ -196,13 +203,32 @@ def test_converge_json_report_validates(tmp_path):
     assert len(doc["rows"]) == 3
 
 
-def test_converge_bad_ladder_is_config_error(capsys):
+def test_converge_bad_ladder_is_config_error(capsys, monkeypatch):
     rc = main(["converge", "--tau-ladder", "2^-5,2^-4", "--n", "64"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
     rc = main(["converge", "--n", "64", "--gamma", "nan"])
     assert rc == 2
     assert "gamma_err must be finite" in capsys.readouterr().err
+    for token in ("2^2000", "2^x"):
+        rc = main(["converge", "--n", "64", "--tau-ladder", f"2^-3,{token}"])
+        assert rc == 2
+        assert f"bad step size '{token}'" in capsys.readouterr().err
+    # --paper-scale fixes N and T, so an explicit --n or --t-final is refused
+    # before any rough data or reference exists
+    def no_study(cfg):
+        raise AssertionError("study started")
+
+    monkeypatch.setattr("kdvlri.cli.run_convergence_study", no_study)
+    for extra, flag in (
+        (["--n", "64", "--t-final", "0.25"], "--n"),
+        (["--t-final", "0.25"], "--t-final"),
+    ):
+        rc = main(["converge", "--paper-scale"] + extra)
+        assert rc == 2
+        assert f"--paper-scale sets N and T itself; drop {flag}" in (
+            capsys.readouterr().err
+        )
 
 
 def test_converge_unwritable_output_is_io_error(tmp_path, capsys):

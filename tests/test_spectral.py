@@ -15,6 +15,7 @@ from kdvlri.spectral import (
     project_zero_mean,
     read_field,
     read_field_csv,
+    sobolev_distance,
     sobolev_norm,
     to_spectrum,
     translate,
@@ -236,6 +237,18 @@ def test_sobolev_norm_monotone_in_gamma():
     f = random_field(g, 11)
     norms = [sobolev_norm(f, gamma) for gamma in (0.0, 0.5, 1.0, 2.0)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def test_sobolev_distance_is_norm_of_difference():
+    g = Grid(64)
+    a, b = random_field(g, 12), random_field(g, 13)
+    for gamma in (0.0, 1.0):
+        diff = Field.from_values(g, a.values - b.values)
+        expected = sobolev_norm(diff, gamma)
+        assert abs(sobolev_distance(a, b, gamma) - expected) < 1e-12 * expected
+        assert sobolev_distance(a, b, gamma) == sobolev_distance(b, a, gamma)
+    assert sobolev_distance(a, a) == 0.0
+    assert sobolev_distance(a, b) == sobolev_distance(a, b, 0.0)
 
 
 def test_integral_matches_parseval():

@@ -109,8 +109,6 @@ def test_study_config_validation():
     for bad in (float("nan"), -0.001):
         with pytest.raises(ValueError, match="ref_tau must be positive and finite"):
             tiny_config(ref_tau=bad)
-    with pytest.raises(ValueError, match="format"):
-        tiny_config(fmt="yaml")
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma_err"):
             tiny_config(gamma_err=bad)
