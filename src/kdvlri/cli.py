@@ -51,12 +51,20 @@ def parse_tau_token(token: str) -> float:
     token = token.strip()
     if not token:
         raise ValueError("empty step-size entry")
+    dyadic = token.startswith("2^")
     try:
-        return 2.0 ** int(token[2:]) if token.startswith("2^") else float(token)
+        value = 2.0 ** int(token[2:]) if dyadic else float(token)
     except (OverflowError, ValueError):
         raise ValueError(
             f"bad step size {token!r}: expected a float or 2^K in float range"
         ) from None
+    # a nonzero token that rounds to 0.0 underflowed (below 2^-1074)
+    mantissa = token.lower().partition("e")[0]
+    if value == 0.0 and (dyadic or any(c in "123456789" for c in mantissa)):
+        raise ValueError(
+            f"bad step size {token!r}: underflows to 0 (smallest is 2^-1074)"
+        )
+    return value
 
 
 def parse_tau_ladder(text: str):

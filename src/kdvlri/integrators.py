@@ -3,7 +3,7 @@
 Three explicit exponential-type schemes, all built from FFT-diagonal
 operators (the Airy symbol e^{i tau k^3}, the antiderivative 1/(i k)) and
 pointwise grid products.  They nest, LRI1 within ELRI1 within ELRI2, and
-one update body (_update) adds their terms in that cumulative order:
+one update body (_update) builds all three:
 
 * LRI1   -- classical three-term low-regularity integrator (baseline):
              e^{-tau dx^3} u - (1/6) e^{-tau dx^3}(dxinv u)^2
@@ -16,7 +16,16 @@ one update body (_update) adds their terms in that cumulative order:
 
 The update works on raw spectrum and grid-value arrays; a Field appears
 only at the step boundary.  evolve builds the Airy symbol once per run,
-each public *_step once per call.
+each public *_step once per call.  The linear part e^{-tau dx^3} u is the
+input's full spectrum times the symbol.  The correction terms are formed on
+the half spectrum (modes 0..N/2) with real transforms (rfft/irfft with
+norm="forward", so no separate 1/N scaling), added to the nonnegative
+modes, and mirrored as conjugates onto the negative ones.  Terms that share
+a multiplier share a transform: the 1/18 pair is one transform of the
+difference the 1/6 term builds, the resonant u^3 term rides in the p^3 half
+of the 1/54 pair and the ELRI2 (e^{-tau dx^3} u)^3 term in its other half.
+A step whose input holds a spectrum makes 4 / 9 / 10 half-length real
+transforms (LRI1 / ELRI1 / ELRI2) and no full-length ones.
 
 The schemes assume zero-mean data (the mode-0 coefficient of the update is
 only conserved, never evolved); solve_with_mean_shift removes a nonzero
@@ -64,52 +73,61 @@ def _require_zero_mean(u, where):
         )
 
 
+def _irfft(h, n):
+    """Grid values of the real field whose half spectrum is h."""
+    return np.fft.irfft(h, n, norm="forward")
+
+
+def _rfft(v):
+    """Half spectrum (modes 0..N/2) of the real grid values v."""
+    return np.fft.rfft(v, norm="forward")
+
+
 def _update(kind, u, tau, airy):
     """Update spectrum of the zero-mean Field u; airy is its grid's symbol at tau.
 
-    Adds the LRI1 terms, then the six ELRI1 terms, then the two ELRI2 terms,
-    returning once the terms of `kind` are in.  Each cancelling pair is added
-    as one difference, so every scheme is the exact identity at tau = 0.
+    The linear part is the input's full spectrum times the symbol.  The
+    correction terms are built on the half spectrum, added there, and their
+    conjugates added to the negative modes.  Each cancelling pair is one
+    difference, so every scheme is the exact identity at tau = 0.
     """
-    n, inv_ik = u.grid.n, u.grid.inv_ik
+    n = u.grid.n
+    m = n // 2 + 1
     s = u.spectrum
-    p = s * inv_ik  # dxinv u
-    ep = p * airy  # e^{-tau dx^3} dxinv u
-    p_v = np.fft.ifft(p * n).real
-    ep_v = np.fft.ifft(ep * n).real
+    out = s * airy
+    inv_ik = u.grid.inv_ik[:m]
+    a = airy[:m]
+    p = s[:m] * inv_ik  # dxinv u
+    ep = p * a  # e^{-tau dx^3} dxinv u
+    p_v = _irfft(p, n)
+    ep_v = _irfft(ep, n)
     # pseudo-spectral products: formed pointwise on the grid, no dealiasing
     p2_v = p_v * p_v
     ep2_v = ep_v * ep_v
-    p2 = np.fft.fft(p2_v) / n
-    ep2 = np.fft.fft(ep2_v) / n
-    out = s * airy
-    out += (ep2 - p2 * airy) / 6.0
-    if kind is SchemeKind.LRI1:
-        return out
-
-    v = u.values
-    u3 = np.fft.fft(v**3) / n
-    # projected cubic pair, 1/18
-    q_plus = np.fft.fft(ep_v * np.fft.ifft(ep2 * inv_ik * n).real) / n
-    q_minus = np.fft.fft(ep_v * np.fft.ifft(p2 * inv_ik * airy * n).real) / n
-    q_plus[0] = q_minus[0] = 0.0  # zero-mean projection
-    out += (q_plus - q_minus) / 18.0
-    # antiderivative cubic pair, 1/54
-    out += (
-        np.fft.fft(p_v * p2_v) / n * inv_ik * airy
-        - np.fft.fft(ep_v * ep2_v) / n * inv_ik
-    ) / 54.0
-    # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
-    out += (tau / (12.0 * np.pi) * (TWO_PI * np.mean(v * v))) * ep
-    # resonant cubic term
-    out -= (tau / 18.0) * (u3 * airy * inv_ik)
-    if kind is SchemeKind.ELRI1:
-        return out
-    # freed before the ELRI2 terms: fewer fresh pages per step at large N
-    del p, ep, p_v, ep_v, p2_v, ep2_v, p2, ep2, q_plus, q_minus
-
-    eu3 = np.fft.fft(np.fft.ifft(s * airy * n).real ** 3) / n
-    out += (tau / 36.0) * (u3 * inv_ik * airy - eu3 * inv_ik)
+    d = _rfft(ep2_v) - _rfft(p2_v) * a
+    corr = d / 6.0
+    if kind is not SchemeKind.LRI1:
+        v = _irfft(s[:m], n)
+        v2 = v * v
+        # projected cubic pair, 1/18: one transform of the difference d
+        q = _rfft(ep_v * _irfft(d * inv_ik, n))
+        q[0] = 0.0  # zero-mean projection
+        corr += q / 18.0
+        # antiderivative cubic pair, 1/54; the resonant u^3 term (tau/18,
+        # net tau/36 in ELRI2) rides in the p_v^3 transform, the ELRI2
+        # (e^{-tau dx^3} u)^3 term in the ep_v^3 transform
+        cubic_p = p_v * p2_v / 54.0
+        cubic_ep = ep_v * ep2_v / 54.0
+        resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
+        cubic_p -= resonant * (v2 * v)
+        if kind is SchemeKind.ELRI2:
+            w = _irfft(out[:m], n)  # e^{-tau dx^3} u
+            cubic_ep += (tau / 36.0) * (w * w * w)
+        corr += (_rfft(cubic_p) * a - _rfft(cubic_ep)) * inv_ik
+        # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
+        corr += (tau / (12.0 * np.pi) * (TWO_PI * np.mean(v2))) * ep
+    out[:m] += corr
+    out[m:] += np.conj(corr[m - 2 : 0 : -1])  # modes -(N/2 - 1)..-1
     return out
 
 

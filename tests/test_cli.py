@@ -28,6 +28,12 @@ def test_parse_tau_token(capsys):
     for bad in ("2^x", "2^2000", "2^", "0.1.2"):
         with pytest.raises(ValueError, match=f"bad step size '{re.escape(bad)}'"):
             parse_tau_token(bad)
+    # a nonzero token below the smallest subnormal underflows to 0.0
+    for bad in ("2^-1075", "2^-2000", "1e-400"):
+        with pytest.raises(ValueError, match=f"bad step size '{re.escape(bad)}'"):
+            parse_tau_token(bad)
+    assert parse_tau_token("2^-1074") == 5e-324
+    assert parse_tau_token("0") == 0.0  # a literal zero is not an underflow
     # as an argparse type, a bad --tau is a usage error naming the token
     with pytest.raises(SystemExit) as info:
         main(["solve", "--scheme", "elri1", "--tau", "2^2000", "--n", "64"])
@@ -210,7 +216,7 @@ def test_converge_bad_ladder_is_config_error(capsys, monkeypatch):
     rc = main(["converge", "--n", "64", "--gamma", "nan"])
     assert rc == 2
     assert "gamma_err must be finite" in capsys.readouterr().err
-    for token in ("2^2000", "2^x"):
+    for token in ("2^2000", "2^x", "2^-1075", "2^-2000", "1e-400"):
         rc = main(["converge", "--n", "64", "--tau-ladder", f"2^-3,{token}"])
         assert rc == 2
         assert f"bad step size '{token}'" in capsys.readouterr().err

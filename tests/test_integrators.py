@@ -25,6 +25,7 @@ from kdvlri.spectral import (
     inv_dx,
     mean_value,
     sobolev_norm,
+    truncate_two_thirds,
 )
 
 ALL_STEPS = [lri1_step, elri1_step, elri2_step]
@@ -118,6 +119,95 @@ def test_dealias_keyword_truncates_output():
     out = elri1_step(u, 0.1, dealias=True)
     k = np.abs(out.grid.wavenumbers)
     assert np.all(out.spectrum[3 * k >= out.grid.n] == 0.0)
+
+
+def full_complex_update(kind, u, tau):
+    """The update on full-length complex FFTs, transcribed term by term.
+
+    This is the one-transform-per-term form the half-spectrum kernel
+    replaced: it keeps every term separate, so it checks the kernel's shared
+    transforms and conjugate mirroring.
+    """
+    g = u.grid
+    n, inv_ik, airy = g.n, g.inv_ik, g.airy(tau)
+    s = u.spectrum
+    p = s * inv_ik
+    ep = p * airy
+    p_v = np.fft.ifft(p * n).real
+    ep_v = np.fft.ifft(ep * n).real
+    p2_v = p_v * p_v
+    ep2_v = ep_v * ep_v
+    p2 = np.fft.fft(p2_v) / n
+    ep2 = np.fft.fft(ep2_v) / n
+    out = s * airy + (ep2 - p2 * airy) / 6.0
+    if kind is SchemeKind.LRI1:
+        return out
+    v = u.values
+    u3 = np.fft.fft(v**3) / n
+    q_plus = np.fft.fft(ep_v * np.fft.ifft(ep2 * inv_ik * n).real) / n
+    q_minus = np.fft.fft(ep_v * np.fft.ifft(p2 * inv_ik * airy * n).real) / n
+    q_plus[0] = q_minus[0] = 0.0
+    out += (q_plus - q_minus) / 18.0
+    out += (
+        np.fft.fft(p_v * p2_v) / n * inv_ik * airy
+        - np.fft.fft(ep_v * ep2_v) / n * inv_ik
+    ) / 54.0
+    out += (tau / (12.0 * np.pi) * (2.0 * np.pi * np.mean(v * v))) * ep
+    out -= (tau / 18.0) * (u3 * airy * inv_ik)
+    if kind is SchemeKind.ELRI1:
+        return out
+    eu3 = np.fft.fft(np.fft.ifft(s * airy * n).real ** 3) / n
+    out += (tau / 36.0) * (u3 * inv_ik * airy - eu3 * inv_ik)
+    return out
+
+
+def test_steps_agree_with_full_complex_update():
+    worst = 0.0
+    for n in (64, 1024):
+        for theta in (2.0, 3.0):
+            u = rough(n=n, theta=theta, seed=17)
+            for kind, step in zip(SchemeKind, ALL_STEPS):
+                for tau in (2.0**-10, 2.0**-6, 0.1, 0.5):
+                    for dealias in (False, True):
+                        w = truncate_two_thirds(u) if dealias else u
+                        ref = Field.from_spectrum(
+                            w.grid, full_complex_update(kind, w, tau)
+                        )
+                        if dealias:
+                            ref = truncate_two_thirds(ref)
+                        got = step(u, tau, dealias=dealias).spectrum
+                        err = np.max(np.abs(got - ref.spectrum))
+                        worst = max(worst, err / np.max(np.abs(ref.spectrum)))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind, per_step",
+    [(SchemeKind.LRI1, 4), (SchemeKind.ELRI1, 9), (SchemeKind.ELRI2, 10)],
+)
+def test_transforms_per_step(monkeypatch, kind, per_step):
+    # a step whose input already holds a spectrum makes only half-length
+    # real transforms: rfft of N grid values, irfft of N/2 + 1 modes
+    u = rough(n=64)
+    u = Field.from_spectrum(u.grid, u.spectrum)
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+
+        def counted(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            y = _fn(x, *args, **kwargs)
+            calls.append((_name, np.shape(x), np.iscomplexobj(x), np.shape(y)))
+            return y
+
+        monkeypatch.setattr(np.fft, name, counted)
+    n_steps = 3
+    evolve(SolverRun(kind, 0.05, n_steps * 0.05, u))
+    half = (u.grid.n // 2 + 1,)
+    full = (u.grid.n,)
+    assert set(calls) <= {
+        ("rfft", full, False, half),
+        ("irfft", half, True, full),
+    }
+    assert len(calls) == n_steps * per_step
 
 
 # ---------------------------------------------------------------------------
