@@ -14,9 +14,11 @@ one update body (_update) builds all three:
 * ELRI2  -- ELRI1 plus two tau/36 correction terms; second order for
              H^(gamma+3) data.
 
-The update works on raw spectrum and grid-value arrays; a Field appears
-only at the step boundary.  evolve builds the Airy symbol once per run,
-each public *_step once per call.  The linear part e^{-tau dx^3} u is the
+The update writes only into a workspace allocated once per run (by evolve)
+or per call (by each public *_step): the Airy symbol, two full spectra that
+consecutive steps alternate between, and the temporaries, so a step in
+steady state allocates no array.  A Field is built only for recorded
+samples and the final state.  The linear part e^{-tau dx^3} u is the
 input's full spectrum times the symbol.  The correction terms are formed on
 the half spectrum (modes 0..N/2) with real transforms (rfft/irfft with
 norm="forward", so no separate 1/N scaling), added to the nonnegative
@@ -41,9 +43,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import TWO_PI, Field, translate, truncate_two_thirds
+from .spectral import TWO_PI, Field, translate
 
 MEAN_TOL = 1e-12
+
+#: most steps one run may take.  Paper-scale references take 10^4 steps, so
+#: only a mistyped step size reaches this; it is refused before any stepping.
+MAX_STEPS = 10**7
 
 
 class SchemeConfigError(ValueError):
@@ -73,84 +79,140 @@ def _require_zero_mean(u, where):
         )
 
 
-def _irfft(h, n):
-    """Grid values of the real field whose half spectrum is h."""
-    return np.fft.irfft(h, n, norm="forward")
+def check_step_count(name, tau, t_final):
+    """Refuse a step size tau that needs more than MAX_STEPS steps to t_final."""
+    steps = t_final / tau
+    if steps > MAX_STEPS:
+        raise SchemeConfigError(
+            f"{name} = {tau:g} takes {steps:.3g} steps to t_final = {t_final:g}, "
+            f"more than MAX_STEPS = {MAX_STEPS:.0e}"
+        )
 
 
-def _rfft(v):
-    """Half spectrum (modes 0..N/2) of the real grid values v."""
-    return np.fft.rfft(v, norm="forward")
+def _irfft(h, n, out):
+    """Grid values of the real field whose half spectrum is h, into out."""
+    return np.fft.irfft(h, n, norm="forward", out=out)
 
 
-def _update(kind, u, tau, airy):
-    """Update spectrum of the zero-mean Field u; airy is its grid's symbol at tau.
+def _rfft(v, out):
+    """Half spectrum (modes 0..N/2) of the real grid values v, into out."""
+    return np.fft.rfft(v, norm="forward", out=out)
 
-    The linear part is the input's full spectrum times the symbol.  The
-    correction terms are built on the half spectrum, added there, and their
-    conjugates added to the negative modes.  Each cancelling pair is one
-    difference, so every scheme is the exact identity at tau = 0.
+
+class _Workspace:
+    """Every array the steps of one run write, allocated once per run.
+
+    Holds the Airy symbol at tau and the half-length views of it and of
+    inv_ik, the dropped-mode mask when dealiasing, two full spectra that
+    consecutive steps alternate between, the half-spectrum and grid
+    temporaries of _update, and the blow-up check's flags.
     """
-    n = u.grid.n
-    m = n // 2 + 1
-    s = u.spectrum
-    out = s * airy
-    inv_ik = u.grid.inv_ik[:m]
-    a = airy[:m]
-    p = s[:m] * inv_ik  # dxinv u
-    ep = p * a  # e^{-tau dx^3} dxinv u
-    p_v = _irfft(p, n)
-    ep_v = _irfft(ep, n)
+
+    def __init__(self, grid, tau, dealias):
+        n = grid.n
+        m = n // 2 + 1
+        self.n = n
+        self.airy = grid.airy(tau)
+        self.a = self.airy[:m]
+        self.inv_ik = grid.inv_ik[:m]
+        self.drop = ~grid.keep_two_thirds if dealias else None
+        self.spectra = (np.empty(n, complex), np.empty(n, complex))
+        self.p, self.ep, self.d, self.h, self.h2, self.corr = (
+            np.empty(m, complex) for _ in range(6)
+        )
+        self.p_v, self.ep_v, self.p2_v, self.ep2_v, self.v, self.v2, self.g = (
+            np.empty(n) for _ in range(7)
+        )
+        self.finite = np.empty(n, bool)
+
+    def load(self, spectrum):
+        """The first step's input: spectrum itself, or its 2/3-truncated copy."""
+        if self.drop is None:
+            return spectrum
+        s = self.spectra[0]
+        np.copyto(s, spectrum)
+        np.copyto(s, 0.0, where=self.drop)
+        return s
+
+
+def _update(kind, ws, tau, s):
+    """Spectrum one step after s, written into the one of ws.spectra s is not.
+
+    The linear part is s times the symbol.  The correction terms are built
+    on the half spectrum, added there, and their conjugates added to the
+    negative modes.  Each cancelling pair is one difference, so every scheme
+    is the exact identity at tau = 0.  Every array written is one of ws's,
+    and each term keeps the operation order of its formula, so the bits do
+    not depend on which buffer holds it.  No mean gate: evolve checks the
+    initial mean once, and a diverging iterate must reach the non-finite
+    check (BlowUpError), not trip the absolute mean gate.
+    """
+    n, a, inv_ik = ws.n, ws.a, ws.inv_ik
+    m = a.size
+    out = ws.spectra[1] if s is ws.spectra[0] else ws.spectra[0]
+    np.multiply(s, ws.airy, out=out)
+    p = np.multiply(s[:m], inv_ik, out=ws.p)  # dxinv u
+    ep = np.multiply(p, a, out=ws.ep)  # e^{-tau dx^3} dxinv u
+    p_v = _irfft(p, n, ws.p_v)
+    ep_v = _irfft(ep, n, ws.ep_v)
     # pseudo-spectral products: formed pointwise on the grid, no dealiasing
-    p2_v = p_v * p_v
-    ep2_v = ep_v * ep_v
-    d = _rfft(ep2_v) - _rfft(p2_v) * a
-    corr = d / 6.0
+    p2_v = np.multiply(p_v, p_v, out=ws.p2_v)
+    ep2_v = np.multiply(ep_v, ep_v, out=ws.ep2_v)
+    # d = rfft(ep_v^2) - rfft(p_v^2) a
+    d = _rfft(ep2_v, ws.d)
+    h = _rfft(p2_v, ws.h)
+    np.subtract(d, np.multiply(h, a, out=h), out=d)
+    corr = np.divide(d, 6.0, out=ws.corr)
     if kind is not SchemeKind.LRI1:
-        v = _irfft(s[:m], n)
-        v2 = v * v
+        v = _irfft(s[:m], n, ws.v)
+        v2 = np.multiply(v, v, out=ws.v2)
         # projected cubic pair, 1/18: one transform of the difference d
-        q = _rfft(ep_v * _irfft(d * inv_ik, n))
+        g = _irfft(np.multiply(d, inv_ik, out=h), n, ws.g)
+        q = _rfft(np.multiply(ep_v, g, out=g), h)
         q[0] = 0.0  # zero-mean projection
-        corr += q / 18.0
+        np.add(corr, np.divide(q, 18.0, out=q), out=corr)
         # antiderivative cubic pair, 1/54; the resonant u^3 term (tau/18,
         # net tau/36 in ELRI2) rides in the p_v^3 transform, the ELRI2
         # (e^{-tau dx^3} u)^3 term in the ep_v^3 transform
-        cubic_p = p_v * p2_v / 54.0
-        cubic_ep = ep_v * ep2_v / 54.0
+        cubic_p = np.divide(np.multiply(p_v, p2_v, out=p2_v), 54.0, out=p2_v)
+        cubic_ep = np.divide(np.multiply(ep_v, ep2_v, out=ep2_v), 54.0, out=ep2_v)
         resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
-        cubic_p -= resonant * (v2 * v)
+        u3 = np.multiply(v2, v, out=g)
+        np.subtract(cubic_p, np.multiply(resonant, u3, out=u3), out=cubic_p)
         if kind is SchemeKind.ELRI2:
-            w = _irfft(out[:m], n)  # e^{-tau dx^3} u
-            cubic_ep += (tau / 36.0) * (w * w * w)
-        corr += (_rfft(cubic_p) * a - _rfft(cubic_ep)) * inv_ik
+            w = _irfft(out[:m], n, g)  # e^{-tau dx^3} u
+            w3 = np.multiply(np.multiply(w, w, out=v), w, out=v)
+            np.add(cubic_ep, np.multiply(tau / 36.0, w3, out=w3), out=cubic_ep)
+        cubic = np.multiply(_rfft(cubic_p, h), a, out=h)
+        np.subtract(cubic, _rfft(cubic_ep, ws.h2), out=cubic)
+        np.add(corr, np.multiply(cubic, inv_ik, out=cubic), out=corr)
         # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
-        corr += (tau / (12.0 * np.pi) * (TWO_PI * np.mean(v2))) * ep
-    out[:m] += corr
-    out[m:] += np.conj(corr[m - 2 : 0 : -1])  # modes -(N/2 - 1)..-1
+        mass = tau / (12.0 * np.pi) * (TWO_PI * np.mean(v2))
+        np.add(corr, np.multiply(mass, ep, out=h), out=corr)
+    np.add(out[:m], corr, out=out[:m])
+    # modes -(N/2 - 1)..-1
+    mirror = np.conjugate(corr[m - 2 : 0 : -1], out=ws.h2[: m - 2])
+    np.add(out[m:], mirror, out=out[m:])
+    if ws.drop is not None:
+        np.copyto(out, 0.0, where=ws.drop)
     return out
 
 
-def _advance(kind, u, tau, airy, dealias):
-    # no mean gate: evolve checks the initial mean once in SolverRun, and a
-    # diverging iterate must reach the non-finite check (BlowUpError), not
-    # trip the absolute mean gate
-    if dealias:
-        u = truncate_two_thirds(u)
-    out = Field.from_spectrum(u.grid, _update(kind, u, tau, airy))
-    return truncate_two_thirds(out) if dealias else out
+def _one_step(kind, u, tau, dealias):
+    ws = _Workspace(u.grid, tau, dealias)
+    return Field.from_spectrum(u.grid, _update(kind, ws, tau, ws.load(u.spectrum)))
 
 
 def lri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
     """One step of the three-term baseline integrator LRI1."""
     _require_zero_mean(u, "lri1_step")
-    return _advance(SchemeKind.LRI1, u, tau, u.grid.airy(tau), dealias)
+    return _one_step(SchemeKind.LRI1, u, tau, dealias)
 
 
 def elri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
     """One step of the first-order embedded low-regularity integrator."""
     _require_zero_mean(u, "elri1_step")
-    return _advance(SchemeKind.ELRI1, u, tau, u.grid.airy(tau), dealias)
+    return _one_step(SchemeKind.ELRI1, u, tau, dealias)
 
 
 def elri2_step(u: Field, tau: float, dealias: bool = False) -> Field:
@@ -160,7 +222,7 @@ def elri2_step(u: Field, tau: float, dealias: bool = False) -> Field:
     (tau/36) e^{-tau dx^3} dxinv(u^3) - (tau/36) dxinv(e^{-tau dx^3} u)^3.
     """
     _require_zero_mean(u, "elri2_step")
-    return _advance(SchemeKind.ELRI2, u, tau, u.grid.airy(tau), dealias)
+    return _one_step(SchemeKind.ELRI2, u, tau, dealias)
 
 
 # scheme -> public zero-mean-gated step
@@ -207,6 +269,7 @@ class SolverRun:
                 raise SchemeConfigError(
                     f"{name} must be positive and finite, got {value}"
                 )
+        check_step_count("tau", self.tau, self.t_final)
         ratio = self.t_final / self.tau
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise SchemeConfigError(
@@ -256,7 +319,8 @@ def evolve(run: SolverRun) -> Trajectory:
         return solve_with_mean_shift(run)
     n_steps = run.n_steps
     u = run.initial
-    airy = u.grid.airy(run.tau)
+    ws = _Workspace(u.grid, run.tau, run.dealias)
+    s = ws.load(u.spectrum)
     mean0 = complex(u.spectrum[0])
     samples = [(0.0, u)]
     drift = 0.0
@@ -264,9 +328,8 @@ def evolve(run: SolverRun) -> Trajectory:
         # a diverging iterate overflows before the isfinite check catches it;
         # the warnings would only duplicate the BlowUpError diagnostic
         with np.errstate(over="ignore", invalid="ignore"):
-            u = _advance(run.scheme, u, run.tau, airy, run.dealias)
-            s = u.spectrum
-        if not np.all(np.isfinite(s)):
+            s = _update(run.scheme, ws, run.tau, s)
+        if not np.isfinite(s, out=ws.finite).all():
             raise BlowUpError(
                 f"non-finite field after step {n} of {n_steps} "
                 f"(t = {n * run.tau:.6g}, scheme {run.scheme.name})",
@@ -274,8 +337,8 @@ def evolve(run: SolverRun) -> Trajectory:
             )
         drift = max(drift, abs(complex(s[0]) - mean0))
         if run.record_every and n % run.record_every == 0 and n != n_steps:
-            samples.append((n * run.tau, u))
-    samples.append((n_steps * run.tau, u))
+            samples.append((n * run.tau, Field.from_spectrum(u.grid, s)))
+    samples.append((n_steps * run.tau, Field.from_spectrum(u.grid, s)))
     return Trajectory(samples=samples, n_steps=n_steps, max_mean_drift=drift)
 
 

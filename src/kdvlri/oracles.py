@@ -18,6 +18,7 @@ the two agree exactly on such fields.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -439,7 +440,6 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
     g = u0.grid
     if dealias:
         u0 = truncate_two_thirds(u0)
-    keep = 3 * np.abs(g.wavenumbers) < g.n
     steps = round(t_final / tau)
     if steps < 1 or abs(t_final / tau - steps) > 1e-9:
         raise ValueError(f"t_final/tau = {t_final / tau!r} is not a step count")
@@ -448,7 +448,7 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
         uw = exp_airy(Field.from_spectrum(g, w_spec), t)  # e^{-t dx^3} w
         sq = Field.from_values(g, uw.values * uw.values)
         out = 0.5 * exp_airy(dx(sq, 1), -t).spectrum
-        return np.where(keep, out, 0.0) if dealias else out
+        return np.where(g.keep_two_thirds, out, 0.0) if dealias else out
 
     w = u0.spectrum.copy()
     for nstep in range(steps):
@@ -461,6 +461,10 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
         if not np.all(np.isfinite(w)):
             raise ValueError(f"ifrk4_solve blew up at step {nstep + 1}")
     return exp_airy(Field.from_spectrum(g, w), t_final)
+
+
+#: how many reference_solution results the process keeps
+REFERENCE_CACHE_SIZE = 4
 
 
 def _elri2_final(u0, t_final, tau, dealias):
@@ -506,8 +510,22 @@ def reference_solution(
     dealias must match the runs the reference will be compared against:
     errors of dealiased runs against an untruncated reference plateau at the
     truncation difference instead of decaying with tau.
+
+    The last REFERENCE_CACHE_SIZE results are kept, keyed by N, the initial
+    spectrum's bytes and every other argument, so studies on the same data
+    build their reference once (_reference.cache_clear() empties the cache).
+    A Field is immutable, so sharing one is safe.
     """
     _require_zero_mean(u0, "reference_solution")
+    return _reference(
+        u0.grid.n, u0.spectrum.tobytes(), t_final, tau_ref, cross_check, cross_tau,
+        dealias,
+    )
+
+
+@functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
+def _reference(n, spectrum, t_final, tau_ref, cross_check, cross_tau, dealias):
+    u0 = Field.from_spectrum(Grid(n), np.frombuffer(spectrum, dtype=np.complex128))
     if not cross_check:
         return _elri2_final(u0, t_final, tau_ref, dealias)
     fine, disagreement, bound = _reference_pair(

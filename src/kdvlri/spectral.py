@@ -38,8 +38,9 @@ class Grid:
 
     Caches the integer wavenumbers (FFT order) and the multiplier arrays
     shared by the spectral operators: inv_ik is the mean-free antiderivative
-    multiplier 1/(i xi), and airy(t) builds the Airy symbol.  Cached arrays
-    are read-only, so a Grid can be used concurrently from several threads.
+    multiplier 1/(i xi), keep_two_thirds marks the modes 3 |xi| < N that the
+    2/3 rule keeps, and airy(t) builds the Airy symbol.  Cached arrays are
+    read-only, so a Grid can be used concurrently from several threads.
     """
 
     def __init__(self, n: int):
@@ -64,7 +65,11 @@ class Grid:
         self._ik = ik
         self.inv_ik = inv_ik
         self._k3 = k3
-        for arr in (self.x, self.wavenumbers, self._ik, self.inv_ik, self._k3):
+        self.keep_two_thirds = 3 * np.abs(self.wavenumbers) < n
+        for arr in (
+            self.x, self.wavenumbers, self._ik, self.inv_ik, self._k3,
+            self.keep_two_thirds,
+        ):
             arr.flags.writeable = False
 
     def airy(self, t: float) -> np.ndarray:
@@ -235,7 +240,7 @@ def mean_value(f: Field) -> float:
 
 def truncate_two_thirds(f: Field) -> Field:
     """2/3-rule dealiasing: zero every mode with 3 |xi| >= N."""
-    keep = 3 * np.abs(f.grid.wavenumbers) < f.grid.n
+    keep = f.grid.keep_two_thirds
     return Field.from_spectrum(f.grid, np.where(keep, f.spectrum, 0.0))
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .integrators import BlowUpError, SchemeKind, SolverRun, evolve, step_function
+from .integrators import (
+    BlowUpError,
+    SchemeKind,
+    SolverRun,
+    check_step_count,
+    evolve,
+    step_function,
+)
 from .oracles import ifrk4_solve, reference_solution
 from .rough_data import RoughSpec, generate_rough
 from .spectral import Field, Grid, sobolev_distance, sobolev_norm
@@ -74,8 +81,20 @@ class StudyConfig:
                 f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "
                 f"{min(self.taus) / 10.0:g}"
             )
+        check_step_count("tau", min(self.taus), self.t_final)
+        check_step_count("ref_tau", self.ref_tau, self.t_final)
         if not 0 <= self.gamma_err < math.inf:
             raise ValueError(f"gamma_err must be finite and >= 0, got {self.gamma_err}")
+        # 8 pi times the top-mode weight bounds the squared H^gamma distance of
+        # two fields with mean(u^2) <= 1, as rough data (max |u| = 1) has
+        top = np.float64(1 + (self.n_points // 2) ** 2)
+        with np.errstate(over="ignore"):
+            bound = 8.0 * np.pi * top**self.gamma_err
+        if not np.isfinite(bound):
+            raise ValueError(
+                f"gamma = {self.gamma_err:g} overflows the H^gamma error weight "
+                f"(1 + (N/2)^2)^gamma at N = {self.n_points}"
+            )
 
 
 @dataclass
@@ -174,8 +193,10 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     """Rough data once, reference once, then every (scheme, tau) run.
 
     Diverged runs keep a row (status 'diverged', infinite error) but are
-    excluded from slope fits.  Relative errors are measured in H^gamma_err
-    against the ELRI2 reference at ref_tau, normalized by its norm.
+    excluded from slope fits; a run whose error overflows counts as diverged,
+    so an 'ok' row always carries a finite error.  Relative errors are
+    measured in H^gamma_err against the ELRI2 reference at ref_tau,
+    normalized by its norm.
     """
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
     ref = reference_solution(
@@ -197,6 +218,8 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
         except BlowUpError:
             return RunResult(scheme, tau, float("inf"), "diverged")
         err = sobolev_distance(final, ref, cfg.gamma_err) / ref_norm
+        if not math.isfinite(err):  # finite values, but too large to measure
+            return RunResult(scheme, tau, float("inf"), "diverged")
         return RunResult(scheme, tau, err, "ok")
 
     rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]

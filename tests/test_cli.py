@@ -237,6 +237,24 @@ def test_converge_bad_ladder_is_config_error(capsys, monkeypatch):
         )
 
 
+def test_step_cap_and_gamma_overflow_are_config_errors(capsys, monkeypatch):
+    # refused at the boundary, before any study (data, reference) starts
+    def no_study(cfg):
+        raise AssertionError("study started")
+
+    monkeypatch.setattr("kdvlri.cli.run_convergence_study", no_study)
+    ladder = ["converge", "--n", "64", "--tau-ladder", "2^-3,2^-4"]
+    for argv, named in (
+        (["solve", "--scheme", "elri2", "--tau", "1e-300", "--n", "8"],
+         "tau = 1e-300 takes 1e+300 steps"),
+        (ladder + ["--ref-tau", "1e-300"], "ref_tau = 1e-300 takes 1e+300 steps"),
+        (ladder + ["--gamma", "1e308"], "gamma = 1e+308 overflows"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
+
 def test_converge_unwritable_output_is_io_error(tmp_path, capsys):
     rc = main(CONV_QUICK + ["--output", str(tmp_path / "nope" / "r.csv")])
     assert rc == 1

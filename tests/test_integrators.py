@@ -1,9 +1,13 @@
 """One-step maps, the evolution loop, blow-up detection, mean shifting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kdvlri import integrators
 from kdvlri.integrators import (
+    MAX_STEPS,
     BlowUpError,
     SchemeConfigError,
     SchemeKind,
@@ -181,6 +185,96 @@ def test_steps_agree_with_full_complex_update():
     assert worst <= 1e-13
 
 
+def allocating_update(kind, u, tau):
+    """The half-spectrum update with a fresh array per term, as before workspaces.
+
+    Same terms in the same operation order as the workspace kernel, so the
+    two must agree bit for bit.
+    """
+    n, m = u.grid.n, u.grid.n // 2 + 1
+
+    def irfft(h):
+        return np.fft.irfft(h, n, norm="forward")
+
+    def rfft(v):
+        return np.fft.rfft(v, norm="forward")
+
+    airy = u.grid.airy(tau)
+    s = u.spectrum
+    out = s * airy
+    inv_ik, a = u.grid.inv_ik[:m], airy[:m]
+    p = s[:m] * inv_ik
+    ep = p * a
+    p_v, ep_v = irfft(p), irfft(ep)
+    p2_v, ep2_v = p_v * p_v, ep_v * ep_v
+    d = rfft(ep2_v) - rfft(p2_v) * a
+    corr = d / 6.0
+    if kind is not SchemeKind.LRI1:
+        v = irfft(s[:m])
+        v2 = v * v
+        q = rfft(ep_v * irfft(d * inv_ik))
+        q[0] = 0.0
+        corr += q / 18.0
+        cubic_p = p_v * p2_v / 54.0
+        cubic_ep = ep_v * ep2_v / 54.0
+        cubic_p -= (tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0) * (v2 * v)
+        if kind is SchemeKind.ELRI2:
+            w = irfft(out[:m])
+            cubic_ep += (tau / 36.0) * (w * w * w)
+        corr += (rfft(cubic_p) * a - rfft(cubic_ep)) * inv_ik
+        corr += (tau / (12.0 * np.pi) * (2.0 * np.pi * np.mean(v2))) * ep
+    out[:m] += corr
+    out[m:] += np.conj(corr[m - 2 : 0 : -1])
+    return out
+
+
+def test_workspace_steps_are_bitwise_the_allocating_update():
+    for n in (16, 1024):
+        for theta, dealias in ((0.5, False), (3.0, False), (3.0, True)):
+            u0 = rough(n=n, theta=theta, seed=23)
+            for kind in SchemeKind:
+                for tau in (0.0, 2.0**-10, 0.3):
+                    u, want = u0, []
+                    for _ in range(3):
+                        w = truncate_two_thirds(u) if dealias else u
+                        u = Field.from_spectrum(w.grid, allocating_update(kind, w, tau))
+                        u = truncate_two_thirds(u) if dealias else u
+                        want.append(u.spectrum.tobytes())
+                    one = step_function(kind)(u0, tau, dealias=dealias)
+                    assert one.spectrum.tobytes() == want[0]
+                    if tau:
+                        run = SolverRun(kind, tau, 3 * tau, u0, record_every=1,
+                                        dealias=dealias)
+                        got = [f.spectrum.tobytes() for _, f in evolve(run)][1:]
+                        assert got == want
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_steady_state_steps_allocate_nothing(monkeypatch, kind):
+    # the traced peak over steps 2..9 of a run at the paper's grid, measured
+    # from inside the step loop: the workspace exists by then, so the peak
+    # counts only what a step itself allocates (a few KB of Python objects;
+    # an N = 2^14 grid array alone is 128 KB)
+    u = rough(n=2**14, theta=3.0)
+    update = integrators._update
+    marks = []
+
+    def traced_update(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        if len(marks) == 2:
+            tracemalloc.reset_peak()
+        return update(*args)
+
+    monkeypatch.setattr(integrators, "_update", traced_update)
+    tracemalloc.start()
+    try:
+        evolve(SolverRun(kind, 2.0**-10, 10 * 2.0**-10, u))
+    finally:
+        tracemalloc.stop()
+    (base, _), (_, peak) = marks[1], marks[9]
+    assert peak - base < 64 * 1024
+
+
 @pytest.mark.parametrize(
     "kind, per_step",
     [(SchemeKind.LRI1, 4), (SchemeKind.ELRI1, 9), (SchemeKind.ELRI2, 10)],
@@ -226,6 +320,11 @@ def test_solver_run_validation():
         SolverRun(SchemeKind.ELRI1, 0.1, 1.0, u, record_every=-1)
     with pytest.raises(SchemeConfigError, match="unknown scheme"):
         SolverRun("lri2", 0.1, 1.0, u)
+    # a step count past MAX_STEPS is refused by name, before any stepping
+    assert SolverRun(SchemeKind.ELRI1, 2.0**-23, 1.0, u).n_steps <= MAX_STEPS
+    for tau, t_final in ((2.0**-24, 1.0), (1e-300, 1.0), (1e-300, 1e300)):
+        with pytest.raises(SchemeConfigError, match=r"tau = .*MAX_STEPS"):
+            SolverRun(SchemeKind.ELRI1, tau, t_final, u)
     g = Grid(32)
     shifted = Field.from_values(g, 1.0 + np.cos(g.x))
     with pytest.raises(SchemeConfigError, match="zero-mean"):

@@ -4,7 +4,8 @@ integral form summed per frequency triple, and the cross-checked reference."""
 import numpy as np
 import pytest
 
-from kdvlri.integrators import elri1_step, elri2_step
+from kdvlri import oracles
+from kdvlri.integrators import elri1_step, elri2_step, evolve
 from kdvlri.oracles import (
     MAX_ORACLE_N,
     CheckResult,
@@ -285,6 +286,45 @@ def test_reference_solution_detects_bad_cross_solver():
     u0 = Field.from_values(g, np.cos(g.x))
     with pytest.raises(ReferenceMismatchError, match="disagree"):
         reference_solution(u0, 0.25, 5e-4, cross_check=True, cross_tau=0.125)
+
+
+def test_reference_solution_is_built_once_per_key(monkeypatch):
+    oracles._reference.cache_clear()
+    calls = []
+
+    def counted(run):
+        calls.append(run.tau)
+        return evolve(run)
+
+    monkeypatch.setattr(oracles, "evolve", counted)
+    g = Grid(64)
+    u0 = Field.from_values(g, np.cos(g.x))
+    base = dict(t_final=0.25, tau_ref=5e-4, cross_check=False, cross_tau=None,
+                dealias=False)
+    first = reference_solution(u0, **base)
+    assert reference_solution(u0, **base) is first
+    assert len(calls) == 1
+    # a change to any key field misses, and the reference is built again
+    other = Field.from_values(g, np.cos(g.x) + 1e-3 * np.sin(3 * g.x))
+    misses = [
+        (other, {}),
+        (u0, {"t_final": 0.125}),
+        (u0, {"tau_ref": 2.5e-4}),
+        (u0, {"cross_check": True, "cross_tau": 5e-3}),
+        (u0, {"cross_check": True, "cross_tau": 2.5e-3}),
+        (u0, {"dealias": True}),
+    ]
+    for data, change in misses:
+        before = len(calls)
+        reference_solution(data, **{**base, **change})
+        assert len(calls) > before, change
+    # the cache is bounded: the oldest entries are gone, the newest are not
+    assert oracles._reference.cache_info().currsize == oracles.REFERENCE_CACHE_SIZE
+    before = len(calls)
+    reference_solution(u0, **{**base, "dealias": True})
+    assert len(calls) == before
+    reference_solution(u0, **base)
+    assert len(calls) == before + 1
 
 
 # ---------------------------------------------------------------------------

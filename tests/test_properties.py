@@ -1,7 +1,11 @@
-"""Property tests: report round trips, step-size tokens, operators and steps."""
+"""Property tests: report and field-file round trips, step-size tokens, study
+rows, operators and steps."""
 
 import json
 import math
+import os
+import sys
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,7 +21,9 @@ from kdvlri.spectral import (
     exp_airy,
     inv_dx,
     project_zero_mean,
+    read_field,
     sobolev_norm,
+    write_field,
 )
 from kdvlri.studies import (
     ConvergenceReport,
@@ -26,6 +32,7 @@ from kdvlri.studies import (
     parse_report_csv,
     render_report_csv,
     render_report_json,
+    run_convergence_study,
 )
 
 FAST = settings(max_examples=100, deadline=None, database=None)
@@ -47,17 +54,27 @@ diverged_row = st.builds(
 )
 
 
+def max_gamma(n):
+    """Just below the largest error exponent StudyConfig accepts at N = n."""
+    headroom = math.log(sys.float_info.max) - math.log(8 * math.pi)
+    return 0.999 * headroom / math.log(1 + (n // 2) ** 2)
+
+
 @st.composite
 def reports(draw):
+    n = draw(st.integers(4, 2**20))
+    t_final = draw(positive)
+    # a step and reference step that reach any t_final within MAX_STEPS
+    tau = max(1.0, t_final)
     cfg = StudyConfig(
         schemes=(SchemeKind.ELRI1,),
-        taus=(1.0,),
-        ref_tau=0.01,
-        n_points=draw(st.integers(4, 2**20)),
+        taus=(tau,),
+        ref_tau=tau / 16,
+        n_points=n,
         theta=draw(non_negative),
         seed=draw(st.integers(0, 2**64 - 1)),
-        gamma_err=draw(non_negative),
-        t_final=draw(positive),
+        gamma_err=draw(st.floats(0.0, max_gamma(n))),
+        t_final=t_final,
     )
     rows = draw(st.lists(st.one_of(ok_row, diverged_row), max_size=8))
     return ConvergenceReport(config=cfg, rows=rows)
@@ -102,6 +119,53 @@ def test_json_rows_equal_csv_rows(rep):
         for r in parse_report_csv(render_report_csv(rep))
     ]
     assert from_json == from_csv
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from([4, 8, 16]),
+    st.floats(0.0, 4.0),
+    st.one_of(st.floats(0.0, 500.0), non_negative),
+)
+def test_ok_rows_carry_finite_errors(n, theta, gamma):
+    try:
+        cfg = StudyConfig(
+            schemes=tuple(SchemeKind),
+            taus=(2.0**-3, 2.0**-4),
+            n_points=n,
+            theta=theta,
+            gamma_err=gamma,
+            t_final=0.5,
+            ref_tau=2.0**-8,
+        )
+    except ValueError as exc:
+        assert "gamma" in str(exc)  # the only input drawn out of range
+        return
+    rows = run_convergence_study(cfg).rows
+    assert all(math.isfinite(r.error_rel) for r in rows if r.status == "ok")
+
+
+field_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@FAST
+@given(
+    st.sampled_from([4, 6, 16]).flatmap(
+        lambda n: st.lists(field_value, min_size=n, max_size=n)
+    ),
+    st.sampled_from(["csv", "bin"]),
+)
+def test_field_files_round_trip_bit_exact(values, fmt):
+    f = Field.from_values(Grid(len(values)), values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u")
+        write_field(f, path, fmt=fmt)
+        back = read_field(path)
+    assert back.values.tobytes() == f.values.tobytes()
 
 
 @FAST

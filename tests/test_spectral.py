@@ -218,6 +218,12 @@ def test_truncate_two_thirds_band():
     out = truncate_two_thirds(Field.from_spectrum(g, spec))
     kept = np.abs(g.wavenumbers) * 3 < g.n
     assert np.array_equal(out.spectrum != 0, kept)
+    assert np.array_equal(g.keep_two_thirds, kept)
+    assert not g.keep_two_thirds.flags.writeable
+    # kept modes keep their bits, signed zeros included
+    spec[:] = complex(-0.0, -0.0)
+    out = truncate_two_thirds(Field.from_spectrum(g, spec))
+    assert np.array_equal(np.signbit(out.spectrum.real), kept)
 
 
 # ---------------------------------------------------------------------------

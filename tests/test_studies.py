@@ -6,7 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kdvlri.integrators import SchemeKind
+from kdvlri import oracles
+from kdvlri.integrators import SchemeKind, evolve
 from kdvlri.spectral import Grid, mean_value
 from kdvlri.studies import (
     CSV_HEADER,
@@ -114,6 +115,18 @@ def test_study_config_validation():
             tiny_config(gamma_err=bad)
     with pytest.raises(ValueError, match="unknown scheme"):
         tiny_config(schemes=("lri2",))
+    # gamma whose top-mode weight (1 + 32^2)^gamma overflows at N = 64
+    tiny_config(gamma_err=100.0)
+    for bad in (110.0, 1e308):
+        with pytest.raises(ValueError, match="gamma = .* overflows"):
+            tiny_config(gamma_err=bad)
+    # step counts past MAX_STEPS, named by the input that asks for them
+    with pytest.raises(ValueError, match="ref_tau = 1e-300 .*MAX_STEPS"):
+        tiny_config(ref_tau=1e-300)
+    with pytest.raises(ValueError, match="tau = 1e-300 .*MAX_STEPS"):
+        tiny_config(taus=(0.1, 1e-300), ref_tau=1e-302)
+    with pytest.raises(ValueError, match="tau = 0.015625 takes .*MAX_STEPS"):
+        tiny_config(t_final=1e300)
 
 
 def test_smooth_test_data_profile():
@@ -158,6 +171,30 @@ def test_convergence_study_is_deterministic():
     b = run_convergence_study(tiny_config())
     assert render_report_csv(a) == render_report_csv(b)
     assert render_report_json(a) == render_report_json(b)
+
+
+def test_two_studies_on_the_same_data_build_one_reference(monkeypatch):
+    calls = []
+
+    def counted(run):
+        calls.append(run.tau)
+        return evolve(run)
+
+    monkeypatch.setattr(oracles, "evolve", counted)
+    pair = (tiny_config(), tiny_config(schemes=(SchemeKind.ELRI2,), gamma_err=0.0))
+
+    def texts(rep):
+        return [render_report_csv(rep), render_report_json(rep)]
+
+    oracles._reference.cache_clear()
+    shared = [t for cfg in pair for t in texts(run_convergence_study(cfg))]
+    assert calls == [2.0**-10]
+    fresh = []
+    for cfg in pair:
+        oracles._reference.cache_clear()
+        fresh += texts(run_convergence_study(cfg))
+    assert len(calls) == 3
+    assert shared == fresh
 
 
 def test_convergence_study_insensitive_to_reference_refinement():
