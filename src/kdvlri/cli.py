@@ -276,7 +276,7 @@ def cmd_local_error(args) -> int:
         taus=taus,
         n_points=args.n,
         gamma_err=args.gamma,
-        ref_tau=min(taus) / 16.0,
+        ref_tau=None,
         dealias=args.dealias,
     )
     return _report_exit(run_local_error_study(cfg), args)

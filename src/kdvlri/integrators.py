@@ -26,8 +26,9 @@ modes, and mirrored as conjugates onto the negative ones.  Terms that share
 a multiplier share a transform: the 1/18 pair is one transform of the
 difference the 1/6 term builds, the resonant u^3 term rides in the p^3 half
 of the 1/54 pair and the ELRI2 (e^{-tau dx^3} u)^3 term in its other half.
-A step whose input holds a spectrum makes 4 / 9 / 10 half-length real
-transforms (LRI1 / ELRI1 / ELRI2) and no full-length ones.
+Mutually independent transforms are the rows of one stack and one call.  A
+step whose input holds a spectrum transforms 4 / 9 / 10 half-length real
+rows (LRI1 / ELRI1 / ELRI2) in 2 / 4 / 4 calls, and no full-length ones.
 
 The schemes assume zero-mean data (the mode-0 coefficient of the update is
 only conserved, never evolved); solve_with_mean_shift removes a nonzero
@@ -89,23 +90,14 @@ def check_step_count(name, tau, t_final):
         )
 
 
-def _irfft(h, n, out):
-    """Grid values of the real field whose half spectrum is h, into out."""
-    return np.fft.irfft(h, n, norm="forward", out=out)
-
-
-def _rfft(v, out):
-    """Half spectrum (modes 0..N/2) of the real grid values v, into out."""
-    return np.fft.rfft(v, norm="forward", out=out)
-
-
 class _Workspace:
     """Every array the steps of one run write, allocated once per run.
 
     Holds the Airy symbol at tau and the half-length views of it and of
     inv_ik, the dropped-mode mask when dealiasing, two full spectra that
-    consecutive steps alternate between, the half-spectrum and grid
-    temporaries of _update, and the blow-up check's flags.
+    consecutive steps alternate between, the stacks _update transforms in
+    one call each (4 half spectra, 4 and 3 rows of grid values), the
+    correction sum and the blow-up check's flags.
     """
 
     def __init__(self, grid, tau, dealias):
@@ -117,12 +109,10 @@ class _Workspace:
         self.inv_ik = grid.inv_ik[:m]
         self.drop = ~grid.keep_two_thirds if dealias else None
         self.spectra = (np.empty(n, complex), np.empty(n, complex))
-        self.p, self.ep, self.d, self.h, self.h2, self.corr = (
-            np.empty(m, complex) for _ in range(6)
-        )
-        self.p_v, self.ep_v, self.p2_v, self.ep2_v, self.v, self.v2, self.g = (
-            np.empty(n) for _ in range(7)
-        )
+        self.half = np.empty((4, m), complex)
+        self.corr = np.empty(m, complex)
+        self.vals = np.empty((4, n))
+        self.prod = np.empty((3, n))
         self.finite = np.empty(n, bool)
 
     def load(self, spectrum):
@@ -143,55 +133,57 @@ def _update(kind, ws, tau, s):
     negative modes.  Each cancelling pair is one difference, so every scheme
     is the exact identity at tau = 0.  Every array written is one of ws's,
     and each term keeps the operation order of its formula, so the bits do
-    not depend on which buffer holds it.  No mean gate: evolve checks the
-    initial mean once, and a diverging iterate must reach the non-finite
-    check (BlowUpError), not trip the absolute mean gate.
+    not depend on which buffer or stack row holds it.  No mean gate: evolve
+    checks the initial mean once, and a diverging iterate must reach the
+    non-finite check (BlowUpError), not trip the absolute mean gate.
     """
-    n, a, inv_ik = ws.n, ws.a, ws.inv_ik
+    n, a, inv_ik, half, vals, prod = ws.n, ws.a, ws.inv_ik, ws.half, ws.vals, ws.prod
     m = a.size
     out = ws.spectra[1] if s is ws.spectra[0] else ws.spectra[0]
     np.multiply(s, ws.airy, out=out)
-    p = np.multiply(s[:m], inv_ik, out=ws.p)  # dxinv u
-    ep = np.multiply(p, a, out=ws.ep)  # e^{-tau dx^3} dxinv u
-    p_v = _irfft(p, n, ws.p_v)
-    ep_v = _irfft(ep, n, ws.ep_v)
-    # pseudo-spectral products: formed pointwise on the grid, no dealiasing
-    p2_v = np.multiply(p_v, p_v, out=ws.p2_v)
-    ep2_v = np.multiply(ep_v, ep_v, out=ws.ep2_v)
+    p = np.multiply(s[:m], inv_ik, out=half[1])  # dxinv u
+    ep = np.multiply(p, a, out=half[0])  # e^{-tau dx^3} dxinv u
+    k = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
+    if k > 2:
+        np.copyto(half[2], s[:m])  # u
+    if k > 3:
+        np.copyto(half[3], out[:m])  # e^{-tau dx^3} u
+    np.fft.irfft(half[:k], n, norm="forward", out=vals[:k])
+    ep_v, p_v, v, w = vals
+    # pseudo-spectral products, no dealiasing; rows 2 and 3 of half are free now
+    squares = np.multiply(vals[:2], vals[:2], out=prod[1:])
     # d = rfft(ep_v^2) - rfft(p_v^2) a
-    d = _rfft(ep2_v, ws.d)
-    h = _rfft(p2_v, ws.h)
+    d, h = np.fft.rfft(squares, norm="forward", out=half[2:])
     np.subtract(d, np.multiply(h, a, out=h), out=d)
     corr = np.divide(d, 6.0, out=ws.corr)
     if kind is not SchemeKind.LRI1:
-        v = _irfft(s[:m], n, ws.v)
-        v2 = np.multiply(v, v, out=ws.v2)
         # projected cubic pair, 1/18: one transform of the difference d
-        g = _irfft(np.multiply(d, inv_ik, out=h), n, ws.g)
-        q = _rfft(np.multiply(ep_v, g, out=g), h)
-        q[0] = 0.0  # zero-mean projection
-        np.add(corr, np.divide(q, 18.0, out=q), out=corr)
+        g = np.fft.irfft(np.multiply(d, inv_ik, out=h), n, norm="forward", out=prod[0])
+        np.multiply(ep_v, g, out=g)
         # antiderivative cubic pair, 1/54; the resonant u^3 term (tau/18,
         # net tau/36 in ELRI2) rides in the p_v^3 transform, the ELRI2
         # (e^{-tau dx^3} u)^3 term in the ep_v^3 transform
-        cubic_p = np.divide(np.multiply(p_v, p2_v, out=p2_v), 54.0, out=p2_v)
-        cubic_ep = np.divide(np.multiply(ep_v, ep2_v, out=ep2_v), 54.0, out=ep2_v)
+        cubes = np.multiply(vals[:2], squares, out=squares)
+        cubic_ep, cubic_p = np.divide(cubes, 54.0, out=cubes)
+        v2 = np.multiply(v, v, out=ep_v)
+        u3 = np.multiply(v2, v, out=p_v)
         resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
-        u3 = np.multiply(v2, v, out=g)
         np.subtract(cubic_p, np.multiply(resonant, u3, out=u3), out=cubic_p)
         if kind is SchemeKind.ELRI2:
-            w = _irfft(out[:m], n, g)  # e^{-tau dx^3} u
             w3 = np.multiply(np.multiply(w, w, out=v), w, out=v)
             np.add(cubic_ep, np.multiply(tau / 36.0, w3, out=w3), out=cubic_ep)
-        cubic = np.multiply(_rfft(cubic_p, h), a, out=h)
-        np.subtract(cubic, _rfft(cubic_ep, ws.h2), out=cubic)
+        # rows ep_v g, cubic_ep, cubic_p; row 0 of half, ep, stays
+        q, cubic_ep_h, cubic = np.fft.rfft(prod, norm="forward", out=half[1:])
+        q[0] = 0.0  # zero-mean projection
+        np.add(corr, np.divide(q, 18.0, out=q), out=corr)
+        np.subtract(np.multiply(cubic, a, out=cubic), cubic_ep_h, out=cubic)
         np.add(corr, np.multiply(cubic, inv_ik, out=cubic), out=corr)
         # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
-        mass = tau / (12.0 * np.pi) * (TWO_PI * np.mean(v2))
-        np.add(corr, np.multiply(mass, ep, out=h), out=corr)
+        mass = tau / (12.0 * np.pi) * (TWO_PI * (np.add.reduce(v2) / n))
+        np.add(corr, np.multiply(mass, ep, out=q), out=corr)
     np.add(out[:m], corr, out=out[:m])
     # modes -(N/2 - 1)..-1
-    mirror = np.conjugate(corr[m - 2 : 0 : -1], out=ws.h2[: m - 2])
+    mirror = np.conjugate(corr[m - 2 : 0 : -1], out=half[0, : m - 2])
     np.add(out[m:], mirror, out=out[m:])
     if ws.drop is not None:
         np.copyto(out, 0.0, where=ws.drop)
@@ -324,20 +316,20 @@ def evolve(run: SolverRun) -> Trajectory:
     mean0 = complex(u.spectrum[0])
     samples = [(0.0, u)]
     drift = 0.0
-    for n in range(1, n_steps + 1):
-        # a diverging iterate overflows before the isfinite check catches it;
-        # the warnings would only duplicate the BlowUpError diagnostic
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging iterate overflows before the isfinite check catches it;
+    # the warnings would only duplicate the BlowUpError diagnostic
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
             s = _update(run.scheme, ws, run.tau, s)
-        if not np.isfinite(s, out=ws.finite).all():
-            raise BlowUpError(
-                f"non-finite field after step {n} of {n_steps} "
-                f"(t = {n * run.tau:.6g}, scheme {run.scheme.name})",
-                step=n,
-            )
-        drift = max(drift, abs(complex(s[0]) - mean0))
-        if run.record_every and n % run.record_every == 0 and n != n_steps:
-            samples.append((n * run.tau, Field.from_spectrum(u.grid, s)))
+            if not np.isfinite(s, out=ws.finite).all():
+                raise BlowUpError(
+                    f"non-finite field after step {n} of {n_steps} "
+                    f"(t = {n * run.tau:.6g}, scheme {run.scheme.name})",
+                    step=n,
+                )
+            drift = max(drift, abs(complex(s[0]) - mean0))
+            if run.record_every and n % run.record_every == 0 and n != n_steps:
+                samples.append((n * run.tau, Field.from_spectrum(u.grid, s)))
     samples.append((n_steps * run.tau, Field.from_spectrum(u.grid, s)))
     return Trajectory(samples=samples, n_steps=n_steps, max_mean_drift=drift)
 

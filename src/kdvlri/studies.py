@@ -57,7 +57,7 @@ class StudyConfig:
     seed: int = 42
     gamma_err: float = 1.0
     t_final: float = 1.0
-    ref_tau: float = 2.0**-14
+    ref_tau: float | None = 2.0**-14  # None: no reference (local-error studies)
     dealias: bool = False
     cross_check: bool = False
 
@@ -74,15 +74,18 @@ class StudyConfig:
             raise ValueError(f"taus must be positive and finite, got {self.taus}")
         if any(a <= b for a, b in zip(self.taus, self.taus[1:])):
             raise ValueError(f"tau ladder must be strictly decreasing: {self.taus}")
-        if not (math.isfinite(self.ref_tau) and self.ref_tau > 0):
-            raise ValueError(f"ref_tau must be positive and finite, got {self.ref_tau}")
-        if self.ref_tau > min(self.taus) / 10.0:
-            raise ValueError(
-                f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "
-                f"{min(self.taus) / 10.0:g}"
-            )
-        check_step_count("tau", min(self.taus), self.t_final)
-        check_step_count("ref_tau", self.ref_tau, self.t_final)
+        for name in ("t_final", "ref_tau"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.ref_tau is not None:  # a study with a reference run to t_final
+            if self.ref_tau > min(self.taus) / 10.0:
+                raise ValueError(
+                    f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "
+                    f"{min(self.taus) / 10.0:g}"
+                )
+            check_step_count("tau", min(self.taus), self.t_final)
+            check_step_count("ref_tau", self.ref_tau, self.t_final)
         if not 0 <= self.gamma_err < math.inf:
             raise ValueError(f"gamma_err must be finite and >= 0, got {self.gamma_err}")
         # 8 pi times the top-mode weight bounds the squared H^gamma distance of
@@ -198,6 +201,8 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     measured in H^gamma_err against the ELRI2 reference at ref_tau,
     normalized by its norm.
     """
+    if cfg.ref_tau is None:
+        raise ValueError("a convergence study needs ref_tau")
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
     ref = reference_solution(
         u0, cfg.t_final, cfg.ref_tau, cross_check=cfg.cross_check,
@@ -329,17 +334,20 @@ def json_text(value) -> str:
 
 def report_as_dict(report: ConvergenceReport) -> dict:
     cfg = report.config
+    metadata = {
+        "n_points": cfg.n_points,
+        "theta": cfg.theta,
+        "seed": cfg.seed,
+        "gamma": cfg.gamma_err,
+        "t_final": cfg.t_final,
+        "ref_tau": cfg.ref_tau,
+        "dealias": cfg.dealias,
+    }
+    if report.kind == "local_error":  # smooth data, one step per tau
+        metadata = {k: metadata[k] for k in ("n_points", "seed", "gamma", "dealias")}
     return {
         "kind": report.kind,
-        "metadata": {
-            "n_points": cfg.n_points,
-            "theta": cfg.theta,
-            "seed": cfg.seed,
-            "gamma": cfg.gamma_err,
-            "t_final": cfg.t_final,
-            "ref_tau": cfg.ref_tau,
-            "dealias": cfg.dealias,
-        },
+        "metadata": metadata,
         "rows": [dict(zip(COLUMNS, _row(r, cfg))) for r in report.rows],
         "fits": [
             {
@@ -366,7 +374,7 @@ REPORT_JSON_SCHEMA = {
         "kind": {"enum": ["convergence", "local_error"]},
         "metadata": {
             "type": "object",
-            "required": ["n_points", "theta", "seed", "gamma", "t_final", "ref_tau"],
+            "required": ["n_points", "seed", "gamma"],
             "properties": {
                 "n_points": {"type": "integer", "minimum": 4},
                 "theta": {"type": "number", "minimum": 0},
@@ -410,6 +418,8 @@ REPORT_JSON_SCHEMA = {
         },
         "flags": {"type": "array", "items": {"type": "string"}},
     },
+    "if": {"properties": {"kind": {"const": "convergence"}}},
+    "then": {"properties": {"metadata": {"required": ["theta", "t_final", "ref_tau"]}}},
 }
 
 

@@ -255,6 +255,18 @@ def test_step_cap_and_gamma_overflow_are_config_errors(capsys, monkeypatch):
         assert "configuration error" in err and named in err
 
 
+def test_converge_bad_t_final_is_refused_before_rough_data(capsys, monkeypatch):
+    def no_data(spec):
+        raise AssertionError("rough data generated")
+
+    monkeypatch.setattr("kdvlri.studies.generate_rough", no_data)
+    for bad in ("nan", "-1", "0", "inf"):
+        argv = ["converge", "--n", "64", "--tau-ladder", "2^-3,2^-4", "--t-final", bad]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: t_final must be positive and finite" in err
+
+
 def test_converge_unwritable_output_is_io_error(tmp_path, capsys):
     rc = main(CONV_QUICK + ["--output", str(tmp_path / "nope" / "r.csv")])
     assert rc == 1
@@ -282,6 +294,18 @@ def test_local_error_quick(capsys):
     rows = parse_report_csv(captured.out)
     assert len(rows) == 4
     assert {r["scheme"] for r in rows} == {"lri1", "elri2"}
+
+
+def test_local_error_runs_fine_ladders(capsys):
+    # one step per tau and per-tau references: no reference step or run to
+    # t_final to cap-check, so ladders below 1.6e-6 run
+    argv = ["local-error", "--n", "16", "--tau-ladder", "2^-20,2^-21",
+            "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, REPORT_JSON_SCHEMA)
+    assert set(doc["metadata"]) == {"n_points", "seed", "gamma", "dealias"}
+    assert len(doc["rows"]) == 6
 
 
 # ---------------------------------------------------------------------------

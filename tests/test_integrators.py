@@ -276,32 +276,57 @@ def test_steady_state_steps_allocate_nothing(monkeypatch, kind):
 
 
 @pytest.mark.parametrize(
-    "kind, per_step",
+    "kind, rows",
     [(SchemeKind.LRI1, 4), (SchemeKind.ELRI1, 9), (SchemeKind.ELRI2, 10)],
 )
-def test_transforms_per_step(monkeypatch, kind, per_step):
+def test_transforms_per_step(monkeypatch, kind, rows):
     # a step whose input already holds a spectrum makes only half-length
-    # real transforms: rfft of N grid values, irfft of N/2 + 1 modes
+    # real transforms, each set of independent ones stacked into one call on
+    # the last axis: rfft of k rows of N grid values, irfft of k rows of
+    # N/2 + 1 modes, with k = 2 / 3 / 4 in the first irfft, 2 in the rfft of
+    # the squares, 1 in the 1/18 projection and 3 in the last rfft
     u = rough(n=64)
     u = Field.from_spectrum(u.grid, u.spectrum)
-    calls = []
+    log = []
     for name in ("fft", "ifft", "rfft", "irfft"):
 
         def counted(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             y = _fn(x, *args, **kwargs)
-            calls.append((_name, np.shape(x), np.iscomplexobj(x), np.shape(y)))
+            log.append((_name, np.shape(x), np.iscomplexobj(x), np.shape(y)))
             return y
 
         monkeypatch.setattr(np.fft, name, counted)
     n_steps = 3
     evolve(SolverRun(kind, 0.05, n_steps * 0.05, u))
-    half = (u.grid.n // 2 + 1,)
-    full = (u.grid.n,)
-    assert set(calls) <= {
-        ("rfft", full, False, half),
-        ("irfft", half, True, full),
-    }
-    assert len(calls) == n_steps * per_step
+    n, m = u.grid.n, u.grid.n // 2 + 1
+    # (rows of the first irfft, calls per step)
+    k, calls = {
+        SchemeKind.LRI1: (2, 2), SchemeKind.ELRI1: (3, 4), SchemeKind.ELRI2: (4, 4)
+    }[kind]
+    step = [("irfft", (k, m), True, (k, n)), ("rfft", (2, n), False, (2, m))]
+    if kind is not SchemeKind.LRI1:
+        step += [("irfft", (m,), True, (n,)), ("rfft", (3, n), False, (3, m))]
+    assert log == n_steps * step
+    assert len(step) == calls
+    assert sum(int(np.prod(shape[:-1])) for _, shape, _, _ in step) == rows
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024, 2**14])
+def test_stacked_transform_rows_are_bitwise_separate_calls(n):
+    # the step's output bytes rest on this: each row of a stacked rfft/irfft
+    # on the last axis, with norm="forward" and out= a slice of a larger
+    # stack, is the same bits as that row transformed alone
+    rng = np.random.default_rng(n)
+    m = n // 2 + 1
+    for k in (1, 2, 3, 4):
+        x = rng.standard_normal((k, n))
+        h = np.fft.rfft(x, norm="forward", out=np.empty((k + 1, m), complex)[1:])
+        y = np.fft.irfft(h, n, norm="forward", out=np.empty((k + 1, n))[1:])
+        for i in range(k):
+            alone = np.fft.rfft(x[i], norm="forward", out=np.empty(m, complex))
+            assert h[i].tobytes() == alone.tobytes()
+            alone = np.fft.irfft(h[i], n, norm="forward", out=np.empty(n))
+            assert y[i].tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,14 @@ def test_study_config_validation():
     for bad in (float("nan"), -0.001):
         with pytest.raises(ValueError, match="ref_tau must be positive and finite"):
             tiny_config(ref_tau=bad)
+    for bad in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            tiny_config(t_final=bad)
+    # a local-error study has no reference step, and so no run to t_final to
+    # cap; a convergence study refuses to run without one
+    cfg = tiny_config(taus=(2.0**-30,), ref_tau=None)
+    with pytest.raises(ValueError, match="needs ref_tau"):
+        run_convergence_study(cfg)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma_err"):
             tiny_config(gamma_err=bad)
@@ -284,6 +292,10 @@ def test_json_report_validates_against_schema():
     # floats survive the 17-digit formatting exactly
     assert doc["rows"][0]["error_rel"] == rep.rows[0].error_rel
     assert doc["fits"][0]["fitted_order"] == rep.fits[0].fitted_order
+    # a convergence report must say its horizon and reference step
+    del doc["metadata"]["ref_tau"]
+    with pytest.raises(jsonschema.ValidationError, match="ref_tau"):
+        jsonschema.validate(doc, REPORT_JSON_SCHEMA)
 
 
 def test_json_token_formatting():
