@@ -15,13 +15,13 @@ one update body (_update) builds all three:
              H^(gamma+3) data.
 
 The update writes only into a workspace allocated once per run (by evolve)
-or per call (by each public *_step): the Airy symbol, two full spectra that
-consecutive steps alternate between, and the temporaries, so a step in
-steady state allocates no array.  A Field is built only for recorded
-samples and the final state.  The linear part e^{-tau dx^3} u is the
-input's full spectrum times the symbol.  The correction terms are formed on
-the half spectrum (modes 0..N/2) with real transforms (rfft/irfft with
-norm="forward", so no separate 1/N scaling), added to the nonnegative
+or per call (by each public *_step).  It holds the scheme, tau, the Airy
+symbol, the one full spectrum every step updates in place, and the
+temporaries, so a step in steady state allocates no array.  A Field is
+built only for recorded samples and the final state.  The linear part
+e^{-tau dx^3} u is the spectrum times the symbol.  The correction terms are
+formed on the half spectrum (modes 0..N/2) with real transforms (rfft/irfft
+with norm="forward", so no separate 1/N scaling), added to the nonnegative
 modes, and mirrored as conjugates onto the negative ones.  Terms that share
 a multiplier share a transform: the 1/18 pair is one transform of the
 difference the 1/6 term builds, the resonant u^3 term rides in the p^3 half
@@ -31,9 +31,9 @@ step whose input holds a spectrum transforms 4 / 9 / 10 half-length real
 rows (LRI1 / ELRI1 / ELRI2) in 2 / 4 / 4 calls, and no full-length ones.
 
 The schemes assume zero-mean data (the mode-0 coefficient of the update is
-only conserved, never evolved); solve_with_mean_shift removes a nonzero
-mean c, evolves, and restores the solution via the exact Galilean-type
-change of variables u(t, x) = utilde(t, x + c t) + c.
+only conserved, never evolved); with mean_shift, evolve removes a nonzero
+mean c, steps, and restores each sample via the exact Galilean-type change
+of variables u(t, x) = utilde(t, x + c t) + c.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class SchemeKind(enum.Enum):
     ELRI2 = "elri2"
 
 
-def _require_zero_mean(u, where):
-    m = complex(u.spectrum[0])
+def _require_zero_mean(mode0, where):
+    m = complex(mode0)
     if abs(m) > MEAN_TOL:
         raise SchemeConfigError(
             f"{where} requires zero-mean data: mean value {m.real:.6e} "
@@ -91,24 +91,26 @@ def check_step_count(name, tau, t_final):
 
 
 class _Workspace:
-    """Every array the steps of one run write, allocated once per run.
+    """One run's stepping state, allocated once per run.
 
-    Holds the Airy symbol at tau and the half-length views of it and of
-    inv_ik, the dropped-mode mask when dealiasing, two full spectra that
-    consecutive steps alternate between, the stacks _update transforms in
-    one call each (4 half spectra, 4 and 3 rows of grid values), the
-    correction sum and the blow-up check's flags.
+    Holds the scheme, tau, the first irfft's row count and the resonant
+    coefficient; the Airy symbol at tau and half-length views of it and of
+    inv_ik; the dealias mask; the one spectrum s every step updates in
+    place; the stacks _update transforms in one call each (4 half spectra,
+    4 and 3 rows of grid values), the correction sum and the blow-up flags.
     """
 
-    def __init__(self, grid, tau, dealias):
+    def __init__(self, kind, grid, tau, dealias):
         n = grid.n
         m = n // 2 + 1
-        self.n = n
+        self.kind, self.tau, self.n = kind, tau, n
+        self.rows = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
+        self.resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
         self.airy = grid.airy(tau)
         self.a = self.airy[:m]
         self.inv_ik = grid.inv_ik[:m]
         self.drop = ~grid.keep_two_thirds if dealias else None
-        self.spectra = (np.empty(n, complex), np.empty(n, complex))
+        self.s = np.empty(n, complex)
         self.half = np.empty((4, m), complex)
         self.corr = np.empty(m, complex)
         self.vals = np.empty((4, n))
@@ -116,17 +118,15 @@ class _Workspace:
         self.finite = np.empty(n, bool)
 
     def load(self, spectrum):
-        """The first step's input: spectrum itself, or its 2/3-truncated copy."""
-        if self.drop is None:
-            return spectrum
-        s = self.spectra[0]
-        np.copyto(s, spectrum)
-        np.copyto(s, 0.0, where=self.drop)
-        return s
+        """Copy spectrum into s, 2/3-truncated when dealiasing; return s."""
+        np.copyto(self.s, spectrum)
+        if self.drop is not None:
+            np.copyto(self.s, 0.0, where=self.drop)
+        return self.s
 
 
-def _update(kind, ws, tau, s):
-    """Spectrum one step after s, written into the one of ws.spectra s is not.
+def _update(ws):
+    """Advance ws.s by one step of ws.kind at ws.tau, in place.
 
     The linear part is s times the symbol.  The correction terms are built
     on the half spectrum, added there, and their conjugates added to the
@@ -137,17 +137,15 @@ def _update(kind, ws, tau, s):
     checks the initial mean once, and a diverging iterate must reach the
     non-finite check (BlowUpError), not trip the absolute mean gate.
     """
-    n, a, inv_ik, half, vals, prod = ws.n, ws.a, ws.inv_ik, ws.half, ws.vals, ws.prod
-    m = a.size
-    out = ws.spectra[1] if s is ws.spectra[0] else ws.spectra[0]
-    np.multiply(s, ws.airy, out=out)
+    s, a, inv_ik, half, vals, prod = ws.s, ws.a, ws.inv_ik, ws.half, ws.vals, ws.prod
+    n, m, k = ws.n, a.size, ws.rows
     p = np.multiply(s[:m], inv_ik, out=half[1])  # dxinv u
     ep = np.multiply(p, a, out=half[0])  # e^{-tau dx^3} dxinv u
-    k = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
     if k > 2:
         np.copyto(half[2], s[:m])  # u
+    np.multiply(s, ws.airy, out=s)  # the linear part; s holds it from here on
     if k > 3:
-        np.copyto(half[3], out[:m])  # e^{-tau dx^3} u
+        np.copyto(half[3], s[:m])  # e^{-tau dx^3} u
     np.fft.irfft(half[:k], n, norm="forward", out=vals[:k])
     ep_v, p_v, v, w = vals
     # pseudo-spectral products, no dealiasing; rows 2 and 3 of half are free now
@@ -156,7 +154,7 @@ def _update(kind, ws, tau, s):
     d, h = np.fft.rfft(squares, norm="forward", out=half[2:])
     np.subtract(d, np.multiply(h, a, out=h), out=d)
     corr = np.divide(d, 6.0, out=ws.corr)
-    if kind is not SchemeKind.LRI1:
+    if ws.kind is not SchemeKind.LRI1:
         # projected cubic pair, 1/18: one transform of the difference d
         g = np.fft.irfft(np.multiply(d, inv_ik, out=h), n, norm="forward", out=prod[0])
         np.multiply(ep_v, g, out=g)
@@ -167,11 +165,10 @@ def _update(kind, ws, tau, s):
         cubic_ep, cubic_p = np.divide(cubes, 54.0, out=cubes)
         v2 = np.multiply(v, v, out=ep_v)
         u3 = np.multiply(v2, v, out=p_v)
-        resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
-        np.subtract(cubic_p, np.multiply(resonant, u3, out=u3), out=cubic_p)
-        if kind is SchemeKind.ELRI2:
+        np.subtract(cubic_p, np.multiply(ws.resonant, u3, out=u3), out=cubic_p)
+        if ws.kind is SchemeKind.ELRI2:  # resonant is tau/36 here
             w3 = np.multiply(np.multiply(w, w, out=v), w, out=v)
-            np.add(cubic_ep, np.multiply(tau / 36.0, w3, out=w3), out=cubic_ep)
+            np.add(cubic_ep, np.multiply(ws.resonant, w3, out=w3), out=cubic_ep)
         # rows ep_v g, cubic_ep, cubic_p; row 0 of half, ep, stays
         q, cubic_ep_h, cubic = np.fft.rfft(prod, norm="forward", out=half[1:])
         q[0] = 0.0  # zero-mean projection
@@ -179,31 +176,31 @@ def _update(kind, ws, tau, s):
         np.subtract(np.multiply(cubic, a, out=cubic), cubic_ep_h, out=cubic)
         np.add(corr, np.multiply(cubic, inv_ik, out=cubic), out=corr)
         # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
-        mass = tau / (12.0 * np.pi) * (TWO_PI * (np.add.reduce(v2) / n))
+        mass = ws.tau / (12.0 * np.pi) * (TWO_PI * (np.add.reduce(v2) / n))
         np.add(corr, np.multiply(mass, ep, out=q), out=corr)
-    np.add(out[:m], corr, out=out[:m])
+    np.add(s[:m], corr, out=s[:m])
     # modes -(N/2 - 1)..-1
     mirror = np.conjugate(corr[m - 2 : 0 : -1], out=half[0, : m - 2])
-    np.add(out[m:], mirror, out=out[m:])
+    np.add(s[m:], mirror, out=s[m:])
     if ws.drop is not None:
-        np.copyto(out, 0.0, where=ws.drop)
-    return out
+        np.copyto(s, 0.0, where=ws.drop)
 
 
 def _one_step(kind, u, tau, dealias):
-    ws = _Workspace(u.grid, tau, dealias)
-    return Field.from_spectrum(u.grid, _update(kind, ws, tau, ws.load(u.spectrum)))
+    _require_zero_mean(u.spectrum[0], f"{kind.value}_step")
+    ws = _Workspace(kind, u.grid, tau, dealias)
+    ws.load(u.spectrum)
+    _update(ws)
+    return Field.from_spectrum(u.grid, ws.s)
 
 
 def lri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
     """One step of the three-term baseline integrator LRI1."""
-    _require_zero_mean(u, "lri1_step")
     return _one_step(SchemeKind.LRI1, u, tau, dealias)
 
 
 def elri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
     """One step of the first-order embedded low-regularity integrator."""
-    _require_zero_mean(u, "elri1_step")
     return _one_step(SchemeKind.ELRI1, u, tau, dealias)
 
 
@@ -213,7 +210,6 @@ def elri2_step(u: Field, tau: float, dealias: bool = False) -> Field:
     ELRI1 plus the two correction terms
     (tau/36) e^{-tau dx^3} dxinv(u^3) - (tau/36) dxinv(e^{-tau dx^3} u)^3.
     """
-    _require_zero_mean(u, "elri2_step")
     return _one_step(SchemeKind.ELRI2, u, tau, dealias)
 
 
@@ -272,7 +268,7 @@ class SolverRun:
                 f"record_every must be >= 0, got {self.record_every}"
             )
         if not self.mean_shift:
-            _require_zero_mean(self.initial, "SolverRun")
+            _require_zero_mean(self.initial.spectrum[0], "SolverRun")
 
     @property
     def n_steps(self) -> int:
@@ -302,35 +298,44 @@ class Trajectory:
 
 
 def evolve(run: SolverRun) -> Trajectory:
-    """Apply the scheme t_final/tau times from the zero-mean initial field.
+    """Apply the scheme t_final/tau times from the initial field.
 
     Raises BlowUpError (with the offending step index) as soon as a
-    non-finite value appears; tracks the largest mode-0 drift seen.
+    non-finite value appears; tracks the largest mode-0 drift seen.  With
+    run.mean_shift the initial mean c is removed first, the zero-mean data
+    utilde evolved, and each sample mapped back through
+    u(t_n) = translate(utilde^n, c t_n) + c, the exact Galilean-type change
+    of variables u(t, x) = utilde(t, x + c t) + c.
     """
+    n_steps, tau, u0 = run.n_steps, run.tau, run.initial
     if run.mean_shift:
-        return solve_with_mean_shift(run)
-    n_steps = run.n_steps
-    u = run.initial
-    ws = _Workspace(u.grid, run.tau, run.dealias)
-    s = ws.load(u.spectrum)
-    mean0 = complex(u.spectrum[0])
-    samples = [(0.0, u)]
+        c = float(u0.spectrum[0].real)
+        s0 = u0.spectrum.copy()
+        s0[0] -= c  # at most a roundoff-size imaginary residue is left
+        _require_zero_mean(s0[0], "SolverRun")
+        u0 = Field.from_spectrum(u0.grid, s0)
+    ws = _Workspace(run.scheme, u0.grid, tau, run.dealias)
+    s = ws.load(u0.spectrum)
+    mean0 = complex(s[0])
+    samples = [(0.0, u0)]
     drift = 0.0
     # a diverging iterate overflows before the isfinite check catches it;
     # the warnings would only duplicate the BlowUpError diagnostic
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
-            s = _update(run.scheme, ws, run.tau, s)
+            _update(ws)
             if not np.isfinite(s, out=ws.finite).all():
                 raise BlowUpError(
                     f"non-finite field after step {n} of {n_steps} "
-                    f"(t = {n * run.tau:.6g}, scheme {run.scheme.name})",
+                    f"(t = {n * tau:.6g}, scheme {run.scheme.name})",
                     step=n,
                 )
             drift = max(drift, abs(complex(s[0]) - mean0))
             if run.record_every and n % run.record_every == 0 and n != n_steps:
-                samples.append((n * run.tau, Field.from_spectrum(u.grid, s)))
-    samples.append((n_steps * run.tau, Field.from_spectrum(u.grid, s)))
+                samples.append((n * tau, Field.from_spectrum(u0.grid, s)))
+    samples.append((n_steps * tau, Field.from_spectrum(u0.grid, s)))
+    if run.mean_shift:
+        samples = [(t, _add_constant(translate(f, c * t), c)) for t, f in samples]
     return Trajectory(samples=samples, n_steps=n_steps, max_mean_drift=drift)
 
 
@@ -341,24 +346,5 @@ def _add_constant(f, c):
 
 
 def solve_with_mean_shift(run: SolverRun) -> Trajectory:
-    """Evolve data with any mean: shift it out, integrate, shift back.
-
-    With c the initial mean, utilde0 = u0 - c is evolved by the zero-mean
-    scheme and each sample is mapped back through
-    u(t_n) = translate(utilde^n, c t_n) + c.
-    """
-    c = float(run.initial.spectrum[0].real)
-    s0 = run.initial.spectrum.copy()
-    s0[0] -= c  # at most a roundoff-size imaginary residue is left
-    inner_run = replace(
-        run, initial=Field.from_spectrum(run.initial.grid, s0), mean_shift=False
-    )
-    traj = evolve(inner_run)
-    reconstructed = [
-        (t, _add_constant(translate(w, c * t), c)) for t, w in traj.samples
-    ]
-    return Trajectory(
-        samples=reconstructed,
-        n_steps=traj.n_steps,
-        max_mean_drift=traj.max_mean_drift,
-    )
+    """Evolve data with any mean: evolve(run) with run.mean_shift set."""
+    return evolve(replace(run, mean_shift=True))

@@ -71,12 +71,12 @@ def generate_rough(spec: RoughSpec) -> Field:
     """
     grid = Grid(spec.n_points)
     noise = splitmix64_uniform(spec.seed, spec.n_points)
-    noise_hat = np.fft.fft(noise) / spec.n_points
+    noise_hat = Field.from_values(grid, noise).spectrum
     k = np.abs(grid.wavenumbers).astype(np.float64)
     mult = np.zeros(spec.n_points)
     mult[1:] = k[1:] ** (-spec.theta)
     shaped = noise_hat * mult
-    values = np.fft.ifft(shaped * spec.n_points).real
+    values = Field.from_spectrum(grid, shaped).values
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise ValueError("degenerate draw: field is identically zero")

@@ -23,6 +23,7 @@ are marked read-only) and safe to share between threads.
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 
@@ -281,7 +282,12 @@ def read_field_csv(path) -> Field:
             raise ValueError(f"{path}: malformed header {header!r}") from exc
         if abs(length - TWO_PI) > 1e-12:
             raise ValueError(f"{path}: unsupported domain length {length}")
-        values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+        try:
+            with warnings.catch_warnings():  # an empty body is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if values.shape != (n,):
         raise ValueError(
             f"{path}: header says n={n} but file has {values.shape[0]} values"
@@ -321,7 +327,11 @@ def _field_from_file(path, values):
         raise ValueError(
             f"{path}: non-finite value {values[bad[0]]} at index {bad[0]}"
         )
-    return Field.from_values(Grid(values.size), values)
+    try:
+        grid = Grid(values.size)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return Field.from_values(grid, values)
 
 
 def write_field(f: Field, path, fmt: str = "csv") -> None:

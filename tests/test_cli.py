@@ -153,6 +153,28 @@ def test_solve_rejects_non_finite_input(tmp_path, capsys, args, named):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("odd.csv", "# n=5 length=6.283185307179586\n" + "0.5\n" * 5),
+        ("empty.csv", "# n=8 length=6.283185307179586\n"),
+        ("text.csv", "# n=4 length=6.283185307179586\nx\n0\n0\n0\n"),
+        ("three.bin", b"KDVF" + (3).to_bytes(4, "little") + bytes(8) + bytes(24)),
+    ],
+    ids=["odd-n", "header-only", "non-numeric", "binary-n3"],
+)
+def test_solve_refuses_bad_field_file_by_name(tmp_path, capsys, recwarn, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    rc = main(["solve", "--scheme", "elri1", "--tau", "2^-4", "--input", str(path)])
+    assert rc == 2
+    assert f"configuration error: {path}: " in capsys.readouterr().err
+    assert not recwarn.list
+
+
 def test_solve_mean_shift_flag(capsys):
     g_args = ["solve", "--scheme", "elri1", "--tau", "2^-4", "--t-final", "0.25"]
     # rough data already has zero mean, so the flag must not change the result

@@ -1,6 +1,7 @@
 """One-step maps, the evolution loop, blow-up detection, mean shifting."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from kdvlri.spectral import (
     inv_dx,
     mean_value,
     sobolev_norm,
+    translate,
     truncate_two_thirds,
 )
 
@@ -275,6 +277,31 @@ def test_steady_state_steps_allocate_nothing(monkeypatch, kind):
     assert peak - base < 64 * 1024
 
 
+def test_workspace_owns_one_spectrum_stepped_in_place(monkeypatch):
+    # arrays the workspace owns (base is None; views of its own or the
+    # grid's arrays do not count) at the paper's grid: the Airy symbol, the
+    # one spectrum, 4 half spectra, the correction sum, 4 + 3 rows of grid
+    # values and the blow-up flags
+    u = rough(n=2**14, theta=3.0)
+    ws = integrators._Workspace(SchemeKind.ELRI2, u.grid, 2.0**-10, False)
+    attrs = [x if isinstance(x, tuple) else (x,) for x in vars(ws).values()]
+    arrays = [x for xs in attrs for x in xs if isinstance(x, np.ndarray)]
+    owned = [x for x in arrays if x.base is None]
+    assert sum(x.nbytes for x in owned) <= 2_113_616
+    update = integrators._update
+    seen = []
+
+    def tracked_update(ws):
+        seen.append((id(ws), ws.s.ctypes.data))
+        update(ws)
+        seen.append((id(ws), ws.s.ctypes.data))
+
+    monkeypatch.setattr(integrators, "_update", tracked_update)
+    traj = evolve(SolverRun(SchemeKind.ELRI2, 0.05, 0.25, rough(n=64), record_every=1))
+    assert len(seen) == 2 * 5 and len(set(seen)) == 1
+    assert traj.n_steps == 5
+
+
 @pytest.mark.parametrize(
     "kind, rows",
     [(SchemeKind.LRI1, 4), (SchemeKind.ELRI1, 9), (SchemeKind.ELRI2, 10)],
@@ -437,6 +464,34 @@ def test_mean_shift_with_zero_mean_matches_plain_evolve():
         SolverRun(SchemeKind.ELRI2, 0.05, 0.5, u, mean_shift=True)
     )
     assert l2_diff(plain.final, shifted.final) < 1e-13
+
+
+@pytest.mark.parametrize("n", [32, 256])
+@pytest.mark.parametrize("mean", [0.3, 0.0])
+def test_mean_shift_is_bitwise_shift_evolve_shift_back(n, mean):
+    # the recursion the mean shift is defined by: copy the spectrum, subtract
+    # the mean c, evolve the zero-mean data, map every sample back through
+    # translate(., c t) + c
+    base = rough(n=n, theta=2.0, seed=5)
+    u = Field.from_values(base.grid, base.values + mean)
+    for kind in SchemeKind:
+        for dealias in (False, True):
+            for record_every in (0, 3):
+                run = SolverRun(kind, 0.05, 0.4, u, record_every=record_every,
+                                mean_shift=True, dealias=dealias)
+                c = float(u.spectrum[0].real)
+                s0 = u.spectrum.copy()
+                s0[0] -= c
+                inner = evolve(replace(run, initial=Field.from_spectrum(u.grid, s0),
+                                       mean_shift=False))
+                want = [(t, integrators._add_constant(translate(w, c * t), c))
+                        for t, w in inner]
+                got = evolve(run)
+                assert [t for t, _ in got] == [t for t, _ in want]
+                assert [f.spectrum.tobytes() for _, f in got] == [
+                    f.spectrum.tobytes() for _, f in want
+                ]
+                assert got.max_mean_drift == inner.max_mean_drift
 
 
 def test_mean_shift_constant_state_is_steady():

@@ -250,6 +250,16 @@ def test_local_error_study_orders():
     assert 2.7 < rep.fit_for(SchemeKind.ELRI2).fitted_order < 3.2
 
 
+def test_local_error_study_leaves_reference_cache_alone():
+    # its per-tau ELRI2 checks are one-off runs: caching them would evict a
+    # convergence study's reference and never hit
+    run_convergence_study(tiny_config())
+    before = oracles._reference.cache_info()
+    cfg = StudyConfig(schemes=(SchemeKind.ELRI2,), taus=(2.0**-6, 2.0**-7), n_points=32)
+    run_local_error_study(cfg)
+    assert oracles._reference.cache_info() == before
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
