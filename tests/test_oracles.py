@@ -28,7 +28,7 @@ from kdvlri.oracles import (
     symmetrized_multiplier_exact,
     verification_suite,
 )
-from kdvlri.spectral import Field, Grid, exp_airy, inv_dx, sobolev_norm
+from kdvlri.spectral import Field, Grid, dx, exp_airy, integral, inv_dx, sobolev_norm
 
 
 def l2_diff(a, b):
@@ -346,3 +346,212 @@ def test_verification_suite_all_pass():
     assert len(names) == len(set(names))
     failing = [r.check_name for r in results if not r.passed]
     assert failing == []
+
+
+# ---------------------------------------------------------------------------
+# transcription: the per-node, uncached oracles as they were first written.
+# The stacked and cached oracles must reproduce them: Fields to 1e-14
+# relative, scalar residuals and every verify residual bit for bit.
+
+
+def _t_product(g, *fields):
+    vals = fields[0].values.copy()
+    for f in fields[1:]:
+        vals = vals * f.values
+    return Field.from_values(g, vals)
+
+
+def _t_fn_quadrature(w, t_n, s, nodes=64):
+    g = w.grid
+    acc = np.zeros(g.n, dtype=np.complex128)
+    if s != 0.0:
+        pts, wts = gauss_legendre_nodes(0.0, s, nodes)
+        for r, wt in zip(pts, wts):
+            a = exp_airy(w, t_n + r)
+            sq = _t_product(g, a, a)
+            acc += wt * exp_airy(dx(sq, 1), -(t_n + r)).spectrum
+    return Field.from_spectrum(g, acc)
+
+
+def _t_check_ibp_identity_i(f, g, t_n, tau, nodes=64):
+    grid = f.at(0.0).grid
+    pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
+    lhs = np.zeros(grid.n, dtype=np.complex128)
+    for t, wt in zip(pts, wts):
+        s_abs = t_n + t
+        a = exp_airy(f.at(t), s_abs)
+        b = exp_airy(g.at(t), s_abs)
+        lhs += wt * exp_airy(dx(_t_product(grid, a, b), 1), -s_abs).spectrum
+
+    def boundary(t_rel):
+        s_abs = t_n + t_rel
+        a = exp_airy(inv_dx(f.at(t_rel)), s_abs)
+        b = exp_airy(inv_dx(g.at(t_rel)), s_abs)
+        return exp_airy(_t_product(grid, a, b), -s_abs).spectrum
+
+    rhs = (boundary(tau) - boundary(0.0)) / 3.0
+    for t, wt in zip(pts, wts):
+        s_abs = t_n + t
+        fa = exp_airy(inv_dx(f.at(t)), s_abs)
+        fd = exp_airy(inv_dx(f.dt(t)), s_abs)
+        ga = exp_airy(inv_dx(g.at(t)), s_abs)
+        gd = exp_airy(inv_dx(g.dt(t)), s_abs)
+        mixed = Field.from_values(grid, fd.values * ga.values + fa.values * gd.values)
+        rhs -= (wt / 3.0) * exp_airy(mixed, -s_abs).spectrum
+    return sobolev_norm(Field.from_spectrum(grid, lhs - rhs), 0.0)
+
+
+def _t_check_ibp_identity_ii(f1, f2, f3, t_n, tau, nodes=64):
+    grid = f1.grid
+    pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
+    lhs = 0.0
+    for t, wt in zip(pts, wts):
+        s_abs = t_n + t
+        prod = _t_product(
+            grid, exp_airy(f1, s_abs), exp_airy(f2, s_abs), exp_airy(f3, s_abs)
+        )
+        lhs += wt * integral(exp_airy(prod, -s_abs))
+
+    def boundary(t_abs):
+        return integral(
+            _t_product(
+                grid,
+                exp_airy(inv_dx(f1), t_abs),
+                exp_airy(inv_dx(f2), t_abs),
+                exp_airy(inv_dx(f3), t_abs),
+            )
+        )
+
+    rhs = (boundary(t_n) - boundary(t_n + tau)) / 3.0
+    return abs(lhs - rhs)
+
+
+def _t_band_mask(xi, n):
+    return (xi >= -(n // 2)) & (xi <= n // 2 - 1)
+
+
+def _t_phase_J(phi_int, t_n, tau):
+    phi = phi_int.astype(np.float64)
+    base = np.exp(-1j * t_n * phi)
+    safe = np.where(phi_int == 0, 1.0, phi)
+    osc = (1.0 - np.exp(-1j * tau * phi)) / (1j * safe)
+    return np.where(phi_int == 0, tau * base, base * osc)
+
+
+def _t_an_kernel_integral(alpha_int, t_n, tau, variant):
+    alpha = alpha_int.astype(np.float64)
+    base = np.exp(-1j * t_n * alpha)
+    safe = np.where(alpha_int == 0, 1.0, alpha)
+    osc = (1.0 - np.exp(-1j * tau * alpha)) / (1j * safe)
+    if variant == "A":
+        out = base * (osc - tau)
+    else:
+        out = base * ((1.0 + 0.5j * tau * alpha) * osc - tau)
+    return np.where(alpha_int == 0, 0.0 + 0.0j, out)
+
+
+def _t_an_time_integral(f1, f2, f3, t_n, tau, variant="A"):
+    grid = f1.grid
+    n = grid.n
+    k = grid.wavenumbers
+    k1, k2, k3 = k[:, None, None], k[None, :, None], k[None, None, :]
+    xi = k1 + k2 + k3
+    alpha = xi**3 - k1**3 - k2**3 - k3**3
+    kernel = _t_an_kernel_integral(alpha, t_n, tau, variant)
+    w = f1.spectrum[:, None, None] * f2.spectrum[None, :, None] * f3.spectrum[None, None, :]
+    mask = _t_band_mask(xi, n) & (xi != 0)
+    inv_ixi = np.zeros(xi.shape, dtype=np.complex128)
+    inv_ixi[mask] = 1.0 / (1j * xi[mask].astype(np.float64))
+    contrib = inv_ixi * kernel * w
+    out = np.zeros(n, dtype=np.complex128)
+    np.add.at(out, (xi % n)[mask], contrib[mask])
+    return Field.from_spectrum(grid, out)
+
+
+def _t_embedded_form_step(v, t_n, tau, variant="elri1"):
+    grid = v.grid
+    n = grid.n
+    s = v.spectrum
+    k = grid.wavenumbers
+    k1, k2, k3 = k[:, None, None], k[None, :, None], k[None, None, :]
+    eta = k2 + k3
+    xi = k1 + eta
+    beta = eta**3 - k2**3 - k3**3
+    mu = xi**3 - k1**3 - eta**3
+    j_alpha = _t_phase_J(mu + beta, t_n, tau)
+    j_mu = _t_phase_J(mu, t_n, tau)
+    bracket = j_alpha - np.exp(-1j * t_n * beta.astype(np.float64)) * j_mu
+    w = s[:, None, None] * s[None, :, None] * s[None, None, :]
+    mask = (k2 != 0) & (k3 != 0) & _t_band_mask(xi, n)
+    factor = np.zeros(xi.shape, dtype=np.complex128)
+    k2f, k3f, xif = k2.astype(np.float64), k3.astype(np.float64), xi.astype(np.float64)
+    denom = np.broadcast_to((1j * k2f) * (1j * k3f) * 3.0, xi.shape)
+    factor[mask] = (0.5j * xif[mask]) / denom[mask]
+    contrib = factor * bracket * w
+    cascade = np.zeros(n, dtype=np.complex128)
+    np.add.at(cascade, (xi % n)[mask], contrib[mask])
+    corr = _t_an_time_integral(
+        v, v, v, t_n, tau, variant="A" if variant == "elri1" else "A_tilde"
+    )
+    v_next = s + 0.5 * fn_closed_form(v, t_n, tau).spectrum + cascade
+    v_next = v_next + corr.spectrum / 18.0
+    return exp_airy(Field.from_spectrum(grid, v_next), t_n + tau)
+
+
+def _rel_maxabs(new, old):
+    scale = np.max(np.abs(old.spectrum))
+    return np.max(np.abs(new.spectrum - old.spectrum)) / scale
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_oracles_reproduce_their_per_node_transcription(n):
+    g = Grid(n)
+    mm2, mm3 = alias_free_max_mode(n, 2), alias_free_max_mode(n, 3)
+    for t_n in (0.0, 0.3):
+        for seed in range(2):
+            v = random_band_field(g, mm3, seed=100 + seed)
+            for variant in ("elri1", "elri2"):
+                for tau in (0.01, 0.05):
+                    new = embedded_form_step(v, t_n, tau, variant=variant)
+                    old = _t_embedded_form_step(v, t_n, tau, variant=variant)
+                    assert _rel_maxabs(new, old) <= 1e-14, (t_n, variant, tau)
+            fs = [random_band_field(g, mm3, seed=110 + 3 * seed + j) for j in range(3)]
+            for kernel in ("A", "A_tilde"):
+                new = an_time_integral(*fs, t_n, 0.05, variant=kernel)
+                old = _t_an_time_integral(*fs, t_n, 0.05, variant=kernel)
+                assert _rel_maxabs(new, old) <= 1e-14, (t_n, kernel)
+            w = random_band_field(g, mm2, seed=120 + seed)
+            for s in (0.01, 0.05):
+                new = fn_quadrature(w, t_n, s, nodes=32)
+                old = _t_fn_quadrature(w, t_n, s, nodes=32)
+                assert _rel_maxabs(new, old) <= 1e-14, (t_n, s)
+            f = random_band_field(g, mm2, seed=130 + seed)
+            h = random_band_field(g, mm2, seed=140 + seed)
+            pairs = (
+                (TimeField.constant(f), TimeField.constant(h)),
+                (TimeField.modulated(f, 3.0), TimeField.modulated(h, 7.0)),
+            )
+            for tf, th in pairs:
+                assert check_ibp_identity_i(tf, th, t_n, 0.1, nodes=48) == (
+                    _t_check_ibp_identity_i(tf, th, t_n, 0.1, nodes=48)
+                )
+            assert check_ibp_identity_ii(*fs, t_n, 0.1, nodes=48) == (
+                _t_check_ibp_identity_ii(*fs, t_n, 0.1, nodes=48)
+            )
+
+
+def test_verify_residuals_match_the_per_node_transcription(monkeypatch):
+    fast = verification_suite()
+    for name, old in (
+        ("fn_quadrature", _t_fn_quadrature),
+        ("check_ibp_identity_i", _t_check_ibp_identity_i),
+        ("check_ibp_identity_ii", _t_check_ibp_identity_ii),
+        ("an_time_integral", _t_an_time_integral),
+        ("embedded_form_step", _t_embedded_form_step),
+    ):
+        monkeypatch.setattr(oracles, name, old)
+    slow = verification_suite()
+    assert [r.check_name for r in fast] == [r.check_name for r in slow]
+    for a, b in zip(fast, slow):
+        assert a.residual == b.residual, (a.check_name, a.residual, b.residual)
+        assert a.tolerance == b.tolerance
