@@ -73,11 +73,16 @@ class SchemeKind(enum.Enum):
 
 def _require_zero_mean(mode0, where):
     m = complex(mode0)
-    if abs(m) > MEAN_TOL:
-        raise SchemeConfigError(
-            f"{where} requires zero-mean data: mean value {m.real:.6e} "
-            f"exceeds {MEAN_TOL:g} (use solve_with_mean_shift for nonzero mean)"
-        )
+    if abs(m) <= MEAN_TOL:
+        return
+    if abs(m.real) > MEAN_TOL:
+        cause = f"mean value {m.real:.6e} (use solve_with_mean_shift for nonzero mean)"
+    else:  # a mean shift removes only the real part
+        cause = f"imaginary residue {m.imag:.6e} (the data is not a real field)"
+    raise SchemeConfigError(
+        f"{where} requires zero-mean data: mode 0 is {m:.6e}, magnitude "
+        f"{abs(m):.6e} exceeds {MEAN_TOL:g}, from its {cause}"
+    )
 
 
 def check_step_count(name, tau, t_final):

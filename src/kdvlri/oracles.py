@@ -8,17 +8,22 @@ identities and the quadratic Duhamel closed form are checked against
 Gauss-Legendre quadrature; an unrelated integrating-factor RK4 provides a
 second route to reference solutions.
 
-These routines are deliberately slow and guarded to N <= 32 where they are
-cubic in N.  Per-tuple identities hold on the grid only when products stay
-inside the resolved band, so the random test fields produced here are
-band-limited accordingly (|xi| <= (N/2 - 1)/degree for degree-fold
-products); the production schemes form aliased grid products by design, and
-the two agree exactly on such fields.
+The triple sums are cubic in N and guarded to N <= 32.  Their kernels depend
+only on (N, t_n, tau, variant) and are kept (lru_cache, ORACLE_CACHE_SIZE
+entries), so a call only forms and scatters the field's triple products.  The
+quadratures take all nodes at once (one Airy symbol row per node, one stacked
+FFT per quantity) and sum the weighted rows in node order; Gauss-Legendre
+rules are cached per node count.  Per-tuple identities hold on the grid only
+when products stay inside the resolved band, so the random test fields
+produced here are band-limited accordingly (|xi| <= (N/2 - 1)/degree for
+degree-fold products); the production schemes form aliased grid products by
+design, and the two agree exactly on such fields.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +32,7 @@ import numpy as np
 from .integrators import SolverRun, SchemeKind, evolve
 from .rough_data import splitmix64_uniform
 from .spectral import (
+    TWO_PI,
     Field,
     Grid,
     dx,
@@ -39,6 +45,9 @@ from .spectral import (
 )
 
 MAX_ORACLE_N = 32
+
+#: how many entries each oracle cache (triple kernels, quadrature rules) keeps
+ORACLE_CACHE_SIZE = 4
 
 
 class CostGuardError(ValueError):
@@ -60,6 +69,19 @@ def _require_zero_mean(f, where):
     m = abs(complex(f.spectrum[0]))
     if m > 1e-12:
         raise ValueError(f"{where} requires zero-mean input, mean magnitude {m:.3e}")
+
+
+def _finite(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +156,24 @@ def random_band_field(grid: Grid, max_mode: int, seed: int, normalize=True) -> F
 
 def gauss_legendre_nodes(a: float, b: float, nodes: int):
     """Gauss-Legendre points and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool) or nodes < 1:
+        raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
+    x, w = _legendre_rule(int(nodes))
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
+
+
+@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _legendre_rule(nodes):
+    return _frozen(*np.polynomial.legendre.leggauss(nodes))
+
+
+def _values(spectra, n):
+    # grid values of stacked spectra, one inverse FFT over the last axis
+    return np.fft.ifft(spectra * n, axis=-1).real
+
+
+def _stack(at, times):
+    return np.array([at(t).spectrum for t in times])
 
 
 def _product(g, *fields):
@@ -157,6 +195,7 @@ def fn_closed_form(w: Field, t_n: float, s: float) -> Field:
     where e^{+t dx^3} g = exp_airy(g, -t).
     """
     _require_zero_mean(w, "fn_closed_form")
+    t_n, s = _finite("t_n", t_n), _finite("s", s)
     g = w.grid
     p = inv_dx(w)
 
@@ -170,14 +209,16 @@ def fn_closed_form(w: Field, t_n: float, s: float) -> Field:
 def fn_quadrature(w: Field, t_n: float, s: float, nodes: int = 64) -> Field:
     """Gauss-Legendre evaluation of the defining integral of fn_closed_form."""
     _require_zero_mean(w, "fn_quadrature")
+    t_n, s = _finite("t_n", t_n), _finite("s", s)
+    pts, wts = gauss_legendre_nodes(0.0, s, nodes)
     g = w.grid
     acc = np.zeros(g.n, dtype=np.complex128)
     if s != 0.0:
-        pts, wts = gauss_legendre_nodes(0.0, s, nodes)
-        for r, wt in zip(pts, wts):
-            a = exp_airy(w, t_n + r)
-            sq = _product(g, a, a)
-            acc += wt * exp_airy(dx(sq, 1), -(t_n + r)).spectrum
+        ts = t_n + pts
+        a = _values(w.spectrum * g.airy(ts), g.n)
+        rows = np.fft.fft(a * a, axis=-1) / g.n * g.ik * g.airy(-ts)
+        for wt, row in zip(wts, rows):
+            acc += wt * row
     return Field.from_spectrum(g, acc)
 
 
@@ -228,15 +269,18 @@ def check_ibp_identity_i(
     with boundary(s) = e^{s dx^3}(e^{-s dx^3} dxinv f * e^{-s dx^3} dxinv g).
     Both sides are evaluated by Gauss-Legendre quadrature in t.
     """
-    grid = f.at(0.0).grid
+    t_n, tau = _finite("t_n", t_n), _finite("tau", tau)
     pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
+    grid = f.at(0.0).grid
+    n = grid.n
+    ts = t_n + pts
+    fwd, back = grid.airy(ts), grid.airy(-ts)
+    fs, gs = _stack(f.at, pts), _stack(g.at, pts)
 
-    lhs = np.zeros(grid.n, dtype=np.complex128)
-    for t, wt in zip(pts, wts):
-        s_abs = t_n + t
-        a = exp_airy(f.at(t), s_abs)
-        b = exp_airy(g.at(t), s_abs)
-        lhs += wt * exp_airy(dx(_product(grid, a, b), 1), -s_abs).spectrum
+    lhs = np.zeros(n, dtype=np.complex128)
+    prod = _values(fs * fwd, n) * _values(gs * fwd, n)
+    for wt, row in zip(wts, np.fft.fft(prod, axis=-1) / n * grid.ik * back):
+        lhs += wt * row
 
     def boundary(t_rel):
         s_abs = t_n + t_rel
@@ -245,14 +289,13 @@ def check_ibp_identity_i(
         return exp_airy(_product(grid, a, b), -s_abs).spectrum
 
     rhs = (boundary(tau) - boundary(0.0)) / 3.0
-    for t, wt in zip(pts, wts):
-        s_abs = t_n + t
-        fa = exp_airy(inv_dx(f.at(t)), s_abs)
-        fd = exp_airy(inv_dx(f.dt(t)), s_abs)
-        ga = exp_airy(inv_dx(g.at(t)), s_abs)
-        gd = exp_airy(inv_dx(g.dt(t)), s_abs)
-        mixed = Field.from_values(grid, fd.values * ga.values + fa.values * gd.values)
-        rhs -= (wt / 3.0) * exp_airy(mixed, -s_abs).spectrum
+    fa, fd, ga, gd = (
+        _values(spec * grid.inv_ik * fwd, n)
+        for spec in (fs, _stack(f.dt, pts), gs, _stack(g.dt, pts))
+    )
+    mixed = fd * ga + fa * gd
+    for wt, row in zip(wts, np.fft.fft(mixed, axis=-1) / n * back):
+        rhs -= (wt / 3.0) * row
 
     return sobolev_norm(Field.from_spectrum(grid, lhs - rhs), 0.0)
 
@@ -267,19 +310,18 @@ def check_ibp_identity_ii(
         + (1/3) int_T prod_j e^{-t_n dx^3} dxinv f_j dx.
     """
     grid = f1.grid
+    n = grid.n
     for f in (f1, f2, f3):
         _require_zero_mean(f, "check_ibp_identity_ii")
+    t_n, tau = _finite("t_n", t_n), _finite("tau", tau)
     pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
+    ts = t_n + pts
+    fwd = grid.airy(ts)
+    v1, v2, v3 = (_values(f.spectrum * fwd, n) for f in (f1, f2, f3))
+    means = (np.fft.fft(v1 * v2 * v3, axis=-1) / n * grid.airy(-ts))[:, 0]
     lhs = 0.0
-    for t, wt in zip(pts, wts):
-        s_abs = t_n + t
-        prod = _product(
-            grid,
-            exp_airy(f1, s_abs),
-            exp_airy(f2, s_abs),
-            exp_airy(f3, s_abs),
-        )
-        lhs += wt * integral(exp_airy(prod, -s_abs))
+    for wt, m in zip(wts, means):
+        lhs += wt * float(TWO_PI * m.real)  # integral() of the node's field
 
     def boundary(t_abs):
         return integral(
@@ -345,26 +387,39 @@ def an_time_integral(
     _guard_small(grid)
     for f in (f1, f2, f3):
         _require_zero_mean(f, "an_time_integral")
-    n = grid.n
-    k = grid.wavenumbers
-    k1 = k[:, None, None]
-    k2 = k[None, :, None]
-    k3 = k[None, None, :]
-    xi = k1 + k2 + k3
-    alpha = xi**3 - k1**3 - k2**3 - k3**3
-    kernel = _an_kernel_integral(alpha, t_n, tau, variant)
+    kernel = _an_kernel(grid.n, _finite("t_n", t_n), _finite("tau", tau), variant)
+    return Field.from_spectrum(grid, _contract(kernel, f1, f2, f3))
+
+
+def _triples(n):
+    k = Grid(n).wavenumbers
+    return k[:, None, None], k[None, :, None], k[None, None, :]
+
+
+def _contract(kernel, f1, f2, f3):
+    """Scatter kernel * f1hat(xi1) f2hat(xi2) f3hat(xi3) onto xi1 + xi2 + xi3."""
+    mask, coeff, target = kernel
     w = (
         f1.spectrum[:, None, None]
         * f2.spectrum[None, :, None]
         * f3.spectrum[None, None, :]
     )
+    out = np.zeros(f1.grid.n, dtype=np.complex128)
+    np.add.at(out, target, coeff * w[mask])
+    return out
+
+
+@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _an_kernel(n, t_n, tau, variant):
+    """(mask, coefficients, target modes) of an_time_integral, read-only."""
+    k1, k2, k3 = _triples(n)
+    xi = k1 + k2 + k3
+    alpha = xi**3 - k1**3 - k2**3 - k3**3
+    kernel = _an_kernel_integral(alpha, t_n, tau, variant)
     mask = _band_mask(xi, n) & (xi != 0)
     inv_ixi = np.zeros(xi.shape, dtype=np.complex128)
     inv_ixi[mask] = 1.0 / (1j * xi[mask].astype(np.float64))
-    contrib = inv_ixi * kernel * w
-    out = np.zeros(n, dtype=np.complex128)
-    np.add.at(out, (xi % n)[mask], contrib[mask])
-    return Field.from_spectrum(grid, out)
+    return _frozen(mask, (inv_ixi * kernel)[mask], (xi % n)[mask])
 
 
 def embedded_form_step(v: Field, t_n: float, tau: float, variant: str = "elri1") -> Field:
@@ -386,12 +441,20 @@ def embedded_form_step(v: Field, t_n: float, tau: float, variant: str = "elri1")
     variant = variant.lower()
     if variant not in ("elri1", "elri2"):
         raise ValueError(f"variant must be 'elri1' or 'elri2', got {variant!r}")
-    n = grid.n
-    s = v.spectrum
-    k = grid.wavenumbers
-    k1 = k[:, None, None]
-    k2 = k[None, :, None]
-    k3 = k[None, None, :]
+    t_n, tau = _finite("t_n", t_n), _finite("tau", tau)
+    cascade = _contract(_cascade_kernel(grid.n, t_n, tau), v, v, v)
+    corr = an_time_integral(
+        v, v, v, t_n, tau, variant="A" if variant == "elri1" else "A_tilde"
+    )
+    v_next = v.spectrum + 0.5 * fn_closed_form(v, t_n, tau).spectrum + cascade
+    v_next = v_next + corr.spectrum / 18.0
+    return exp_airy(Field.from_spectrum(grid, v_next), t_n + tau)
+
+
+@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _cascade_kernel(n, t_n, tau):
+    """(mask, coefficients, target modes) of the cascade sum, read-only."""
+    k1, k2, k3 = _triples(n)
     eta = k2 + k3
     xi = k1 + eta
     beta = eta**3 - k2**3 - k3**3  # = 3 eta xi2 xi3
@@ -399,11 +462,6 @@ def embedded_form_step(v: Field, t_n: float, tau: float, variant: str = "elri1")
     j_alpha = _phase_J(mu + beta, t_n, tau)
     j_mu = _phase_J(mu, t_n, tau)
     bracket = j_alpha - np.exp(-1j * t_n * beta.astype(np.float64)) * j_mu
-    w = (
-        s[:, None, None]
-        * s[None, :, None]
-        * s[None, None, :]
-    )
     mask = (k2 != 0) & (k3 != 0) & _band_mask(xi, n)
     factor = np.zeros(xi.shape, dtype=np.complex128)
     k2f = k2.astype(np.float64)
@@ -411,16 +469,7 @@ def embedded_form_step(v: Field, t_n: float, tau: float, variant: str = "elri1")
     xif = xi.astype(np.float64)
     denom = np.broadcast_to((1j * k2f) * (1j * k3f) * 3.0, xi.shape)
     factor[mask] = (0.5j * xif[mask]) / denom[mask]
-    contrib = factor * bracket * w
-    cascade = np.zeros(n, dtype=np.complex128)
-    np.add.at(cascade, (xi % n)[mask], contrib[mask])
-
-    corr = an_time_integral(
-        v, v, v, t_n, tau, variant="A" if variant == "elri1" else "A_tilde"
-    )
-    v_next = s + 0.5 * fn_closed_form(v, t_n, tau).spectrum + cascade
-    v_next = v_next + corr.spectrum / 18.0
-    return exp_airy(Field.from_spectrum(grid, v_next), t_n + tau)
+    return _frozen(mask, (factor * bracket)[mask], (xi % n)[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -654,30 +703,25 @@ def _random_int_triples(count, lo=-40, hi=40, seed=5):
 
 
 def _check_alpha_identities():
-    mismatches = 0
-    for xi1, xi2, xi3 in _random_int_triples(10_000):
-        x1, x2, x3 = int(xi1), int(xi2), int(xi3)
-        if alpha3(x1, x2) != (x1 + x2) ** 3 - x1**3 - x2**3:
-            mismatches += 1
-        xs = x1 + x2 + x3
-        if alpha4(x1, x2, x3) != xs**3 - x1**3 - x2**3 - x3**3:
-            mismatches += 1
+    x1, x2, x3 = _random_int_triples(10_000).T
+    xs = x1 + x2 + x3
+    mismatches = np.count_nonzero(alpha3(x1, x2) != (x1 + x2) ** 3 - x1**3 - x2**3)
+    mismatches += np.count_nonzero(alpha4(x1, x2, x3) != xs**3 - x1**3 - x2**3 - x3**3)
     return CheckResult("alpha3_alpha4_integer_identities", float(mismatches), 0.0)
 
 
 def _check_symmetrization():
-    mismatches = 0
-    checked = 0
-    for xi1, xi2, xi3 in _random_int_triples(10_000, seed=6):
-        x1, x2, x3 = int(xi1), int(xi2), int(xi3)
-        if 0 in (x1, x2, x3, x1 + x2 + x3):
-            continue
-        checked += 1
-        lhs, rhs = symmetrized_multiplier_exact(x1, x2, x3)
-        if lhs != rhs:
-            mismatches += 1
-    if checked < 1000:
+    # the identity of symmetrized_multiplier_exact times 3 xi x1 x2 x3 != 0;
+    # with |xi_j| <= 40 every int64 term stays below 2.4e7, so it is exact
+    x1, x2, x3 = _random_int_triples(10_000, seed=6).T
+    xi = x1 + x2 + x3
+    valid = (x1 != 0) & (x2 != 0) & (x3 != 0) & (xi != 0)
+    if np.count_nonzero(valid) < 1000:
         raise RuntimeError("symmetrization check drew too few valid triples")
+    x1, x2, x3, xi = x1[valid], x2[valid], x3[valid], xi[valid]
+    lhs = 3 * xi * (x1 * x2 + x1 * x3 + x2 * x3)
+    rhs = alpha4(x1, x2, x3) + 3 * x1 * x2 * x3
+    mismatches = np.count_nonzero(lhs != rhs)
     return CheckResult("multiplier_symmetrization_exact", float(mismatches), 0.0)
 
 

@@ -38,9 +38,10 @@ class Grid:
     """Uniform N-point grid on (0, 2*pi), N even and at least 4.
 
     Caches the integer wavenumbers (FFT order) and the multiplier arrays
-    shared by the spectral operators: inv_ik is the mean-free antiderivative
-    multiplier 1/(i xi), keep_two_thirds marks the modes 3 |xi| < N that the
-    2/3 rule keeps, and airy(t) builds the Airy symbol.  Cached arrays are
+    shared by the spectral operators: ik is the derivative multiplier i xi
+    (0 at Nyquist), inv_ik the mean-free antiderivative multiplier 1/(i xi),
+    keep_two_thirds marks the modes 3 |xi| < N that the 2/3 rule keeps, and
+    airy(t) builds the Airy symbol.  Cached arrays are
     read-only, so a Grid can be used concurrently from several threads.
     """
 
@@ -63,19 +64,22 @@ class Grid:
         inv_ik[nonzero] = 1.0 / ik[nonzero]
         k3 = k**3
         k3[self.nyquist_index] = 0.0  # phase symbols carry no Nyquist phase
-        self._ik = ik
+        self.ik = ik
         self.inv_ik = inv_ik
         self._k3 = k3
         self.keep_two_thirds = 3 * np.abs(self.wavenumbers) < n
         for arr in (
-            self.x, self.wavenumbers, self._ik, self.inv_ik, self._k3,
+            self.x, self.wavenumbers, self.ik, self.inv_ik, self._k3,
             self.keep_two_thirds,
         ):
             arr.flags.writeable = False
 
-    def airy(self, t: float) -> np.ndarray:
-        """Symbol e^{i t xi^3} of e^{-t d^3/dx^3}; phase 1 at the Nyquist mode."""
-        return np.exp(1j * t * self._k3)
+    def airy(self, t) -> np.ndarray:
+        """Symbol e^{i t xi^3} of e^{-t d^3/dx^3}; phase 1 at the Nyquist mode.
+
+        An array of times gives one symbol row per time, shape t.shape + (N,).
+        """
+        return np.exp(1j * np.asarray(t)[..., None] * self._k3)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
@@ -170,7 +174,7 @@ def dx(f: Field, order: int = 1) -> Field:
     if order == 0:
         return f
     if order == 1:
-        return _apply_symbol(f, g._ik)
+        return _apply_symbol(f, g.ik)
     sym = (1j * g.wavenumbers.astype(np.float64)) ** order
     if order % 2:
         sym[g.nyquist_index] = 0.0

@@ -120,6 +120,28 @@ def test_public_steps_reject_nonzero_mean():
             step(u, 0.1)
 
 
+def test_zero_mean_refusal_names_what_tripped_it():
+    # mode 0 = 0.3 + 1e-6j: the real mean trips a plain run; after the mean
+    # shift only the imaginary residue is left, and no shift removes it
+    g = Grid(16)
+    spec = np.zeros(g.n, dtype=np.complex128)
+    spec[1] = spec[-1] = 0.25
+    spec[0] = 0.3 + 1e-6j
+    u = Field.from_spectrum(g, spec)
+    with pytest.raises(SchemeConfigError) as err:
+        elri1_step(u, 0.1)
+    msg = str(err.value)
+    assert "mode 0 is 3.000000e-01+1.000000e-06j" in msg
+    assert "mean value 3.000000e-01 (use solve_with_mean_shift" in msg
+    with pytest.raises(SchemeConfigError) as err:
+        evolve(SolverRun(SchemeKind.ELRI1, 0.1, 0.2, u, mean_shift=True))
+    msg = str(err.value)
+    assert "mode 0 is 0.000000e+00+1.000000e-06j" in msg
+    assert "magnitude 1.000000e-06" in msg
+    assert "imaginary residue 1.000000e-06 (the data is not a real field)" in msg
+    assert "solve_with_mean_shift" not in msg
+
+
 def test_dealias_keyword_truncates_output():
     u = rough(n=32, theta=2.0, seed=6)
     out = elri1_step(u, 0.1, dealias=True)

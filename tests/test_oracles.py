@@ -248,6 +248,76 @@ def test_embedded_form_validation():
         embedded_form_step(bad, 0.0, 0.1)
 
 
+def test_oracles_refuse_non_finite_times_and_bad_node_counts():
+    g = Grid(16)
+    v = random_band_field(g, 2, seed=81)
+    tf = TimeField.constant(v)
+    nan, inf = float("nan"), float("inf")
+    refusals = [
+        ("t_n", lambda: embedded_form_step(v, nan, 0.1)),
+        ("tau", lambda: embedded_form_step(v, 0.0, nan)),
+        ("t_n", lambda: an_time_integral(v, v, v, inf, 0.1)),
+        ("tau", lambda: an_time_integral(v, v, v, 0.0, -inf)),
+        ("t_n", lambda: fn_closed_form(v, nan, 0.1)),
+        ("s", lambda: fn_closed_form(v, 0.0, inf)),
+        ("t_n", lambda: fn_quadrature(v, nan, 0.1)),
+        ("s", lambda: fn_quadrature(v, 0.0, nan)),
+        ("t_n", lambda: check_ibp_identity_i(tf, tf, nan, 0.1)),
+        ("tau", lambda: check_ibp_identity_i(tf, tf, 0.0, inf)),
+        ("t_n", lambda: check_ibp_identity_ii(v, v, v, inf, 0.1)),
+        ("tau", lambda: check_ibp_identity_ii(v, v, v, 0.0, nan)),
+    ]
+    for bad in (0, -3, 2.5, True):
+        refusals += [
+            ("nodes", lambda k=bad: gauss_legendre_nodes(0.0, 1.0, k)),
+            ("nodes", lambda k=bad: fn_quadrature(v, 0.0, 0.1, nodes=k)),
+            ("nodes", lambda k=bad: fn_quadrature(v, 0.0, 0.0, nodes=k)),
+            ("nodes", lambda k=bad: check_ibp_identity_i(tf, tf, 0.0, 0.1, nodes=k)),
+            ("nodes", lambda k=bad: check_ibp_identity_ii(v, v, v, 0.0, 0.1, nodes=k)),
+        ]
+    caches = (oracles._cascade_kernel, oracles._an_kernel, oracles._legendre_rule)
+    for cache in caches:
+        cache.cache_clear()
+    for name, call in refusals:
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            call()
+    # refused before any cache lookup: a NaN key would never hit
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_triple_kernel_caches_are_safe():
+    g = Grid(16)
+    mm = alias_free_max_mode(g.n, 3)
+    u, v = random_band_field(g, mm, seed=82), random_band_field(g, mm, seed=83)
+    oracles._cascade_kernel.cache_clear()
+    oracles._an_kernel.cache_clear()
+    # two fields on one (N, t_n, tau, variant) key each get their own answer
+    for variant in ("elri1", "elri2"):
+        first = embedded_form_step(u, 0.3, 0.05, variant=variant)
+        second = embedded_form_step(v, 0.3, 0.05, variant=variant)
+        assert oracles._cascade_kernel.cache_info().hits >= 1
+        assert l2_diff(first, _t_embedded_form_step(u, 0.3, 0.05, variant)) < 1e-15
+        assert l2_diff(second, _t_embedded_form_step(v, 0.3, 0.05, variant)) < 1e-15
+        assert l2_diff(first, second) > 1e-3
+    # cached arrays cannot be written through
+    kernels = (
+        oracles._cascade_kernel(g.n, 0.3, 0.05),
+        oracles._an_kernel(g.n, 0.3, 0.05, "A_tilde"),
+    )
+    for arr in (a for kernel in kernels for a in kernel):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    # a sweep over many start times stays within the documented size
+    for t_n in np.linspace(0.0, 1.9, 20):
+        embedded_form_step(u, t_n, 0.05, variant="elri2")
+    for cache in (oracles._cascade_kernel, oracles._an_kernel, oracles._legendre_rule):
+        assert cache.cache_info().currsize <= oracles.ORACLE_CACHE_SIZE
+        assert cache.cache_info().maxsize == oracles.ORACLE_CACHE_SIZE
+
+
 # ---------------------------------------------------------------------------
 # independent reference route
 
