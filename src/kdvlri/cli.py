@@ -285,6 +285,7 @@ def cmd_local_error(args) -> int:
 def cmd_verify(args) -> int:
     results = verification_suite()
     for r in results:
+        print(f"time {r.check_name}: {r.wall_s:.3f} s", file=sys.stderr)
         tag = "PASS" if r.passed else "FAIL"
         print(
             f"{tag} {r.check_name}: residual {r.residual:.3e} "

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import TWO_PI, Field, translate
+from .spectral import TWO_PI, Field, require_single, translate
 
 MEAN_TOL = 1e-12
 
@@ -192,6 +192,7 @@ def _update(ws):
 
 
 def _one_step(kind, u, tau, dealias):
+    require_single(u, f"{kind.value}_step")
     _require_zero_mean(u.spectrum[0], f"{kind.value}_step")
     ws = _Workspace(kind, u.grid, tau, dealias)
     ws.load(u.spectrum)
@@ -256,6 +257,7 @@ class SolverRun:
 
     def __post_init__(self):
         step_function(self.scheme)  # rejects unknown schemes early
+        require_single(self.initial, "SolverRun")
         for name in ("tau", "t_final"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

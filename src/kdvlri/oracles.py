@@ -11,34 +11,37 @@ second route to reference solutions.
 The triple sums are cubic in N and guarded to N <= 32.  Their kernels depend
 only on (N, t_n, tau, variant) and are kept (lru_cache, ORACLE_CACHE_SIZE
 entries), so a call only forms and scatters the field's triple products.  The
-quadratures take all nodes at once (one Airy symbol row per node, one stacked
-FFT per quantity) and sum the weighted rows in node order; Gauss-Legendre
-rules are cached per node count.  Per-tuple identities hold on the grid only
-when products stay inside the resolved band, so the random test fields
-produced here are band-limited accordingly (|xi| <= (N/2 - 1)/degree for
-degree-fold products); the production schemes form aliased grid products by
-design, and the two agree exactly on such fields.
+quadratures take all nodes at once as a stacked Field (one row per node,
+exp_airy with one time per row) and sum the weighted rows in node order;
+Gauss-Legendre rules are cached per node count.  random_band_field takes an
+array of seeds and TimeField an array of times, one row each, so verify's
+operator checks draw all their seeds as one stack.  Per-tuple identities hold
+on the grid only when products stay inside the resolved band, so the random
+test fields produced here are band-limited accordingly (|xi| <= (N/2 - 1) /
+degree for degree-fold products); the production schemes form aliased grid
+products by design, and the two agree exactly on such fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .integrators import SolverRun, SchemeKind, evolve
+from .integrators import SolverRun, SchemeKind, elri1_step, elri2_step, evolve
 from .rough_data import splitmix64_uniform
 from .spectral import (
-    TWO_PI,
     Field,
     Grid,
     dx,
     exp_airy,
     integral,
     inv_dx,
+    require_single,
     sobolev_distance,
     sobolev_norm,
     truncate_two_thirds,
@@ -66,6 +69,7 @@ def _guard_small(grid):
 
 
 def _require_zero_mean(f, where):
+    require_single(f, where)
     m = abs(complex(f.spectrum[0]))
     if m > 1e-12:
         raise ValueError(f"{where} requires zero-mean input, mean magnitude {m:.3e}")
@@ -128,23 +132,24 @@ def alias_free_max_mode(n: int, degree: int) -> int:
     return (n // 2 - 1) // degree
 
 
-def random_band_field(grid: Grid, max_mode: int, seed: int, normalize=True) -> Field:
+def random_band_field(grid: Grid, max_mode: int, seed, normalize=True) -> Field:
     """Random real zero-mean field supported on 1 <= |xi| <= max_mode.
 
     Coefficients come from the SplitMix64 stream, so the field is a pure
     function of (grid.n, max_mode, seed).  With normalize the L2 norm is 1.
+    An array of seeds gives a stack, one row per seed.
     """
     if not 1 <= max_mode <= grid.n // 2 - 1:
         raise ValueError(f"max_mode must be in [1, {grid.n // 2 - 1}], got {max_mode}")
     draws = splitmix64_uniform(seed, 2 * max_mode)
-    coeff = (2.0 * draws[0::2] - 1.0) + 1j * (2.0 * draws[1::2] - 1.0)
-    spec = np.zeros(grid.n, dtype=np.complex128)
+    coeff = (2.0 * draws[..., 0::2] - 1.0) + 1j * (2.0 * draws[..., 1::2] - 1.0)
+    spec = np.zeros(coeff.shape[:-1] + (grid.n,), dtype=np.complex128)
     modes = np.arange(1, max_mode + 1)
-    spec[modes] = 0.5 * coeff
-    spec[grid.n - modes] = np.conj(spec[modes])
+    spec[..., modes] = 0.5 * coeff
+    spec[..., grid.n - modes] = np.conj(spec[..., modes])
     if normalize:
-        norm = np.sqrt(2.0 * np.pi * np.sum(np.abs(spec) ** 2))
-        if norm == 0.0:
+        norm = np.sqrt(2.0 * np.pi * np.sum(np.abs(spec) ** 2, axis=-1, keepdims=True))
+        if np.any(norm == 0.0):
             raise ValueError("degenerate draw: zero field")
         spec /= norm
     return Field.from_spectrum(grid, spec)
@@ -165,15 +170,6 @@ def gauss_legendre_nodes(a: float, b: float, nodes: int):
 @functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def _legendre_rule(nodes):
     return _frozen(*np.polynomial.legendre.leggauss(nodes))
-
-
-def _values(spectra, n):
-    # grid values of stacked spectra, one inverse FFT over the last axis
-    return np.fft.ifft(spectra * n, axis=-1).real
-
-
-def _stack(at, times):
-    return np.array([at(t).spectrum for t in times])
 
 
 def _product(g, *fields):
@@ -215,8 +211,8 @@ def fn_quadrature(w: Field, t_n: float, s: float, nodes: int = 64) -> Field:
     acc = np.zeros(g.n, dtype=np.complex128)
     if s != 0.0:
         ts = t_n + pts
-        a = _values(w.spectrum * g.airy(ts), g.n)
-        rows = np.fft.fft(a * a, axis=-1) / g.n * g.ik * g.airy(-ts)
+        a = exp_airy(w, ts).values  # one row per node
+        rows = exp_airy(dx(Field.from_values(g, a * a)), -ts).spectrum
         for wt, row in zip(wts, rows):
             acc += wt * row
     return Field.from_spectrum(g, acc)
@@ -230,8 +226,9 @@ def fn_quadrature(w: Field, t_n: float, s: float, nodes: int = 64) -> Field:
 class TimeField:
     """Time-dependent field with an analytic time derivative.
 
-    `at(t)` and `dt(t)` return Fields; the identity checks need d/dt in
-    closed form, so only families built this way are accepted.
+    `at(t)` and `dt(t)` return Fields, a stack with one row per time for an
+    array of times; the identity checks need d/dt in closed form, so only
+    families built this way are accepted.
     """
 
     at: object
@@ -239,22 +236,19 @@ class TimeField:
 
     @classmethod
     def constant(cls, f: Field) -> "TimeField":
-        zero = Field.from_spectrum(f.grid, np.zeros(f.grid.n, dtype=np.complex128))
-        return cls(at=lambda t: f, dt=lambda t: zero)
+        return cls.modulated(f, 0.0)  # cos(0 t) = 1 exactly
 
     @classmethod
     def modulated(cls, f: Field, omega: float) -> "TimeField":
         """cos(omega t) * f, with derivative -omega sin(omega t) * f."""
 
-        def at(t):
-            return Field.from_spectrum(f.grid, np.cos(omega * t) * f.spectrum)
+        def scaled(c):
+            return Field.from_spectrum(f.grid, np.asarray(c)[..., None] * f.spectrum)
 
-        def dt(t):
-            return Field.from_spectrum(
-                f.grid, -omega * np.sin(omega * t) * f.spectrum
-            )
-
-        return cls(at=at, dt=dt)
+        return cls(
+            at=lambda t: scaled(np.cos(omega * np.asarray(t))),
+            dt=lambda t: scaled(-omega * np.sin(omega * np.asarray(t))),
+        )
 
 
 def check_ibp_identity_i(
@@ -271,15 +265,14 @@ def check_ibp_identity_i(
     """
     t_n, tau = _finite("t_n", t_n), _finite("tau", tau)
     pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
-    grid = f.at(0.0).grid
-    n = grid.n
     ts = t_n + pts
-    fwd, back = grid.airy(ts), grid.airy(-ts)
-    fs, gs = _stack(f.at, pts), _stack(g.at, pts)
+    grid = f.at(0.0).grid
+    # f, g, d_t f and d_t g at every node: one stack of shape (4, nodes, N)
+    h = Field.from_spectrum(grid, [q(pts).spectrum for q in (f.at, g.at, f.dt, g.dt)])
 
-    lhs = np.zeros(n, dtype=np.complex128)
-    prod = _values(fs * fwd, n) * _values(gs * fwd, n)
-    for wt, row in zip(wts, np.fft.fft(prod, axis=-1) / n * grid.ik * back):
+    lhs = np.zeros(grid.n, dtype=np.complex128)
+    a, b, _, _ = exp_airy(h, ts).values
+    for wt, row in zip(wts, exp_airy(dx(Field.from_values(grid, a * b)), -ts).spectrum):
         lhs += wt * row
 
     def boundary(t_rel):
@@ -289,12 +282,9 @@ def check_ibp_identity_i(
         return exp_airy(_product(grid, a, b), -s_abs).spectrum
 
     rhs = (boundary(tau) - boundary(0.0)) / 3.0
-    fa, fd, ga, gd = (
-        _values(spec * grid.inv_ik * fwd, n)
-        for spec in (fs, _stack(f.dt, pts), gs, _stack(g.dt, pts))
-    )
-    mixed = fd * ga + fa * gd
-    for wt, row in zip(wts, np.fft.fft(mixed, axis=-1) / n * back):
+    fa, ga, fd, gd = exp_airy(inv_dx(h), ts).values
+    mixed = Field.from_values(grid, fd * ga + fa * gd)
+    for wt, row in zip(wts, exp_airy(mixed, -ts).spectrum):
         rhs -= (wt / 3.0) * row
 
     return sobolev_norm(Field.from_spectrum(grid, lhs - rhs), 0.0)
@@ -310,28 +300,21 @@ def check_ibp_identity_ii(
         + (1/3) int_T prod_j e^{-t_n dx^3} dxinv f_j dx.
     """
     grid = f1.grid
-    n = grid.n
     for f in (f1, f2, f3):
         _require_zero_mean(f, "check_ibp_identity_ii")
     t_n, tau = _finite("t_n", t_n), _finite("tau", tau)
     pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
     ts = t_n + pts
-    fwd = grid.airy(ts)
-    v1, v2, v3 = (_values(f.spectrum * fwd, n) for f in (f1, f2, f3))
-    means = (np.fft.fft(v1 * v2 * v3, axis=-1) / n * grid.airy(-ts))[:, 0]
+    trio = Field.from_spectrum(grid, [[f.spectrum] for f in (f1, f2, f3)])  # (3, 1, N)
+    v1, v2, v3 = exp_airy(trio, ts).values
+    prod = Field.from_values(grid, v1 * v2 * v3)
     lhs = 0.0
-    for wt, m in zip(wts, means):
-        lhs += wt * float(TWO_PI * m.real)  # integral() of the node's field
+    for wt, m in zip(wts, integral(exp_airy(prod, -ts))):
+        lhs += wt * m
 
     def boundary(t_abs):
-        return integral(
-            _product(
-                grid,
-                exp_airy(inv_dx(f1), t_abs),
-                exp_airy(inv_dx(f2), t_abs),
-                exp_airy(inv_dx(f3), t_abs),
-            )
-        )
+        p1, p2, p3 = exp_airy(inv_dx(trio), t_abs).values[:, 0]
+        return integral(Field.from_values(grid, p1 * p2 * p3))
 
     rhs = (boundary(t_n) - boundary(t_n + tau)) / 3.0
     return abs(lhs - rhs)
@@ -597,6 +580,7 @@ class CheckResult:
     check_name: str
     residual: float
     tolerance: float
+    wall_s: float = field(default=0.0, compare=False)  # seconds, not in as_dict
 
     @property
     def passed(self) -> bool:
@@ -613,40 +597,36 @@ class CheckResult:
 
 def _check_projection_identity():
     grid = Grid(64)
-    worst = 0.0
-    for seed in range(1000):
-        f = random_band_field(grid, grid.n // 2 - 1, seed=10_000 + seed)
-        lhs = inv_dx(dx(f, 1))
-        rhs = Field.from_spectrum(grid, f.spectrum * (grid.wavenumbers != 0))
-        worst = max(worst, sobolev_distance(lhs, rhs) / sobolev_norm(f, 0.0))
-    return CheckResult("inv_dx_dx_equals_projection", worst, 1e-10)
+    f = random_band_field(grid, grid.n // 2 - 1, seed=10_000 + np.arange(1000))
+    lhs = inv_dx(dx(f, 1))
+    rhs = Field.from_spectrum(grid, f.spectrum * (grid.wavenumbers != 0))
+    worst = np.max(sobolev_distance(lhs, rhs) / sobolev_norm(f, 0.0))
+    return CheckResult("inv_dx_dx_equals_projection", float(worst), 1e-10)
 
 
 def _check_airy_isometry():
     grid = Grid(64)
+    seeds = np.arange(200)
+    f = random_band_field(grid, grid.n // 2 - 1, seed=20_000 + seeds)
+    moved = exp_airy(f, 10.0 * splitmix64_uniform(30_000 + seeds, 1)[:, 0] - 5.0)
     worst = 0.0
-    for seed in range(200):
-        f = random_band_field(grid, grid.n // 2 - 1, seed=20_000 + seed)
-        t = 10.0 * splitmix64_uniform(30_000 + seed, 1)[0] - 5.0
-        for gamma in (0.0, 0.5, 1.0, 2.0):
-            a = sobolev_norm(f, gamma)
-            b = sobolev_norm(exp_airy(f, t), gamma)
-            worst = max(worst, abs(a - b) / a)
-    return CheckResult("exp_airy_isometry", worst, 1e-12)
+    for gamma in (0.0, 0.5, 1.0, 2.0):
+        a = sobolev_norm(f, gamma)
+        worst = max(worst, np.max(np.abs(a - sobolev_norm(moved, gamma)) / a))
+    return CheckResult("exp_airy_isometry", float(worst), 1e-12)
 
 
 def _check_airy_group():
     # phase arguments reach |t| max|k|^3 ~ 1e5 here, so argument rounding
     # alone costs ~3e-12; the tolerance reflects that, not the isometry's
     grid = Grid(64)
-    worst = 0.0
-    for seed in range(100):
-        f = random_band_field(grid, grid.n // 2 - 1, seed=40_000 + seed)
-        st = 4.0 * splitmix64_uniform(50_000 + seed, 2) - 2.0
-        once = exp_airy(f, st[0] + st[1])
-        twice = exp_airy(exp_airy(f, st[0]), st[1])
-        worst = max(worst, sobolev_distance(once, twice) / sobolev_norm(f, 0.0))
-    return CheckResult("exp_airy_group_action", worst, 1e-10)
+    seeds = np.arange(100)
+    f = random_band_field(grid, grid.n // 2 - 1, seed=40_000 + seeds)
+    s, t = (4.0 * splitmix64_uniform(50_000 + seeds, 2) - 2.0).T
+    once = exp_airy(f, s + t)
+    twice = exp_airy(exp_airy(f, s), t)
+    worst = np.max(sobolev_distance(once, twice) / sobolev_norm(f, 0.0))
+    return CheckResult("exp_airy_group_action", float(worst), 1e-10)
 
 
 def _check_ibp_i_constant():
@@ -753,22 +733,25 @@ def _check_an_difference():
     return CheckResult("an_tilde_minus_an_boundary_terms", worst, 1e-12)
 
 
-def _check_embedded_equivalence(variant):
-    from .integrators import elri1_step, elri2_step
-
-    step = elri1_step if variant == "elri1" else elri2_step
-    worst = 0.0
-    for n in (8, 16, 32):
-        grid = Grid(n)
-        mm = alias_free_max_mode(n, 3)
-        for seed in range(10):
-            v = random_band_field(grid, mm, seed=80_000 + seed)
-            for tau in (0.01, 0.05):
-                direct = step(v, tau)
-                oracle = embedded_form_step(v, 0.0, tau, variant=variant)
-                num = sobolev_distance(direct, oracle)
-                worst = max(worst, num / sobolev_norm(direct, 0.0))
-    return CheckResult(f"embedded_form_matches_{variant}", worst, 1e-10)
+def _check_embedded_equivalence():
+    # both variants in one pass per (tau, N), so each triple kernel is built
+    # once; with tau outermost, fewer N = 32 kernels are cached at a time
+    steps = (("elri1", elri1_step), ("elri2", elri2_step))
+    results = [CheckResult(f"embedded_form_matches_{v}", 0.0, 1e-10) for v, _ in steps]
+    for tau in (0.01, 0.05):
+        for n in (8, 16, 32):
+            grid = Grid(n)
+            mm = alias_free_max_mode(n, 3)
+            for seed in range(10):
+                v = random_band_field(grid, mm, seed=80_000 + seed)
+                for r, (variant, step) in zip(results, steps):
+                    start = time.perf_counter()
+                    direct = step(v, tau)
+                    oracle = embedded_form_step(v, 0.0, tau, variant=variant)
+                    num = sobolev_distance(direct, oracle)
+                    r.residual = max(r.residual, num / sobolev_norm(direct, 0.0))
+                    r.wall_s += time.perf_counter() - start
+    return results
 
 
 def _check_reference_cross():
@@ -779,19 +762,26 @@ def _check_reference_cross():
 
 
 def verification_suite():
-    """Run every oracle/identity check; returns a list of CheckResults."""
-    return [
-        _check_projection_identity(),
-        _check_airy_isometry(),
-        _check_airy_group(),
-        _check_ibp_i_constant(),
-        _check_ibp_i_modulated(),
-        _check_ibp_ii(),
-        _check_fn_quadrature(),
-        _check_alpha_identities(),
-        _check_symmetrization(),
-        _check_an_difference(),
-        _check_embedded_equivalence("elri1"),
-        _check_embedded_equivalence("elri2"),
-        _check_reference_cross(),
-    ]
+    """Run every oracle/identity check; CheckResults with their wall times."""
+    results = []
+    for check in (
+        _check_projection_identity,
+        _check_airy_isometry,
+        _check_airy_group,
+        _check_ibp_i_constant,
+        _check_ibp_i_modulated,
+        _check_ibp_ii,
+        _check_fn_quadrature,
+        _check_alpha_identities,
+        _check_symmetrization,
+        _check_an_difference,
+        _check_embedded_equivalence,
+        _check_reference_cross,
+    ):
+        start = time.perf_counter()
+        out = check()
+        if isinstance(out, CheckResult):
+            out.wall_s = time.perf_counter() - start
+            out = [out]
+        results.extend(out)
+    return results

@@ -51,11 +51,10 @@ class RoughSpec:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
-def splitmix64_uniform(seed: int, count: int) -> np.ndarray:
-    """First `count` uniforms in [0, 1) of the SplitMix64 stream for `seed`."""
-    state = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(
-        _GAMMA
-    )
+def splitmix64_uniform(seed, count: int) -> np.ndarray:
+    """First `count` uniforms in [0, 1) of the SplitMix64 stream, one per seed."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    state = np.asarray(seed, dtype=np.uint64)[..., None] + steps
     z = state
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)

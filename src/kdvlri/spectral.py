@@ -16,6 +16,11 @@ Conventions shared by every module in this package:
 * inv_dx is the mean-free antiderivative: multiplier 1/(i xi) for xi != 0
   and 0 at xi = 0, so inv_dx(dx(f, 1)) == project_zero_mean(f).
 
+A Field holds one field, shape (N,), or a stack of fields, shape (B, N).  The
+operators act on the last axis, row by row and bit for bit (exp_airy takes one
+time per row); norms and integrals give a float, or one value per row.  What
+writes or steps a field refuses a stack (require_single).
+
 All operations are pure: a Field is immutable after construction (its arrays
 are marked read-only) and safe to share between threads.
 """
@@ -33,6 +38,9 @@ _BINARY_MAGIC = b"KDVF"
 # 16-byte header: magic, little-endian u32 N, 8 reserved zero bytes.
 _BINARY_HEADER = struct.Struct("<4sII4x")
 
+#: largest grid size; paper scale is 2^14, so only a mistyped size reaches it
+MAX_GRID_N = 2**24
+
 
 class Grid:
     """Uniform N-point grid on (0, 2*pi), N even and at least 4.
@@ -47,8 +55,8 @@ class Grid:
 
     def __init__(self, n: int):
         n = int(n)
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 4, got {n}")
+        if n < 4 or n % 2 != 0 or n > MAX_GRID_N:
+            raise ValueError(f"grid size n = {n} must be even and in [4, {MAX_GRID_N}]")
         self.n = n
         self.length = TWO_PI
         self.x = TWO_PI * np.arange(n) / n
@@ -92,7 +100,7 @@ class Grid:
 
 
 class Field:
-    """Real periodic field on a Grid.
+    """Real periodic field on a Grid, or a stack of them (leading axis).
 
     Holds grid values and/or normalized spectral coefficients; whichever
     representation is missing is computed on first access and cached.  Both
@@ -109,7 +117,7 @@ class Field:
         self._spectrum = None
         if values is not None:
             values = np.asarray(values, dtype=np.float64)
-            if values.shape != (grid.n,):
+            if values.shape[-1:] != (grid.n,):
                 raise ValueError(
                     f"values shape {values.shape} does not match grid n={grid.n}"
                 )
@@ -118,7 +126,7 @@ class Field:
             self._values = values
         if spectrum is not None:
             spectrum = np.asarray(spectrum, dtype=np.complex128)
-            if spectrum.shape != (grid.n,):
+            if spectrum.shape[-1:] != (grid.n,):
                 raise ValueError(
                     f"spectrum shape {spectrum.shape} does not match grid n={grid.n}"
                 )
@@ -162,6 +170,17 @@ def to_spectrum(f: Field) -> np.ndarray:
     return f.spectrum
 
 
+def require_single(f: Field, where: str) -> None:
+    """Refuse a stack where one field is needed, naming the shape."""
+    shape = (f._spectrum if f._values is None else f._values).shape
+    if shape != (f.grid.n,):
+        raise ValueError(f"{where} needs one field of shape ({f.grid.n},), got {shape}")
+
+
+def _per_field(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _apply_symbol(f: Field, symbol) -> Field:
     return Field.from_spectrum(f.grid, f.spectrum * symbol)
 
@@ -187,7 +206,7 @@ def inv_dx(f: Field) -> Field:
 
 
 def exp_airy(f: Field, t: float) -> Field:
-    """Airy propagator e^{-t d^3/dx^3}: symbol e^{i t xi^3}.
+    """Airy propagator e^{-t d^3/dx^3}: symbol e^{i t xi^3}; one time per row.
 
     exp_airy(cos(x), t) = cos(x + t).  Exact inverse is exp_airy(., -t);
     the map is an isometry of every H^gamma norm and a group action in t.
@@ -207,7 +226,7 @@ def translate(f: Field, a: float) -> Field:
 def project_zero_mean(f: Field) -> Field:
     """Remove the mean: mode-0 coefficient set to exactly 0."""
     s = f.spectrum.copy()
-    s[0] = 0.0
+    s[..., 0] = 0.0
     return Field.from_spectrum(f.grid, s)
 
 
@@ -220,7 +239,7 @@ def sobolev_norm(f: Field, gamma: float = 0.0) -> float:
     k = f.grid.wavenumbers.astype(np.float64)
     s = f.spectrum
     weighted = (1.0 + k * k) ** gamma * (s.real**2 + s.imag**2)
-    return float(np.sqrt(TWO_PI * np.sum(weighted)))
+    return _per_field(np.sqrt(TWO_PI * np.sum(weighted, axis=-1)))
 
 
 def sobolev_distance(a: Field, b: Field, gamma: float = 0.0) -> float:
@@ -234,8 +253,8 @@ def integral(f: Field) -> float:
     Trapezoid sums are exact spectral quadrature on the periodic grid.
     """
     if f._values is not None:
-        return float(TWO_PI * np.mean(f._values))
-    return float(TWO_PI * f.spectrum[0].real)
+        return _per_field(TWO_PI * np.mean(f._values, axis=-1))
+    return _per_field(TWO_PI * f.spectrum[..., 0].real)
 
 
 def mean_value(f: Field) -> float:
@@ -256,8 +275,8 @@ def conjugate_symmetry_defect(f: Field) -> float:
     """
     s = f.spectrum
     n = f.grid.n
-    mirrored = s[(-np.arange(n)) % n]
-    return float(np.max(np.abs(s - np.conj(mirrored))))
+    mirrored = s[..., (-np.arange(n)) % n]
+    return _per_field(np.max(np.abs(s - np.conj(mirrored)), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +285,7 @@ def conjugate_symmetry_defect(f: Field) -> float:
 
 def write_field_csv(f: Field, path) -> None:
     """CSV: header '# n=<N> length=<2 pi>' then one grid value per line."""
+    require_single(f, "write_field_csv")
     lines = [f"# n={f.grid.n} length={TWO_PI!r}"]
     lines.extend(format(v, ".17g") for v in f.values)
     with open(path, "w") as fh:
@@ -304,6 +324,7 @@ def write_field_binary(f: Field, path) -> None:
 
     Round trip through read_field_binary is bit-exact.
     """
+    require_single(f, "write_field_binary")
     with open(path, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(_BINARY_MAGIC, f.grid.n, 0))
         fh.write(f.values.astype("<f8", copy=False).tobytes())

@@ -349,6 +349,73 @@ def test_verify_passes_and_writes_json(tmp_path, capsys):
         assert chk["pass"] is True
 
 
+# `verify` output as first recorded, before its checks drew their seeds as
+# stacks: stdout, then the --output file, byte for byte
+VERIFY_STDOUT = """\
+PASS inv_dx_dx_equals_projection: residual 1.084e-16 (tolerance 1.000e-10)
+PASS exp_airy_isometry: residual 2.544e-16 (tolerance 1.000e-12)
+PASS exp_airy_group_action: residual 2.659e-12 (tolerance 1.000e-10)
+PASS ibp_identity_i_constant: residual 1.386e-16 (tolerance 1.000e-09)
+PASS ibp_identity_i_modulated: residual 5.570e-16 (tolerance 1.000e-08)
+PASS ibp_identity_ii_cubic: residual 1.214e-17 (tolerance 1.000e-09)
+PASS fn_closed_form_vs_quadrature: residual 1.457e-16 (tolerance 1.000e-10)
+PASS alpha3_alpha4_integer_identities: residual 0.000e+00 (tolerance 0.000e+00)
+PASS multiplier_symmetrization_exact: residual 0.000e+00 (tolerance 0.000e+00)
+PASS an_tilde_minus_an_boundary_terms: residual 1.045e-18 (tolerance 1.000e-12)
+PASS embedded_form_matches_elri1: residual 2.232e-16 (tolerance 1.000e-10)
+PASS embedded_form_matches_elri2: residual 2.232e-16 (tolerance 1.000e-10)
+PASS reference_cross_check_smooth: residual 1.931e-08 (tolerance 2.010e-07)
+13/13 checks passed
+wrote verification results to {path}
+"""
+VERIFY_JSON = (
+    '{"all_pass": true, "checks": ['
+    + ", ".join(
+        f'{{"check_name": "{name}", "residual": {res}, "tolerance": {tol}, "pass": true}}'
+        for name, res, tol in (
+            ("inv_dx_dx_equals_projection", "1.0836197631025253e-16", "1e-10"),
+            ("exp_airy_isometry", "2.5441811184387746e-16", "9.9999999999999998e-13"),
+            ("exp_airy_group_action", "2.6585810501884683e-12", "1e-10"),
+            ("ibp_identity_i_constant", "1.3860817293390166e-16", "1.0000000000000001e-09"),
+            ("ibp_identity_i_modulated", "5.5698468490938688e-16", "1e-08"),
+            ("ibp_identity_ii_cubic", "1.214306433183765e-17", "1.0000000000000001e-09"),
+            ("fn_closed_form_vs_quadrature", "1.4572433607570149e-16", "1e-10"),
+            ("alpha3_alpha4_integer_identities", "0", "0"),
+            ("multiplier_symmetrization_exact", "0", "0"),
+            ("an_tilde_minus_an_boundary_terms", "1.0451438421388508e-18", "9.9999999999999998e-13"),
+            ("embedded_form_matches_elri1", "2.2318413362601898e-16", "1e-10"),
+            ("embedded_form_matches_elri2", "2.2320082017196986e-16", "1e-10"),
+            ("reference_cross_check_smooth", "1.930692628466609e-08", "2.0100031429480054e-07"),
+        )
+    )
+    + "]}\n"
+)
+
+
+def test_verify_output_bytes_are_unchanged_and_times_go_to_stderr(tmp_path, capsys):
+    out = tmp_path / "checks.json"
+    assert main(["verify", "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == VERIFY_STDOUT.format(path=out)
+    assert out.read_text() == VERIFY_JSON
+    names = re.findall(r"^PASS (\S+):", captured.out, flags=re.M)
+    times = re.findall(r"^time (\S+): (\d+\.\d{3}) s$", captured.err, flags=re.M)
+    assert [name for name, _ in times] == names  # one line per check, in order
+    assert captured.err.count("\n") == len(names)
+
+
+def test_grid_size_beyond_the_cap_is_config_error(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    for argv in (
+        ["gen-data", "--n", "100000000000", "--output", str(out)],
+        ["converge", "--n", "100000000000", "--tau-ladder", "2^-3,2^-4"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: grid size n = 100000000000 " in err
+    assert not out.exists()
+
+
 def test_gen_data_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     for path in (a, b):

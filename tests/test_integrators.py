@@ -382,6 +382,18 @@ def test_stacked_transform_rows_are_bitwise_separate_calls(n):
 # solver configuration
 
 
+@pytest.mark.parametrize("boundary", ["SolverRun", "lri1_step", "elri1_step", "elri2_step"])
+def test_single_field_boundaries_refuse_a_stack(boundary):
+    g = Grid(16)
+    stack = Field.from_values(g, np.zeros((2, 16)))
+    message = rf"{boundary} needs one field of shape \(16,\), got \(2, 16\)"
+    with pytest.raises(ValueError, match=message):
+        if boundary == "SolverRun":
+            SolverRun(SchemeKind.ELRI2, tau=0.1, t_final=1.0, initial=stack, mean_shift=True)
+        else:
+            getattr(integrators, boundary)(stack, 0.1)
+
+
 def test_solver_run_validation():
     u = rough(n=32)
     with pytest.raises(SchemeConfigError, match="tau must be positive"):

@@ -287,6 +287,22 @@ def test_oracles_refuse_non_finite_times_and_bad_node_counts():
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "boundary, call",
+    [
+        ("reference_solution", lambda u: reference_solution(u, 0.25, 2.0**-6)),
+        ("fn_closed_form", lambda u: fn_closed_form(u, 0.0, 0.1)),
+        ("fn_quadrature", lambda u: fn_quadrature(u, 0.0, 0.1)),
+        ("embedded_form_step", lambda u: embedded_form_step(u, 0.0, 0.1)),
+        ("an_time_integral", lambda u: an_time_integral(u, u, u, 0.0, 0.1)),
+    ],
+)
+def test_single_field_oracles_refuse_a_stack(boundary, call):
+    stack = random_band_field(Grid(16), 3, seed=np.arange(2))
+    with pytest.raises(ValueError, match=rf"{boundary} needs one field of shape \(16,\)"):
+        call(stack)
+
+
 def test_triple_kernel_caches_are_safe():
     g = Grid(16)
     mm = alias_free_max_mode(g.n, 3)

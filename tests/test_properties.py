@@ -1,5 +1,5 @@
 """Property tests: report and field-file round trips, step-size tokens, study
-rows, operators and steps."""
+rows, operators and steps, and stacks of fields against their rows."""
 
 import json
 import math
@@ -12,17 +12,23 @@ from hypothesis import given, settings, strategies as st
 
 from kdvlri.cli import parse_tau_token
 from kdvlri.integrators import SchemeKind, step_function
-from kdvlri.rough_data import RoughSpec, generate_rough
+from kdvlri.oracles import random_band_field
+from kdvlri.rough_data import RoughSpec, generate_rough, splitmix64_uniform
 from kdvlri.spectral import (
     Field,
     Grid,
     conjugate_symmetry_defect,
     dx,
     exp_airy,
+    integral,
     inv_dx,
+    mean_value,
     project_zero_mean,
     read_field,
+    sobolev_distance,
     sobolev_norm,
+    translate,
+    truncate_two_thirds,
     write_field,
 )
 from kdvlri.studies import (
@@ -228,3 +234,83 @@ def test_inv_dx_dx_is_zero_mean_projection(f):
     lhs = inv_dx(dx(f, 1)).spectrum
     rhs = project_zero_mean(f).spectrum
     assert np.all(np.abs(lhs - rhs) <= 4 * EPS * np.abs(s))
+
+
+# ---------------------------------------------------------------------------
+# a Field that holds a stack of B fields, shape (B, N), gives each row's
+# result bit for bit
+
+
+@st.composite
+def stacks(draw):
+    """(stack, its rows as single Fields, one time per row); the stack is
+    built from values or from a spectrum, B <= 8 and N in {8, 16, 64}."""
+    n = draw(st.sampled_from([8, 16, 64]))
+    b = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = Grid(n)
+    values = rng.standard_normal((b, n))
+    times = rng.uniform(-5.0, 5.0, b)
+    if draw(st.booleans()):
+        rows = [Field.from_values(grid, v) for v in values]
+        return Field.from_values(grid, values), rows, times
+    spectra = Field.from_values(grid, values).spectrum
+    rows = [Field.from_spectrum(grid, s) for s in spectra]
+    return Field.from_spectrum(grid, spectra), rows, times
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rows_equal(stack, rows):
+    """The stack's spectrum and values equal its rows', bit for bit."""
+    return all(
+        same_bits(getattr(stack, rep), [getattr(r, rep) for r in rows])
+        for rep in ("spectrum", "values")
+    )
+
+
+@FAST
+@given(stacks(), st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+def test_stack_operators_equal_their_rows(case, a, gamma):
+    stack, rows, times = case
+    assert stack.spectrum.shape == (len(rows), stack.grid.n)
+    assert rows_equal(stack, rows)
+    for order in (0, 1, 2, 3):
+        assert rows_equal(dx(stack, order), [dx(r, order) for r in rows])
+    assert rows_equal(inv_dx(stack), [inv_dx(r) for r in rows])
+    moved = [exp_airy(r, t) for r, t in zip(rows, times)]
+    assert rows_equal(exp_airy(stack, times), moved)  # one time per row
+    assert rows_equal(exp_airy(stack, times[0]), [exp_airy(r, times[0]) for r in rows])
+    assert rows_equal(translate(stack, a), [translate(r, a) for r in rows])
+    assert rows_equal(project_zero_mean(stack), [project_zero_mean(r) for r in rows])
+    assert rows_equal(truncate_two_thirds(stack), [truncate_two_thirds(r) for r in rows])
+    for reduce in (integral, mean_value, conjugate_symmetry_defect):
+        assert same_bits(reduce(stack), [reduce(r) for r in rows])
+    assert same_bits(sobolev_norm(stack, gamma), [sobolev_norm(r, gamma) for r in rows])
+    assert same_bits(
+        sobolev_distance(stack, exp_airy(stack, times), gamma),
+        [sobolev_distance(r, m, gamma) for r, m in zip(rows, moved)],
+    )
+    # one field still reduces to a Python float
+    assert type(sobolev_norm(rows[0], gamma)) is float
+    assert type(integral(rows[0])) is float
+
+
+@FAST
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    st.integers(0, 40),
+    st.sampled_from([8, 16, 64]),
+)
+def test_seed_arrays_draw_one_row_per_seed(seeds, count, n):
+    seeds = np.array(seeds, dtype=np.uint64)
+    assert same_bits(
+        splitmix64_uniform(seeds, count), [splitmix64_uniform(s, count) for s in seeds]
+    )
+    grid = Grid(n)
+    max_mode = 1 + count % (n // 2 - 1)
+    stack = random_band_field(grid, max_mode, seeds)
+    assert rows_equal(stack, [random_band_field(grid, max_mode, int(s)) for s in seeds])

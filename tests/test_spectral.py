@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kdvlri.spectral import (
+    MAX_GRID_N,
     Field,
     Grid,
     conjugate_symmetry_defect,
@@ -62,6 +63,31 @@ def test_field_shape_mismatch():
         Field.from_spectrum(g, np.zeros(9, dtype=complex))
     with pytest.raises(ValueError):
         Field(g)
+
+
+def test_grid_size_is_capped_before_any_allocation():
+    assert Grid(MAX_GRID_N).n == MAX_GRID_N  # the cap itself is a grid
+    for n in (MAX_GRID_N + 2, 100_000_000_000):
+        with pytest.raises(ValueError, match=f"grid size n = {n} "):
+            Grid(n)
+
+
+def test_field_holds_a_stack_and_checks_only_the_last_axis():
+    g = Grid(8)
+    f = Field.from_values(g, np.zeros((3, 8)))
+    assert f.spectrum.shape == (3, 8)
+    for bad in (np.zeros((3, 7)), np.zeros((8, 3)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="does not match grid n=8"):
+            Field.from_values(g, bad)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_write_field_refuses_a_stack(tmp_path, fmt):
+    path = tmp_path / "u"
+    stack = Field.from_values(Grid(8), np.zeros((2, 8)))
+    with pytest.raises(ValueError, match=r"needs one field of shape \(8,\), got \(2, 8\)"):
+        write_field(stack, path, fmt=fmt)
+    assert not path.exists()
 
 
 def test_field_arrays_read_only():
