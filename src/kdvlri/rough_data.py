@@ -52,7 +52,7 @@ class RoughSpec:
 
 
 def splitmix64_uniform(seed, count: int) -> np.ndarray:
-    """First `count` uniforms in [0, 1) of the SplitMix64 stream, one per seed."""
+    """First `count` uniforms in [0, 1) of each seed's SplitMix64 stream (last axis)."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     state = np.asarray(seed, dtype=np.uint64)[..., None] + steps
     z = state
