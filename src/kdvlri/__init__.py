@@ -22,7 +22,6 @@ from .spectral import (
     project_zero_mean,
     read_field,
     sobolev_norm,
-    to_spectrum,
     translate,
     truncate_two_thirds,
     write_field,
@@ -38,7 +37,6 @@ from .integrators import (
     elri2_step,
     evolve,
     lri1_step,
-    solve_with_mean_shift,
     step_function,
 )
 from .oracles import (
@@ -110,10 +108,8 @@ __all__ = [
     "run_local_error_study",
     "smooth_test_data",
     "sobolev_norm",
-    "solve_with_mean_shift",
     "splitmix64_uniform",
     "step_function",
-    "to_spectrum",
     "translate",
     "truncate_two_thirds",
     "verification_suite",

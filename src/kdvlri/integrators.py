@@ -39,8 +39,9 @@ of variables u(t, x) = utilde(t, x + c t) + c.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +52,10 @@ MEAN_TOL = 1e-12
 #: most steps one run may take.  Paper-scale references take 10^4 steps, so
 #: only a mistyped step size reaches this; it is refused before any stepping.
 MAX_STEPS = 10**7
+
+#: from this grid size up, numpy's stacked rfft/irfft scratch page-faults on
+#: every call until the first workspace frees a 4 MB block (none at 8192)
+SCRATCH_N = 2**14
 
 
 class SchemeConfigError(ValueError):
@@ -76,7 +81,7 @@ def _require_zero_mean(mode0, where):
     if abs(m) <= MEAN_TOL:
         return
     if abs(m.real) > MEAN_TOL:
-        cause = f"mean value {m.real:.6e} (use solve_with_mean_shift for nonzero mean)"
+        cause = f"mean value {m.real:.6e} (set mean_shift for nonzero mean)"
     else:  # a mean shift removes only the real part
         cause = f"imaginary residue {m.imag:.6e} (the data is not a real field)"
     raise SchemeConfigError(
@@ -95,6 +100,17 @@ def check_step_count(name, tau, t_final):
         )
 
 
+@functools.cache
+def _raise_malloc_thresholds():
+    # numpy's rfft/irfft of two or more rows allocates scratch on each call.
+    # At N >= SCRATCH_N glibc maps it and unmaps it after the call (96 minor
+    # faults per call at 2^14) until a larger mapped block is freed: that
+    # raises glibc's dynamic mmap threshold to the block's size, and its trim
+    # threshold to twice that.  This relies on that glibc heuristic; the 4 MB
+    # are never touched, so resident memory does not grow.
+    np.empty(1 << 19)
+
+
 class _Workspace:
     """One run's stepping state, allocated once per run.
 
@@ -109,6 +125,8 @@ class _Workspace:
         n = grid.n
         m = n // 2 + 1
         self.kind, self.tau, self.n = kind, tau, n
+        if n >= SCRATCH_N:
+            _raise_malloc_thresholds()
         self.rows = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
         self.resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
         self.airy = grid.airy(tau)
@@ -350,8 +368,3 @@ def _add_constant(f, c):
     s = f.spectrum.copy()
     s[0] += c
     return Field.from_spectrum(f.grid, s)
-
-
-def solve_with_mean_shift(run: SolverRun) -> Trajectory:
-    """Evolve data with any mean: evolve(run) with run.mean_shift set."""
-    return evolve(replace(run, mean_shift=True))

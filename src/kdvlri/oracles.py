@@ -179,6 +179,12 @@ def _product(g, *fields):
     return Field.from_values(g, vals)
 
 
+def _twisted_product(fields, t_abs):
+    # spectrum of e^{t_abs dx^3} of the product of the e^{-t_abs dx^3} f
+    moved = [exp_airy(f, t_abs) for f in fields]
+    return exp_airy(_product(fields[0].grid, *moved), -t_abs).spectrum
+
+
 # ---------------------------------------------------------------------------
 # quadratic Duhamel integral: closed form and defining quadrature
 
@@ -192,14 +198,9 @@ def fn_closed_form(w: Field, t_n: float, s: float) -> Field:
     """
     _require_zero_mean(w, "fn_closed_form")
     t_n, s = _finite("t_n", t_n), _finite("s", s)
-    g = w.grid
-    p = inv_dx(w)
-
-    def boundary(t_abs):
-        a = exp_airy(p, t_abs)  # e^{-t_abs dx^3} dxinv w
-        return exp_airy(_product(g, a, a), -t_abs).spectrum
-
-    return Field.from_spectrum(g, (boundary(t_n + s) - boundary(t_n)) / 3.0)
+    p = [inv_dx(w)] * 2
+    rhs = (_twisted_product(p, t_n + s) - _twisted_product(p, t_n)) / 3.0
+    return Field.from_spectrum(w.grid, rhs)
 
 
 def fn_quadrature(w: Field, t_n: float, s: float, nodes: int = 64) -> Field:
@@ -275,13 +276,8 @@ def check_ibp_identity_i(
     for wt, row in zip(wts, exp_airy(dx(Field.from_values(grid, a * b)), -ts).spectrum):
         lhs += wt * row
 
-    def boundary(t_rel):
-        s_abs = t_n + t_rel
-        a = exp_airy(inv_dx(f.at(t_rel)), s_abs)
-        b = exp_airy(inv_dx(g.at(t_rel)), s_abs)
-        return exp_airy(_product(grid, a, b), -s_abs).spectrum
-
-    rhs = (boundary(tau) - boundary(0.0)) / 3.0
+    end, start = ([inv_dx(q.at(t)) for q in (f, g)] for t in (tau, 0.0))
+    rhs = (_twisted_product(end, t_n + tau) - _twisted_product(start, t_n)) / 3.0
     fa, ga, fd, gd = exp_airy(inv_dx(h), ts).values
     mixed = Field.from_values(grid, fd * ga + fa * gd)
     for wt, row in zip(wts, exp_airy(mixed, -ts).spectrum):
@@ -328,12 +324,17 @@ def _band_mask(xi, n):
     return (xi >= -(n // 2)) & (xi <= n // 2 - 1)
 
 
+def _phase_parts(phi_int, t_n, tau):
+    # e^{-i t_n phi} and (1 - e^{-i tau phi}) / (i phi), the latter with phi = 1
+    # in the denominator where phi = 0 (each caller takes its own branch there)
+    phi = phi_int.astype(np.float64)
+    osc = (1.0 - np.exp(-1j * tau * phi)) / (1j * np.where(phi_int == 0, 1.0, phi))
+    return np.exp(-1j * t_n * phi), osc
+
+
 def _phase_J(phi_int, t_n, tau):
     # int_0^tau e^{-i (t_n + s) phi} ds, exact branch at phi = 0
-    phi = phi_int.astype(np.float64)
-    base = np.exp(-1j * t_n * phi)
-    safe = np.where(phi_int == 0, 1.0, phi)
-    osc = (1.0 - np.exp(-1j * tau * phi)) / (1j * safe)
+    base, osc = _phase_parts(phi_int, t_n, tau)
     return np.where(phi_int == 0, tau * base, base * osc)
 
 
@@ -341,14 +342,11 @@ def _an_kernel_integral(alpha_int, t_n, tau, variant):
     # time integral over [0, tau] of the two correction kernels:
     #   A:       e^{-i(t_n+t) a} - e^{-i t_n a}
     #   A_tilde: (e^{-i t a} - 1 + (i tau a / 2) e^{-i t a}) e^{-i t_n a}
-    alpha = alpha_int.astype(np.float64)
-    base = np.exp(-1j * t_n * alpha)
-    safe = np.where(alpha_int == 0, 1.0, alpha)
-    osc = (1.0 - np.exp(-1j * tau * alpha)) / (1j * safe)
+    base, osc = _phase_parts(alpha_int, t_n, tau)
     if variant == "A":
         out = base * (osc - tau)
     elif variant == "A_tilde":
-        out = base * ((1.0 + 0.5j * tau * alpha) * osc - tau)
+        out = base * ((1.0 + 0.5j * tau * alpha_int) * osc - tau)
     else:
         raise ValueError(f"variant must be 'A' or 'A_tilde', got {variant!r}")
     return np.where(alpha_int == 0, 0.0 + 0.0j, out)

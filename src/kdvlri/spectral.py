@@ -162,14 +162,6 @@ class Field:
         return f"Field(n={self.grid.n})"
 
 
-def to_spectrum(f: Field) -> np.ndarray:
-    """Normalized coefficients uhat(xi) = (1/N) sum_j f(x_j) e^{-i xi x_j}.
-
-    FFT ordering; ``f.grid.wavenumbers`` gives the matching integer xi.
-    """
-    return f.spectrum
-
-
 def require_single(f: Field, where: str) -> None:
     """Refuse a stack where one field is needed, naming the shape."""
     shape = (f._spectrum if f._values is None else f._values).shape
@@ -286,11 +278,10 @@ def conjugate_symmetry_defect(f: Field) -> float:
 def write_field_csv(f: Field, path) -> None:
     """CSV: header '# n=<N> length=<2 pi>' then one grid value per line."""
     require_single(f, "write_field_csv")
-    lines = [f"# n={f.grid.n} length={TWO_PI!r}"]
-    lines.extend(format(v, ".17g") for v in f.values)
+    body = ("%.17g\n" * f.grid.n) % tuple(f.values.tolist())  # one C-level pass
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(f"# n={f.grid.n} length={TWO_PI!r}\n")
+        fh.write(body)
 
 
 def read_field_csv(path) -> Field:

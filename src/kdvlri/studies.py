@@ -36,6 +36,9 @@ COLUMNS = (
 )
 _TYPES = (str, float, float, float, int, float, int, float, str)
 CSV_HEADER = ",".join(COLUMNS)
+#: cells a local-error row leaves empty (null in JSON): its built-in smooth
+#: data has no roughness or seed, and it takes one step, to no t_final
+LOCAL_EMPTY = ("theta", "seed", "t_final")
 
 # pre-asymptotic guard: when the log-log fit is this bad, drop the two
 # largest-tau points and refit (recorded in the report)
@@ -277,19 +280,21 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _row(r: RunResult, cfg: StudyConfig) -> tuple:
-    """The values of one report row, in COLUMNS order."""
-    return (
-        r.scheme.value, r.tau, r.error_rel, cfg.gamma_err, cfg.n_points, cfg.theta,
-        cfg.seed, cfg.t_final, r.status,
-    )
+def _row(r: RunResult, report: ConvergenceReport) -> tuple:
+    """The values of one report row, in COLUMNS order; None where unused."""
+    cfg = report.config
+    local = report.kind == "local_error"
+    data = (None,) * len(LOCAL_EMPTY) if local else (cfg.theta, cfg.seed, cfg.t_final)
+    return (r.scheme.value, r.tau, r.error_rel, cfg.gamma_err, cfg.n_points, *data,
+            r.status)
 
 
 def render_report_csv(report: ConvergenceReport) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
-        cells = zip(_TYPES, _row(r, report.config))
-        lines.append(",".join(_g17(v) if t is float else str(v) for t, v in cells))
+        cells = zip(_TYPES, _row(r, report))
+        lines.append(",".join("" if v is None else _g17(v) if t is float else str(v)
+                              for t, v in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -303,7 +308,8 @@ def parse_report_csv(text: str):
         parts = ln.split(",")
         if len(parts) != len(COLUMNS):
             raise ValueError(f"bad report row: {ln!r}")
-        out.append({c: t(p) for c, t, p in zip(COLUMNS, _TYPES, parts)})
+        out.append({c: None if p == "" and c in LOCAL_EMPTY else t(p)
+                    for c, t, p in zip(COLUMNS, _TYPES, parts)})
     return out
 
 
@@ -345,11 +351,11 @@ def report_as_dict(report: ConvergenceReport) -> dict:
         "dealias": cfg.dealias,
     }
     if report.kind == "local_error":  # smooth data, one step per tau
-        metadata = {k: metadata[k] for k in ("n_points", "seed", "gamma", "dealias")}
+        metadata = {k: metadata[k] for k in ("n_points", "gamma", "dealias")}
     return {
         "kind": report.kind,
         "metadata": metadata,
-        "rows": [dict(zip(COLUMNS, _row(r, cfg))) for r in report.rows],
+        "rows": [dict(zip(COLUMNS, _row(r, report))) for r in report.rows],
         "fits": [
             {
                 "scheme": f.scheme.value,
@@ -375,7 +381,7 @@ REPORT_JSON_SCHEMA = {
         "kind": {"enum": ["convergence", "local_error"]},
         "metadata": {
             "type": "object",
-            "required": ["n_points", "seed", "gamma"],
+            "required": ["n_points", "gamma"],
             "properties": {
                 "n_points": {"type": "integer", "minimum": 4},
                 "theta": {"type": "number", "minimum": 0},
@@ -397,9 +403,9 @@ REPORT_JSON_SCHEMA = {
                     {"type": ["number", "null"], "minimum": 0},  # null: diverged
                     {"type": "number", "minimum": 0},
                     {"type": "integer"},
-                    {"type": "number"},
-                    {"type": "integer"},
-                    {"type": "number"},
+                    {"type": ["number", "null"]},  # null: local-error row
+                    {"type": ["integer", "null"]},
+                    {"type": ["number", "null"]},
                     {"enum": ["ok", "diverged"]},
                 ))),
             },
@@ -420,7 +426,11 @@ REPORT_JSON_SCHEMA = {
         "flags": {"type": "array", "items": {"type": "string"}},
     },
     "if": {"properties": {"kind": {"const": "convergence"}}},
-    "then": {"properties": {"metadata": {"required": ["theta", "t_final", "ref_tau"]}}},
+    "then": {"properties": {
+        "metadata": {"required": ["theta", "seed", "t_final", "ref_tau"]},
+        "rows": {"items": {
+            "properties": dict.fromkeys(LOCAL_EMPTY, {"type": "number"})}},
+    }},
 }
 
 

@@ -326,7 +326,7 @@ def test_local_error_runs_fine_ladders(capsys):
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, REPORT_JSON_SCHEMA)
-    assert set(doc["metadata"]) == {"n_points", "seed", "gamma", "dealias"}
+    assert set(doc["metadata"]) == {"n_points", "gamma", "dealias"}
     assert len(doc["rows"]) == 6
 
 

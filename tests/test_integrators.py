@@ -1,5 +1,9 @@
 """One-step maps, the evolution loop, blow-up detection, mean shifting."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +22,6 @@ from kdvlri.integrators import (
     elri2_step,
     evolve,
     lri1_step,
-    solve_with_mean_shift,
     step_function,
 )
 from kdvlri.rough_data import RoughSpec, generate_rough
@@ -132,14 +135,14 @@ def test_zero_mean_refusal_names_what_tripped_it():
         elri1_step(u, 0.1)
     msg = str(err.value)
     assert "mode 0 is 3.000000e-01+1.000000e-06j" in msg
-    assert "mean value 3.000000e-01 (use solve_with_mean_shift" in msg
+    assert "mean value 3.000000e-01 (set mean_shift for nonzero mean)" in msg
     with pytest.raises(SchemeConfigError) as err:
         evolve(SolverRun(SchemeKind.ELRI1, 0.1, 0.2, u, mean_shift=True))
     msg = str(err.value)
     assert "mode 0 is 0.000000e+00+1.000000e-06j" in msg
     assert "magnitude 1.000000e-06" in msg
     assert "imaginary residue 1.000000e-06 (the data is not a real field)" in msg
-    assert "solve_with_mean_shift" not in msg
+    assert "mean_shift" not in msg
 
 
 def test_dealias_keyword_truncates_output():
@@ -378,6 +381,40 @@ def test_stacked_transform_rows_are_bitwise_separate_calls(n):
             assert y[i].tobytes() == alone.tobytes()
 
 
+# a fresh interpreter: 1 warm-up elri2 step at N = 2^14, then the minor page
+# faults of 32 more
+_FAULT_PROBE = """
+import resource
+from kdvlri import integrators as I
+from kdvlri.rough_data import RoughSpec, generate_rough
+u = generate_rough(RoughSpec(2**14, 3.0, 42))
+ws = I._Workspace(I.SchemeKind.ELRI2, u.grid, 2.0**-10, False)
+ws.load(u.spectrum)
+I._update(ws)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(32):
+    I._update(ws)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="pins glibc malloc behaviour")
+def test_first_large_run_takes_no_page_faults():
+    # in a process that has not yet freed a large block, numpy's stacked-FFT
+    # scratch was mapped and unmapped on every call at N >= 2^14: 96 faults
+    # per call, 288 per elri2 step
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 32
+
+
 # ---------------------------------------------------------------------------
 # solver configuration
 
@@ -494,9 +531,7 @@ def test_blow_up_raises_with_step_index():
 def test_mean_shift_with_zero_mean_matches_plain_evolve():
     u = rough(n=64, theta=2.0, seed=21)
     plain = evolve(SolverRun(SchemeKind.ELRI2, 0.05, 0.5, u))
-    shifted = solve_with_mean_shift(
-        SolverRun(SchemeKind.ELRI2, 0.05, 0.5, u, mean_shift=True)
-    )
+    shifted = evolve(SolverRun(SchemeKind.ELRI2, 0.05, 0.5, u, mean_shift=True))
     assert l2_diff(plain.final, shifted.final) < 1e-13
 
 
@@ -544,7 +579,7 @@ def test_mean_shift_self_convergence_is_second_order():
 
     def final(tau):
         run = SolverRun(SchemeKind.ELRI2, tau, 1.0, u0, mean_shift=True)
-        return solve_with_mean_shift(run).final
+        return evolve(run).final
 
     ref = final(2.0**-12)
     taus = [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8]

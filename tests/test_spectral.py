@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import (
     MAX_GRID_N,
     Field,
@@ -18,7 +19,6 @@ from kdvlri.spectral import (
     read_field_csv,
     sobolev_distance,
     sobolev_norm,
-    to_spectrum,
     translate,
     truncate_two_thirds,
     write_field,
@@ -103,7 +103,7 @@ def test_dft_normalization_matches_continuous_coefficients():
     # uhat(xi) = (1/N) sum u(x_j) e^{-i xi x_j}: cos(kx) -> 1/2 at +-k
     g = Grid(32)
     for k in (1, 2, 5):
-        s = to_spectrum(Field.from_values(g, np.cos(k * g.x)))
+        s = Field.from_values(g, np.cos(k * g.x)).spectrum
         assert abs(s[k] - 0.5) < 1e-14
         assert abs(s[-k] - 0.5) < 1e-14
         others = np.delete(s, [k, g.n - k])
@@ -314,6 +314,32 @@ def test_csv_round_trip_is_exact(tmp_path):
     back = read_field_csv(path)
     # 17 significant digits round-trip float64 exactly
     assert np.array_equal(back.values, f.values)
+
+
+def per_value_csv_bytes(f):
+    """The field CSV writer as it was, one format call per value."""
+    lines = [f"# n={f.grid.n} length={TWO_PI!r}"]
+    lines.extend(format(v, ".17g") for v in f.values)
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e308, -2.5, 0.1, 1.0 / 3.0, -1e-300]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        generate_rough(RoughSpec(64, 2.0, 42)),
+        generate_rough(RoughSpec(2**14, 3.0, 42)),
+        # 0.1 and 1/3 need all 17 significant digits to round-trip
+        Field.from_values(Grid(len(EDGE_VALUES)), EDGE_VALUES),
+    ],
+    ids=["rough-64", "rough-16384", "edge-values"],
+)
+def test_csv_writer_bytes_match_the_per_value_writer(tmp_path, field):
+    path = tmp_path / "f.csv"
+    write_field_csv(field, path)
+    assert path.read_bytes() == per_value_csv_bytes(field)
 
 
 def test_csv_header_validation(tmp_path):

@@ -10,7 +10,9 @@ from kdvlri import oracles
 from kdvlri.integrators import SchemeKind, evolve
 from kdvlri.spectral import Grid, mean_value
 from kdvlri.studies import (
+    COLUMNS,
     CSV_HEADER,
+    LOCAL_EMPTY,
     ConvergenceReport,
     FitDataError,
     REPORT_JSON_SCHEMA,
@@ -258,6 +260,41 @@ def test_local_error_study_leaves_reference_cache_alone():
     cfg = StudyConfig(schemes=(SchemeKind.ELRI2,), taus=(2.0**-6, 2.0**-7), n_points=32)
     run_local_error_study(cfg)
     assert oracles._reference.cache_info() == before
+
+
+def test_local_error_rows_leave_unused_cells_empty():
+    # smooth built-in data and one step per tau: no theta, seed or t_final
+    cfg = StudyConfig(
+        schemes=(SchemeKind.ELRI2,), taus=(2.0**-6, 2.0**-7), n_points=16, ref_tau=None
+    )
+    rep = run_local_error_study(cfg)
+    text = render_report_csv(rep)
+    for line in text.splitlines()[1:]:
+        cells = dict(zip(COLUMNS, line.split(",")))
+        assert [cells[c] for c in LOCAL_EMPTY] == ["", "", ""]
+        assert cells["n_points"] == "16" and cells["status"] == "ok"
+    parsed = parse_report_csv(text)
+    assert len(parsed) == 2
+    assert all(row[c] is None for row in parsed for c in LOCAL_EMPTY)
+    doc = json.loads(render_report_json(rep))
+    jsonschema.validate(doc, REPORT_JSON_SCHEMA)
+    assert [{c: row[c] for c in LOCAL_EMPTY} for row in doc["rows"]] == [
+        dict.fromkeys(LOCAL_EMPTY)
+    ] * 2
+
+
+def test_only_local_error_rows_may_leave_cells_empty():
+    doc = report_as_dict(synthetic_report([RunResult(SchemeKind.ELRI1, 0.125, 1e-3, "ok")]))
+    for name in LOCAL_EMPTY:
+        broken = json.loads(json.dumps(doc))
+        broken["rows"][0][name] = None
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, REPORT_JSON_SCHEMA)
+    # an empty tau or error cell is still malformed
+    with pytest.raises(ValueError):
+        parse_report_csv(CSV_HEADER + "\nelri1,,1e-3,1,64,2,42,0.5,ok\n")
+    with pytest.raises(ValueError):
+        parse_report_csv(CSV_HEADER + "\nelri1,0.125,,1,64,2,42,0.5,ok\n")
 
 
 # ---------------------------------------------------------------------------
