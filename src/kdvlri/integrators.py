@@ -103,11 +103,11 @@ def check_step_count(name, tau, t_final):
 @functools.cache
 def _raise_malloc_thresholds():
     # numpy's rfft/irfft of two or more rows allocates scratch on each call.
-    # At N >= SCRATCH_N glibc maps it and unmaps it after the call (96 minor
-    # faults per call at 2^14) until a larger mapped block is freed: that
-    # raises glibc's dynamic mmap threshold to the block's size, and its trim
-    # threshold to twice that.  This relies on that glibc heuristic; the 4 MB
-    # are never touched, so resident memory does not grow.
+    # At N >= SCRATCH_N glibc hands it back to the system after the call (96
+    # minor faults per call at 2^14) until a larger mapped block is freed:
+    # that raises glibc's dynamic mmap threshold to the block's size, and its
+    # trim threshold to twice that.  This relies on that glibc heuristic (1 MB
+    # measured too small here, 2 MB enough); the 4 MB are never touched.
     np.empty(1 << 19)
 
 
