@@ -400,9 +400,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="pins glibc malloc behaviour")
 def test_first_large_run_takes_no_page_faults():
-    # in a process that has not yet freed a large block, numpy's stacked-FFT
-    # scratch was mapped and unmapped on every call at N >= 2^14: 96 faults
-    # per call, 288 per elri2 step
+    # in a process that has not yet freed a large block, glibc handed numpy's
+    # stacked-FFT scratch back to the system after every call at N >= 2^14:
+    # 96 faults per call, 288 per elri2 step
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _FAULT_PROBE],
