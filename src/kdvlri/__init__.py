@@ -2,9 +2,9 @@
 
 The library solves u_t + u_xxx = (1/2) (u^2)_x on (0, 2*pi) with periodic
 boundary conditions by Fourier pseudo-spectral discretization in space and
-exponential-type stepping in time.  Three schemes are exposed: a classical
-first-order low-regularity integrator (lri1_step) and two embedded variants
-(elri1_step, elri2_step) that remain first/second order accurate for much
+exponential-type stepping in time.  step(kind, u, tau) steps one of three
+schemes: a classical first-order low-regularity integrator (LRI1) and two
+embedded variants (ELRI1, ELRI2), first/second order accurate for much
 rougher initial data.  `oracles` re-derives one step of each embedded scheme
 by exact per-frequency-triple time integration; `studies` reproduces the
 convergence-order experiments; the `kdvlri` console script fronts both.
@@ -33,11 +33,8 @@ from .integrators import (
     SchemeKind,
     SolverRun,
     Trajectory,
-    elri1_step,
-    elri2_step,
     evolve,
-    lri1_step,
-    step_function,
+    step,
 )
 from .oracles import (
     CheckResult,
@@ -84,8 +81,6 @@ __all__ = [
     "an_time_integral",
     "conjugate_symmetry_defect",
     "dx",
-    "elri1_step",
-    "elri2_step",
     "embedded_form_step",
     "emit_report",
     "estimate_order",
@@ -97,7 +92,6 @@ __all__ = [
     "ifrk4_solve",
     "integral",
     "inv_dx",
-    "lri1_step",
     "mean_value",
     "parse_report_csv",
     "project_zero_mean",
@@ -109,7 +103,7 @@ __all__ = [
     "smooth_test_data",
     "sobolev_norm",
     "splitmix64_uniform",
-    "step_function",
+    "step",
     "translate",
     "truncate_two_thirds",
     "verification_suite",

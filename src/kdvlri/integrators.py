@@ -15,7 +15,7 @@ one update body (_update) builds all three:
              H^(gamma+3) data.
 
 The update writes only into a workspace allocated once per run (by evolve)
-or per call (by each public *_step).  It holds the scheme, tau, the Airy
+or per call (by step).  It holds the scheme, tau, the Airy
 symbol, the one full spectrum every step updates in place, and the
 temporaries, so a step in steady state allocates no array.  A Field is
 built only for recorded samples and the final state.  The linear part
@@ -76,8 +76,10 @@ class SchemeKind(enum.Enum):
     ELRI2 = "elri2"
 
 
-def _require_zero_mean(mode0, where):
-    m = complex(mode0)
+def require_zero_mean(f, where):
+    """Refuse a stack, or a field whose mode-0 coefficient exceeds MEAN_TOL."""
+    require_single(f, where)
+    m = complex(f.spectrum[0])
     if abs(m) <= MEAN_TOL:
         return
     if abs(m.real) > MEAN_TOL:
@@ -88,6 +90,13 @@ def _require_zero_mean(mode0, where):
         f"{where} requires zero-mean data: mode 0 is {m:.6e}, magnitude "
         f"{abs(m):.6e} exceeds {MEAN_TOL:g}, from its {cause}"
     )
+
+
+def check_scheme(kind):
+    """Refuse anything but a SchemeKind member."""
+    if not isinstance(kind, SchemeKind):
+        valid = ", ".join(k.value for k in SchemeKind)
+        raise SchemeConfigError(f"unknown scheme {kind!r}; choose one of {valid}")
 
 
 def check_step_count(name, tau, t_final):
@@ -209,51 +218,14 @@ def _update(ws):
         np.copyto(s, 0.0, where=ws.drop)
 
 
-def _one_step(kind, u, tau, dealias):
-    require_single(u, f"{kind.value}_step")
-    _require_zero_mean(u.spectrum[0], f"{kind.value}_step")
+def step(kind: SchemeKind, u: Field, tau: float, dealias: bool = False) -> Field:
+    """One step of kind from zero-mean u; tau = 0 without dealias returns u exactly."""
+    check_scheme(kind)
+    require_zero_mean(u, f"{kind.value}_step")
     ws = _Workspace(kind, u.grid, tau, dealias)
     ws.load(u.spectrum)
     _update(ws)
     return Field.from_spectrum(u.grid, ws.s)
-
-
-def lri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
-    """One step of the three-term baseline integrator LRI1."""
-    return _one_step(SchemeKind.LRI1, u, tau, dealias)
-
-
-def elri1_step(u: Field, tau: float, dealias: bool = False) -> Field:
-    """One step of the first-order embedded low-regularity integrator."""
-    return _one_step(SchemeKind.ELRI1, u, tau, dealias)
-
-
-def elri2_step(u: Field, tau: float, dealias: bool = False) -> Field:
-    """One step of the second-order embedded low-regularity integrator.
-
-    ELRI1 plus the two correction terms
-    (tau/36) e^{-tau dx^3} dxinv(u^3) - (tau/36) dxinv(e^{-tau dx^3} u)^3.
-    """
-    return _one_step(SchemeKind.ELRI2, u, tau, dealias)
-
-
-# scheme -> public zero-mean-gated step
-_STEPS = {
-    SchemeKind.LRI1: lri1_step,
-    SchemeKind.ELRI1: elri1_step,
-    SchemeKind.ELRI2: elri2_step,
-}
-
-
-def step_function(kind: SchemeKind):
-    """Public step of a scheme; anything but a SchemeKind member is rejected."""
-    try:
-        return _STEPS[kind]
-    except (KeyError, TypeError):
-        valid = ", ".join(k.value for k in SchemeKind)
-        raise SchemeConfigError(
-            f"unknown scheme {kind!r}; choose one of {valid}"
-        ) from None
 
 
 @dataclass
@@ -274,7 +246,7 @@ class SolverRun:
     dealias: bool = False
 
     def __post_init__(self):
-        step_function(self.scheme)  # rejects unknown schemes early
+        check_scheme(self.scheme)
         require_single(self.initial, "SolverRun")
         for name in ("tau", "t_final"):
             value = getattr(self, name)
@@ -293,7 +265,7 @@ class SolverRun:
                 f"record_every must be >= 0, got {self.record_every}"
             )
         if not self.mean_shift:
-            _require_zero_mean(self.initial.spectrum[0], "SolverRun")
+            require_zero_mean(self.initial, "SolverRun")
 
     @property
     def n_steps(self) -> int:
@@ -337,8 +309,8 @@ def evolve(run: SolverRun) -> Trajectory:
         c = float(u0.spectrum[0].real)
         s0 = u0.spectrum.copy()
         s0[0] -= c  # at most a roundoff-size imaginary residue is left
-        _require_zero_mean(s0[0], "SolverRun")
         u0 = Field.from_spectrum(u0.grid, s0)
+        require_zero_mean(u0, "SolverRun")
     ws = _Workspace(run.scheme, u0.grid, tau, run.dealias)
     s = ws.load(u0.spectrum)
     mean0 = complex(s[0])

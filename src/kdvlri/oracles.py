@@ -32,7 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .integrators import SolverRun, SchemeKind, elri1_step, elri2_step, evolve
+from .integrators import SchemeKind, SolverRun, check_step_count, evolve
+from .integrators import require_zero_mean, step
 from .rough_data import splitmix64_uniform
 from .spectral import (
     Field,
@@ -41,7 +42,6 @@ from .spectral import (
     exp_airy,
     integral,
     inv_dx,
-    require_single,
     sobolev_distance,
     sobolev_norm,
     truncate_two_thirds,
@@ -66,13 +66,6 @@ def _guard_small(grid):
         raise CostGuardError(
             f"triple-sum oracle limited to N <= {MAX_ORACLE_N}, got N = {grid.n}"
         )
-
-
-def _require_zero_mean(f, where):
-    require_single(f, where)
-    m = abs(complex(f.spectrum[0]))
-    if m > 1e-12:
-        raise ValueError(f"{where} requires zero-mean input, mean magnitude {m:.3e}")
 
 
 def _finite(name, value):
@@ -196,7 +189,7 @@ def fn_closed_form(w: Field, t_n: float, s: float) -> Field:
          - (1/3) e^{t_n dx^3}(e^{-t_n dx^3} dxinv w)^2,
     where e^{+t dx^3} g = exp_airy(g, -t).
     """
-    _require_zero_mean(w, "fn_closed_form")
+    require_zero_mean(w, "fn_closed_form")
     t_n, s = _finite("t_n", t_n), _finite("s", s)
     p = [inv_dx(w)] * 2
     rhs = (_twisted_product(p, t_n + s) - _twisted_product(p, t_n)) / 3.0
@@ -205,7 +198,7 @@ def fn_closed_form(w: Field, t_n: float, s: float) -> Field:
 
 def fn_quadrature(w: Field, t_n: float, s: float, nodes: int = 64) -> Field:
     """Gauss-Legendre evaluation of the defining integral of fn_closed_form."""
-    _require_zero_mean(w, "fn_quadrature")
+    require_zero_mean(w, "fn_quadrature")
     t_n, s = _finite("t_n", t_n), _finite("s", s)
     pts, wts = gauss_legendre_nodes(0.0, s, nodes)
     g = w.grid
@@ -297,7 +290,7 @@ def check_ibp_identity_ii(
     """
     grid = f1.grid
     for f in (f1, f2, f3):
-        _require_zero_mean(f, "check_ibp_identity_ii")
+        require_zero_mean(f, "check_ibp_identity_ii")
     t_n, tau = _finite("t_n", t_n), _finite("tau", tau)
     pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
     ts = t_n + pts
@@ -367,7 +360,7 @@ def an_time_integral(
     grid = f1.grid
     _guard_small(grid)
     for f in (f1, f2, f3):
-        _require_zero_mean(f, "an_time_integral")
+        require_zero_mean(f, "an_time_integral")
     kernel = _an_kernel(grid.n, _finite("t_n", t_n), _finite("tau", tau), variant)
     return Field.from_spectrum(grid, _contract(kernel, f1, f2, f3))
 
@@ -414,11 +407,11 @@ def embedded_form_step(v: Field, t_n: float, tau: float, variant: str = "elri1")
     triple with exact phase integrals), and corr is the A (elri1 variant) or
     A_tilde (elri2 variant) correction operator.  Returns the untwisted
     field e^{-(t_n+tau) dx^3} v_next, which for t_n = 0 must match
-    elri1_step / elri2_step applied to v.
+    step(SchemeKind.ELRI1 / ELRI2, v, tau).
     """
     grid = v.grid
     _guard_small(grid)
-    _require_zero_mean(v, "embedded_form_step")
+    require_zero_mean(v, "embedded_form_step")
     variant = variant.lower()
     if variant not in ("elri1", "elri2"):
         raise ValueError(f"variant must be 'elri1' or 'elri2', got {variant!r}")
@@ -466,7 +459,11 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
     as an independent reference route.  With dealias the right-hand side is
     2/3-truncated, matching the spatial operator of dealiased scheme runs.
     """
-    _require_zero_mean(u0, "ifrk4_solve")
+    require_zero_mean(u0, "ifrk4_solve")
+    for name, value in (("t_final", t_final), ("tau", tau)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    check_step_count("tau", tau, t_final)
     g = u0.grid
     if dealias:
         u0 = truncate_two_thirds(u0)
@@ -546,7 +543,7 @@ def reference_solution(
     build their reference once (_reference.cache_clear() empties the cache).
     A Field is immutable, so sharing one is safe.
     """
-    _require_zero_mean(u0, "reference_solution")
+    require_zero_mean(u0, "reference_solution")
     return _reference(
         u0.grid.n, u0.spectrum.tobytes(), t_final, tau_ref, cross_check, cross_tau,
         dealias,
@@ -734,18 +731,20 @@ def _check_an_difference():
 def _check_embedded_equivalence():
     # both variants in one pass per (tau, N), so each triple kernel is built
     # once; with tau outermost, fewer N = 32 kernels are cached at a time
-    steps = (("elri1", elri1_step), ("elri2", elri2_step))
-    results = [CheckResult(f"embedded_form_matches_{v}", 0.0, 1e-10) for v, _ in steps]
+    kinds = (SchemeKind.ELRI1, SchemeKind.ELRI2)
+    results = [
+        CheckResult(f"embedded_form_matches_{k.value}", 0.0, 1e-10) for k in kinds
+    ]
     for tau in (0.01, 0.05):
         for n in (8, 16, 32):
             grid = Grid(n)
             mm = alias_free_max_mode(n, 3)
             for seed in range(10):
                 v = random_band_field(grid, mm, seed=80_000 + seed)
-                for r, (variant, step) in zip(results, steps):
+                for r, kind in zip(results, kinds):
                     start = time.perf_counter()
-                    direct = step(v, tau)
-                    oracle = embedded_form_step(v, 0.0, tau, variant=variant)
+                    direct = step(kind, v, tau)
+                    oracle = embedded_form_step(v, 0.0, tau, variant=kind.value)
                     num = sobolev_distance(direct, oracle)
                     r.residual = max(r.residual, num / sobolev_norm(direct, 0.0))
                     r.wall_s += time.perf_counter() - start

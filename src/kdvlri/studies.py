@@ -21,9 +21,10 @@ from .integrators import (
     BlowUpError,
     SchemeKind,
     SolverRun,
+    check_scheme,
     check_step_count,
     evolve,
-    step_function,
+    step,
 )
 from .oracles import ifrk4_solve, reference_solution
 from .rough_data import RoughSpec, generate_rough
@@ -69,8 +70,10 @@ class StudyConfig:
         self.taus = tuple(float(t) for t in self.taus)
         if not self.schemes:
             raise ValueError("study needs at least one scheme")
-        for s in self.schemes:
-            step_function(s)  # rejects unknown scheme names
+        for i, s in enumerate(self.schemes):
+            check_scheme(s)
+            if s in self.schemes[:i]:
+                raise ValueError(f"scheme {s.value} is given more than once")
         if not self.taus:
             raise ValueError("study needs at least one tau")
         if not all(math.isfinite(t) and t > 0 for t in self.taus):
@@ -259,7 +262,7 @@ def run_local_error_study(cfg: StudyConfig) -> ConvergenceReport:
         dual_gap = sobolev_distance(ref, ref_check, cfg.gamma_err)
         tau_errors = []
         for scheme in cfg.schemes:
-            stepped = step_function(scheme)(u0, tau, dealias=cfg.dealias)
+            stepped = step(scheme, u0, tau, dealias=cfg.dealias)
             err = sobolev_distance(stepped, ref, cfg.gamma_err) / ref_norm
             tau_errors.append(err)
             rows.append(RunResult(scheme, tau, err, "ok"))

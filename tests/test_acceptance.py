@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kdvlri.cli import main
-from kdvlri.integrators import SchemeKind, SolverRun, elri1_step, elri2_step, evolve
+from kdvlri.integrators import SchemeKind, SolverRun, evolve, step
 from kdvlri.oracles import (
     TimeField,
     _check_airy_isometry,
@@ -83,9 +83,9 @@ def test_c01_embedded_oracle_matches_schemes():
         for seed in range(50):
             v = random_band_field(g, mm, seed=90_000 + seed)
             for tau in (0.01, 0.05):
-                for variant, step in (("elri1", elri1_step), ("elri2", elri2_step)):
-                    direct = step(v, tau)
-                    oracle = embedded_form_step(v, 0.0, tau, variant=variant)
+                for kind in (SchemeKind.ELRI1, SchemeKind.ELRI2):
+                    direct = step(kind, v, tau)
+                    oracle = embedded_form_step(v, 0.0, tau, variant=kind.value)
                     num = sobolev_norm(
                         Field.from_spectrum(g, direct.spectrum - oracle.spectrum), 0.0
                     )

@@ -289,6 +289,26 @@ def test_converge_bad_t_final_is_refused_before_rough_data(capsys, monkeypatch):
         assert "configuration error: t_final must be positive and finite" in err
 
 
+def test_repeated_scheme_is_refused_before_any_data(capsys, monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data or reference built")
+
+    for name in ("generate_rough", "smooth_test_data", "reference_solution",
+                 "ifrk4_solve"):
+        monkeypatch.setattr(f"kdvlri.studies.{name}", no_data)
+    for argv in (
+        ["converge", "--n", "64", "--scheme", "elri1,elri1",
+         "--tau-ladder", "2^-3,2^-4", "--ref-tau", "2^-8"],
+        ["local-error", "--n", "64", "--scheme", "lri1,elri2,lri1",
+         "--tau-ladder", "2^-6,2^-7"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: scheme" in captured.err
+        assert "given more than once" in captured.err
+
+
 def test_converge_unwritable_output_is_io_error(tmp_path, capsys):
     rc = main(CONV_QUICK + ["--output", str(tmp_path / "nope" / "r.csv")])
     assert rc == 1

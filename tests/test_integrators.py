@@ -1,5 +1,6 @@
 """One-step maps, the evolution loop, blow-up detection, mean shifting."""
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -18,11 +19,8 @@ from kdvlri.integrators import (
     SchemeKind,
     SolverRun,
     Trajectory,
-    elri1_step,
-    elri2_step,
     evolve,
-    lri1_step,
-    step_function,
+    step,
 )
 from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import (
@@ -37,7 +35,7 @@ from kdvlri.spectral import (
     truncate_two_thirds,
 )
 
-ALL_STEPS = [lri1_step, elri1_step, elri2_step]
+ALL_STEPS = [functools.partial(step, kind) for kind in SchemeKind]
 
 
 def l2_diff(a, b):
@@ -52,12 +50,13 @@ def rough(n=64, theta=2.0, seed=4):
 # one-step maps
 
 
-def test_step_function_dispatch():
-    assert step_function(SchemeKind.LRI1) is lri1_step
-    assert step_function(SchemeKind.ELRI1) is elri1_step
-    assert step_function(SchemeKind.ELRI2) is elri2_step
-    with pytest.raises(SchemeConfigError, match="unknown scheme"):
-        step_function("lri2")
+def test_step_dispatch():
+    u = rough(n=32)
+    outs = {step(kind, u, 0.1).spectrum.tobytes() for kind in SchemeKind}
+    assert len(outs) == len(SchemeKind)
+    for bad in ("lri2", "elri1", None, [SchemeKind.ELRI1]):
+        with pytest.raises(SchemeConfigError, match="unknown scheme"):
+            step(bad, u, 0.1)
 
 
 def test_zero_field_is_fixed_point():
@@ -83,7 +82,7 @@ def test_lri1_cosine_closed_form():
     # worked out by hand from the three-term update applied to one mode
     g = Grid(64)
     for tau in (0.05, 0.3, 1.0):
-        out = lri1_step(Field.from_values(g, np.cos(g.x)), tau)
+        out = step(SchemeKind.LRI1, Field.from_values(g, np.cos(g.x)), tau)
         expected = (
             np.cos(g.x + tau)
             + np.cos(2 * g.x + 8 * tau) / 12.0
@@ -96,8 +95,8 @@ def test_elri2_is_elri1_plus_correction():
     u = rough(n=64, theta=2.0, seed=2)
     g = u.grid
     tau = 0.07
-    a = elri1_step(u, tau)
-    b = elri2_step(u, tau)
+    a = step(SchemeKind.ELRI1, u, tau)
+    b = step(SchemeKind.ELRI2, u, tau)
     eu = exp_airy(u, tau)
     u3 = Field.from_values(g, u.values**3)
     eu3 = Field.from_values(g, eu.values**3)
@@ -132,7 +131,7 @@ def test_zero_mean_refusal_names_what_tripped_it():
     spec[0] = 0.3 + 1e-6j
     u = Field.from_spectrum(g, spec)
     with pytest.raises(SchemeConfigError) as err:
-        elri1_step(u, 0.1)
+        step(SchemeKind.ELRI1, u, 0.1)
     msg = str(err.value)
     assert "mode 0 is 3.000000e-01+1.000000e-06j" in msg
     assert "mean value 3.000000e-01 (set mean_shift for nonzero mean)" in msg
@@ -147,7 +146,7 @@ def test_zero_mean_refusal_names_what_tripped_it():
 
 def test_dealias_keyword_truncates_output():
     u = rough(n=32, theta=2.0, seed=6)
-    out = elri1_step(u, 0.1, dealias=True)
+    out = step(SchemeKind.ELRI1, u, 0.1, dealias=True)
     k = np.abs(out.grid.wavenumbers)
     assert np.all(out.spectrum[3 * k >= out.grid.n] == 0.0)
 
@@ -267,7 +266,7 @@ def test_workspace_steps_are_bitwise_the_allocating_update():
                         u = Field.from_spectrum(w.grid, allocating_update(kind, w, tau))
                         u = truncate_two_thirds(u) if dealias else u
                         want.append(u.spectrum.tobytes())
-                    one = step_function(kind)(u0, tau, dealias=dealias)
+                    one = step(kind, u0, tau, dealias=dealias)
                     assert one.spectrum.tobytes() == want[0]
                     if tau:
                         run = SolverRun(kind, tau, 3 * tau, u0, record_every=1,
@@ -419,16 +418,21 @@ def test_first_large_run_takes_no_page_faults():
 # solver configuration
 
 
-@pytest.mark.parametrize("boundary", ["SolverRun", "lri1_step", "elri1_step", "elri2_step"])
-def test_single_field_boundaries_refuse_a_stack(boundary):
+def _boundary(kind):
+    return f"{kind.value}_step" if kind else "SolverRun"
+
+
+@pytest.mark.parametrize("kind", [None, *SchemeKind], ids=_boundary)
+def test_single_field_boundaries_refuse_a_stack(kind):
     g = Grid(16)
     stack = Field.from_values(g, np.zeros((2, 16)))
+    boundary = _boundary(kind)
     message = rf"{boundary} needs one field of shape \(16,\), got \(2, 16\)"
     with pytest.raises(ValueError, match=message):
         if boundary == "SolverRun":
             SolverRun(SchemeKind.ELRI2, tau=0.1, t_final=1.0, initial=stack, mean_shift=True)
         else:
-            getattr(integrators, boundary)(stack, 0.1)
+            step(kind, stack, 0.1)
 
 
 def test_solver_run_validation():

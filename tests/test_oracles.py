@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kdvlri import oracles
-from kdvlri.integrators import elri1_step, elri2_step, evolve
+from kdvlri.integrators import SchemeKind, evolve, step
 from kdvlri.oracles import (
     MAX_ORACLE_N,
     CheckResult,
@@ -216,9 +216,9 @@ def test_embedded_form_matches_schemes_at_t_zero():
         for seed in range(3):
             v = random_band_field(g, mm, seed=60 + seed)
             for tau in (0.01, 0.05):
-                for variant, step in (("elri1", elri1_step), ("elri2", elri2_step)):
-                    direct = step(v, tau)
-                    oracle = embedded_form_step(v, 0.0, tau, variant=variant)
+                for kind in (SchemeKind.ELRI1, SchemeKind.ELRI2):
+                    direct = step(kind, v, tau)
+                    oracle = embedded_form_step(v, 0.0, tau, variant=kind.value)
                     assert l2_diff(direct, oracle) < 1e-10
 
 
@@ -231,11 +231,11 @@ def test_embedded_form_general_start_time_conjugation():
     u = random_band_field(g, mm, seed=70)
     tau = 0.05
     for t_n in (0.0, 0.3, 1.7, -0.9):
-        for variant, step in (("elri1", elri1_step), ("elri2", elri2_step)):
+        for kind in (SchemeKind.ELRI1, SchemeKind.ELRI2):
             oracle = embedded_form_step(
-                exp_airy(u, -t_n), t_n, tau, variant=variant
+                exp_airy(u, -t_n), t_n, tau, variant=kind.value
             )
-            assert l2_diff(step(u, tau), oracle) < 1e-12
+            assert l2_diff(step(kind, u, tau), oracle) < 1e-12
 
 
 def test_embedded_form_validation():
@@ -355,6 +355,22 @@ def test_ifrk4_step_count_validation():
     u0 = Field.from_values(g, np.cos(g.x))
     with pytest.raises(ValueError, match="step count"):
         ifrk4_solve(u0, 1.0, 0.3)
+
+
+def test_ifrk4_refuses_bad_step_and_horizon():
+    # each is refused by name before the first step; tau = 1e-300 would
+    # otherwise step (almost) forever
+    g = Grid(16)
+    u0 = Field.from_values(g, np.cos(g.x))
+    for t_final, tau, message in (
+        (1.0, 0.0, "tau must be positive and finite, got 0.0"),
+        (1.0, float("nan"), "tau must be positive and finite, got nan"),
+        (float("inf"), 0.1, "t_final must be positive and finite, got inf"),
+        (-1.0, -0.1, "t_final must be positive and finite, got -1.0"),
+        (1.0, 1e-300, "tau = 1e-300 takes 1e[+]300 steps .*MAX_STEPS"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ifrk4_solve(u0, t_final, tau)
 
 
 def test_reference_solution_cross_check_passes_on_smooth_data():

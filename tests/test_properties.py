@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kdvlri.cli import parse_tau_token
-from kdvlri.integrators import SchemeKind, step_function
+from kdvlri.integrators import SchemeKind, step
 from kdvlri.oracles import random_band_field
 from kdvlri.rough_data import RoughSpec, generate_rough, splitmix64_uniform
 from kdvlri.spectral import (
@@ -203,7 +203,7 @@ def test_steps_keep_real_fields_real(u, kind, tau):
     # the corrections are mirrored exactly, so a step adds at most about one
     # rounding per mode to the input's own defect (measured: 1.1 eps over
     # 2,400 steps at N <= 256, tau <= 1)
-    out = step_function(kind)(u, tau)
+    out = step(kind, u, tau)
     bound = conjugate_symmetry_defect(u) + 4 * EPS * np.max(np.abs(out.spectrum))
     assert conjugate_symmetry_defect(out) <= bound
 
