@@ -15,11 +15,11 @@ one update body (_update) builds all three:
              H^(gamma+3) data.
 
 The update writes only into a workspace allocated once per run (by evolve)
-or per call (by step).  It holds the scheme, tau, the Airy
-symbol, the one full spectrum every step updates in place, and the
-temporaries, so a step in steady state allocates no array.  A Field is
-built only for recorded samples and the final state.  The linear part
-e^{-tau dx^3} u is the spectrum times the symbol.  The correction terms are
+or per call (by step).  It holds the scheme, tau, the Airy symbol, the one
+full spectrum every step updates in place, the temporaries and every view of
+them a step uses, so a step in steady state allocates no array and slices no
+view.  A Field is built only for recorded samples and the final state.  The
+linear part e^{-tau dx^3} u is the spectrum times the symbol.  The correction terms are
 formed on the half spectrum (modes 0..N/2) with real transforms (rfft/irfft
 with norm="forward", so no separate 1/N scaling), added to the nonnegative
 modes, and mirrored as conjugates onto the negative ones.  Terms that share
@@ -57,6 +57,11 @@ MAX_STEPS = 10**7
 #: every call until the first workspace frees a 4 MB block (none at 8192)
 SCRATCH_N = 2**14
 
+#: numpy divides a complex array by a real c as the product with 1.0 / c
+#: (Smith's algorithm), so these products on real views keep its bits, up to
+#: the sign of an exact zero (as does a real-view product with a real scalar)
+SIXTH, EIGHTEENTH = np.float64(1.0 / 6.0), np.float64(1.0 / 18.0)
+
 
 class SchemeConfigError(ValueError):
     """Invalid scheme selection or solver configuration."""
@@ -76,14 +81,15 @@ class SchemeKind(enum.Enum):
     ELRI2 = "elri2"
 
 
-def require_zero_mean(f, where):
+def require_zero_mean(f, where, shift_hint=False):
     """Refuse a stack, or a field whose mode-0 coefficient exceeds MEAN_TOL."""
     require_single(f, where)
     m = complex(f.spectrum[0])
     if abs(m) <= MEAN_TOL:
         return
     if abs(m.real) > MEAN_TOL:
-        cause = f"mean value {m.real:.6e} (set mean_shift for nonzero mean)"
+        cause = f"mean value {m.real:.6e}"
+        cause += " (set mean_shift for nonzero mean)" if shift_hint else ""
     else:  # a mean shift removes only the real part
         cause = f"imaginary residue {m.imag:.6e} (the data is not a real field)"
     raise SchemeConfigError(
@@ -97,6 +103,12 @@ def check_scheme(kind):
     if not isinstance(kind, SchemeKind):
         valid = ", ".join(k.value for k in SchemeKind)
         raise SchemeConfigError(f"unknown scheme {kind!r}; choose one of {valid}")
+
+
+def check_positive(name, value):
+    """Refuse a value that is not a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise SchemeConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def check_step_count(name, tau, t_final):
@@ -123,11 +135,12 @@ def _raise_malloc_thresholds():
 class _Workspace:
     """One run's stepping state, allocated once per run.
 
-    Holds the scheme, tau, the first irfft's row count and the resonant
-    coefficient; the Airy symbol at tau and half-length views of it and of
-    inv_ik; the dealias mask; the one spectrum s every step updates in
-    place; the stacks _update transforms in one call each (4 half spectra,
-    4 and 3 rows of grid values), the correction sum and the blow-up flags.
+    Holds the scheme, tau, the resonant and mass coefficients, the Airy
+    symbol at tau, the dealias mask, the one spectrum s every step updates in
+    place, the stacks _update transforms in one call each (5 half spectra, 4
+    and 3 rows of grid values) and the blow-up flags.  Every row, stack, real
+    and mirror view a step reads or writes is bound here once, so a step
+    slices nothing.
     """
 
     def __init__(self, kind, grid, tau, dealias):
@@ -136,18 +149,43 @@ class _Workspace:
         self.kind, self.tau, self.n = kind, tau, n
         if n >= SCRATCH_N:
             _raise_malloc_thresholds()
-        self.rows = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
+        k = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
         self.resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
+        self.mass = tau / (12.0 * np.pi)
         self.airy = grid.airy(tau)
-        self.a = self.airy[:m]
-        self.inv_ik = grid.inv_ik[:m]
         self.drop = ~grid.keep_two_thirds if dealias else None
-        self.s = np.empty(n, complex)
-        self.half = np.empty((4, m), complex)
-        self.corr = np.empty(m, complex)
-        self.vals = np.empty((4, n))
-        self.prod = np.empty((3, n))
+        self.s = s = np.empty(n, complex)
+        self.half = half = np.empty((5, m), complex)
+        self.vals = vals = np.empty((4, n))
+        self.prod = prod = np.empty((3, n))
         self.finite = np.empty(n, bool)
+        self.a, self.inv_ik, self.s_lo = self.airy[:m], grid.inv_ik[:m], s[:m]
+        # half rows: 0 the correction sum; from 1 the rows of the first irfft,
+        # e^{-tau dx^3} dxinv u, dxinv u, then e^{-tau dx^3} u (ELRI2) and -u
+        # (ELRI1, ELRI2); the first rfft writes d and h to rows 2..3, the last
+        # q, cubic_ep and cubic to rows 2..4.  The sum's conjugate mirror goes
+        # to the start of row 1, so half's first N entries are what s gains
+        self.corr, self.ep, self.p, self.w = half[:4]
+        self.neg_u, self.rows, self.rows_v = half[k], half[1 : k + 1], vals[:k]
+        self.d, self.h, self.dh, self.out3 = half[2], half[3], half[2:4], half[2:]
+        self.q, self.cubic_ep, self.cubic = self.out3
+        self.gain = half.reshape(-1)[:n]
+        self.mirror_from, self.mirror = half[0, m - 2 : 0 : -1], half[1, : m - 2]
+        # prod rows: the 1/18 product, then the squares and cubes of the grid
+        # values of e^{-tau dx^3} dxinv u and dxinv u (the 1/54 pair)
+        self.pair_v, self.ep_v, self.v2 = vals[:2], vals[0], vals[1]
+        self.g, self.squares = prod[0], prod[1:]
+        # the resonant cubes, one stack: the grid rows -u (ELRI1) or
+        # e^{-tau dx^3} u, -u (ELRI2), their squares in the free rows before
+        # them (u^2 in row 1, which the mass term sums), and the cubic rows
+        # of prod they are added to
+        c = k - 2
+        self.cube_v, self.cube_sq = vals[2:k], vals[2 - c : 2]
+        self.cube_to = prod[3 - c :]
+        real = (self.s_lo, self.neg_u, self.d, self.q, self.ep, self.corr)
+        self.s_lo_f, self.neg_u_f, self.d_f, self.q_f, self.ep_f, self.corr_f = (
+            x.view(float) for x in real
+        )
 
     def load(self, spectrum):
         """Copy spectrum into s, 2/3-truncated when dealiasing; return s."""
@@ -161,59 +199,60 @@ def _update(ws):
     """Advance ws.s by one step of ws.kind at ws.tau, in place.
 
     The linear part is s times the symbol.  The correction terms are built
-    on the half spectrum, added there, and their conjugates added to the
-    negative modes.  Each cancelling pair is one difference, so every scheme
-    is the exact identity at tau = 0.  Every array written is one of ws's,
-    and each term keeps the operation order of its formula, so the bits do
-    not depend on which buffer or stack row holds it.  No mean gate: evolve
-    checks the initial mean once, and a diverging iterate must reach the
-    non-finite check (BlowUpError), not trip the absolute mean gate.
+    on the half spectrum, summed there, and s gains the sum on its
+    nonnegative modes and its conjugates on the negative ones.  Each
+    cancelling pair is one difference, so every scheme is the exact identity
+    at tau = 0.  Every array written is one of ws's, and each term keeps the
+    operation order of its formula, so the bits do not depend on which
+    buffer or stack row holds it.  No mean gate: evolve checks the initial
+    mean once, and a diverging iterate must reach the non-finite check
+    (BlowUpError), not trip the absolute mean gate.
     """
-    s, a, inv_ik, half, vals, prod = ws.s, ws.a, ws.inv_ik, ws.half, ws.vals, ws.prod
-    n, m, k = ws.n, a.size, ws.rows
-    p = np.multiply(s[:m], inv_ik, out=half[1])  # dxinv u
-    ep = np.multiply(p, a, out=half[0])  # e^{-tau dx^3} dxinv u
-    if k > 2:
-        np.copyto(half[2], s[:m])  # u
+    kind, n, s, s_lo, a, inv_ik = ws.kind, ws.n, ws.s, ws.s_lo, ws.a, ws.inv_ik
+    p = ws.p
+    np.multiply(s_lo, inv_ik, out=p)  # dxinv u
+    np.multiply(p, a, out=ws.ep)  # e^{-tau dx^3} dxinv u
+    if kind is not SchemeKind.LRI1:
+        np.negative(ws.s_lo_f, out=ws.neg_u_f)
     np.multiply(s, ws.airy, out=s)  # the linear part; s holds it from here on
-    if k > 3:
-        np.copyto(half[3], s[:m])  # e^{-tau dx^3} u
-    np.fft.irfft(half[:k], n, norm="forward", out=vals[:k])
-    ep_v, p_v, v, w = vals
-    # pseudo-spectral products, no dealiasing; rows 2 and 3 of half are free now
-    squares = np.multiply(vals[:2], vals[:2], out=prod[1:])
+    if kind is SchemeKind.ELRI2:
+        np.copyto(ws.w, s_lo)  # e^{-tau dx^3} u
+    np.fft.irfft(ws.rows, n, norm="forward", out=ws.rows_v)
+    # pseudo-spectral products, no dealiasing
+    pair_v, squares, d, h, corr = ws.pair_v, ws.squares, ws.d, ws.h, ws.corr
+    np.multiply(pair_v, pair_v, out=squares)
     # d = rfft(ep_v^2) - rfft(p_v^2) a
-    d, h = np.fft.rfft(squares, norm="forward", out=half[2:])
+    np.fft.rfft(squares, norm="forward", out=ws.dh)
     np.subtract(d, np.multiply(h, a, out=h), out=d)
-    corr = np.divide(d, 6.0, out=ws.corr)
-    if ws.kind is not SchemeKind.LRI1:
+    np.multiply(ws.d_f, SIXTH, out=ws.corr_f)  # d / 6
+    if kind is not SchemeKind.LRI1:
         # projected cubic pair, 1/18: one transform of the difference d
-        g = np.fft.irfft(np.multiply(d, inv_ik, out=h), n, norm="forward", out=prod[0])
-        np.multiply(ep_v, g, out=g)
+        g = np.fft.irfft(np.multiply(d, inv_ik, out=h), n, norm="forward", out=ws.g)
+        np.multiply(ws.ep_v, g, out=g)
         # antiderivative cubic pair, 1/54; the resonant u^3 term (tau/18,
         # net tau/36 in ELRI2) rides in the p_v^3 transform, the ELRI2
-        # (e^{-tau dx^3} u)^3 term in the ep_v^3 transform
-        cubes = np.multiply(vals[:2], squares, out=squares)
-        cubic_ep, cubic_p = np.divide(cubes, 54.0, out=cubes)
-        v2 = np.multiply(v, v, out=ep_v)
-        u3 = np.multiply(v2, v, out=p_v)
-        np.subtract(cubic_p, np.multiply(ws.resonant, u3, out=u3), out=cubic_p)
-        if ws.kind is SchemeKind.ELRI2:  # resonant is tau/36 here
-            w3 = np.multiply(np.multiply(w, w, out=v), w, out=v)
-            np.add(cubic_ep, np.multiply(ws.resonant, w3, out=w3), out=cubic_ep)
-        # rows ep_v g, cubic_ep, cubic_p; row 0 of half, ep, stays
-        q, cubic_ep_h, cubic = np.fft.rfft(prod, norm="forward", out=half[1:])
+        # (e^{-tau dx^3} u)^3 term in the ep_v^3 transform.  Both are one
+        # stack over the grid rows (w,) -u: the sign of -u makes each an
+        # addition of the resonant coefficient times a cube
+        np.divide(np.multiply(pair_v, squares, out=squares), 54.0, out=squares)
+        cube_v, cube_sq = ws.cube_v, ws.cube_sq
+        np.multiply(cube_v, cube_v, out=cube_sq)
+        mass = ws.mass * (TWO_PI * (np.add.reduce(ws.v2) / n))
+        np.multiply(np.multiply(cube_sq, cube_v, out=cube_v), ws.resonant, out=cube_v)
+        np.add(ws.cube_to, cube_v, out=ws.cube_to)
+        # rows ep_v g, cubic_ep, cubic_p
+        q, cubic = ws.q, ws.cubic
+        np.fft.rfft(ws.prod, norm="forward", out=ws.out3)
         q[0] = 0.0  # zero-mean projection
-        np.add(corr, np.divide(q, 18.0, out=q), out=corr)
-        np.subtract(np.multiply(cubic, a, out=cubic), cubic_ep_h, out=cubic)
+        np.multiply(ws.q_f, EIGHTEENTH, out=ws.q_f)
+        np.add(corr, q, out=corr)
+        np.subtract(np.multiply(cubic, a, out=cubic), ws.cubic_ep, out=cubic)
         np.add(corr, np.multiply(cubic, inv_ik, out=cubic), out=corr)
         # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
-        mass = ws.tau / (12.0 * np.pi) * (TWO_PI * (np.add.reduce(v2) / n))
-        np.add(corr, np.multiply(mass, ep, out=q), out=corr)
-    np.add(s[:m], corr, out=s[:m])
-    # modes -(N/2 - 1)..-1
-    mirror = np.conjugate(corr[m - 2 : 0 : -1], out=half[0, : m - 2])
-    np.add(s[m:], mirror, out=s[m:])
+        np.multiply(ws.ep_f, mass, out=ws.ep_f)
+        np.add(corr, ws.ep, out=corr)
+    np.conjugate(ws.mirror_from, out=ws.mirror)
+    np.add(s, ws.gain, out=s)
     if ws.drop is not None:
         np.copyto(s, 0.0, where=ws.drop)
 
@@ -221,7 +260,7 @@ def _update(ws):
 def step(kind: SchemeKind, u: Field, tau: float, dealias: bool = False) -> Field:
     """One step of kind from zero-mean u; tau = 0 without dealias returns u exactly."""
     check_scheme(kind)
-    require_zero_mean(u, f"{kind.value}_step")
+    require_zero_mean(u, f"{kind.value}_step", shift_hint=True)
     ws = _Workspace(kind, u.grid, tau, dealias)
     ws.load(u.spectrum)
     _update(ws)
@@ -248,12 +287,8 @@ class SolverRun:
     def __post_init__(self):
         check_scheme(self.scheme)
         require_single(self.initial, "SolverRun")
-        for name in ("tau", "t_final"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise SchemeConfigError(
-                    f"{name} must be positive and finite, got {value}"
-                )
+        check_positive("tau", self.tau)
+        check_positive("t_final", self.t_final)
         check_step_count("tau", self.tau, self.t_final)
         ratio = self.t_final / self.tau
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
@@ -265,7 +300,7 @@ class SolverRun:
                 f"record_every must be >= 0, got {self.record_every}"
             )
         if not self.mean_shift:
-            require_zero_mean(self.initial, "SolverRun")
+            require_zero_mean(self.initial, "SolverRun", shift_hint=True)
 
     @property
     def n_steps(self) -> int:
@@ -313,6 +348,7 @@ def evolve(run: SolverRun) -> Trajectory:
         require_zero_mean(u0, "SolverRun")
     ws = _Workspace(run.scheme, u0.grid, tau, run.dealias)
     s = ws.load(u0.spectrum)
+    s_f, finite = s.view(float), ws.finite
     mean0 = complex(s[0])
     samples = [(0.0, u0)]
     drift = 0.0
@@ -321,7 +357,10 @@ def evolve(run: SolverRun) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             _update(ws)
-            if not np.isfinite(s, out=ws.finite).all():
+            # a finite sum proves every entry finite; a non-finite one, which
+            # finite entries also reach by overflow, is checked entry by entry
+            sum_ok = math.isfinite(np.add.reduce(s_f))
+            if not (sum_ok or np.isfinite(s, out=finite).all()):
                 raise BlowUpError(
                     f"non-finite field after step {n} of {n_steps} "
                     f"(t = {n * tau:.6g}, scheme {run.scheme.name})",

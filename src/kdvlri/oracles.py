@@ -32,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .integrators import SchemeKind, SolverRun, check_step_count, evolve
-from .integrators import require_zero_mean, step
+from .integrators import SchemeKind, SolverRun, check_positive, check_step_count
+from .integrators import evolve, require_zero_mean, step
 from .rough_data import splitmix64_uniform
 from .spectral import (
     Field,
@@ -460,9 +460,8 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
     2/3-truncated, matching the spatial operator of dealiased scheme runs.
     """
     require_zero_mean(u0, "ifrk4_solve")
-    for name, value in (("t_final", t_final), ("tau", tau)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    check_positive("t_final", t_final)
+    check_positive("tau", tau)
     check_step_count("tau", tau, t_final)
     g = u0.grid
     if dealias:

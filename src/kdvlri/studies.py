@@ -21,6 +21,7 @@ from .integrators import (
     BlowUpError,
     SchemeKind,
     SolverRun,
+    check_positive,
     check_scheme,
     check_step_count,
     evolve,
@@ -80,11 +81,9 @@ class StudyConfig:
             raise ValueError(f"taus must be positive and finite, got {self.taus}")
         if any(a <= b for a, b in zip(self.taus, self.taus[1:])):
             raise ValueError(f"tau ladder must be strictly decreasing: {self.taus}")
-        for name in ("t_final", "ref_tau"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_positive("t_final", self.t_final)
         if self.ref_tau is not None:  # a study with a reference run to t_final
+            check_positive("ref_tau", self.ref_tau)
             if self.ref_tau > min(self.taus) / 10.0:
                 raise ValueError(
                     f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "

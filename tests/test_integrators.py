@@ -22,6 +22,7 @@ from kdvlri.integrators import (
     evolve,
     step,
 )
+from kdvlri.oracles import ifrk4_solve
 from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import (
     Field,
@@ -34,6 +35,7 @@ from kdvlri.spectral import (
     translate,
     truncate_two_thirds,
 )
+from kdvlri.studies import StudyConfig
 
 ALL_STEPS = [functools.partial(step, kind) for kind in SchemeKind]
 
@@ -142,6 +144,32 @@ def test_zero_mean_refusal_names_what_tripped_it():
     assert "magnitude 1.000000e-06" in msg
     assert "imaginary residue 1.000000e-06 (the data is not a real field)" in msg
     assert "mean_shift" not in msg
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        pytest.param("tau", lambda x: SolverRun(SchemeKind.ELRI1, x, 1.0, rough(n=16)),
+                     id="SolverRun-tau"),
+        pytest.param("t_final", lambda x: SolverRun(SchemeKind.ELRI1, 0.1, x, rough(n=16)),
+                     id="SolverRun-t_final"),
+        pytest.param("t_final", lambda x: StudyConfig((SchemeKind.ELRI1,), (0.1,), t_final=x),
+                     id="StudyConfig-t_final"),
+        pytest.param("ref_tau", lambda x: StudyConfig((SchemeKind.ELRI1,), (0.1,), ref_tau=x),
+                     id="StudyConfig-ref_tau"),
+        pytest.param("t_final", lambda x: ifrk4_solve(rough(n=16), x, 0.1),
+                     id="ifrk4_solve-t_final"),
+        pytest.param("tau", lambda x: ifrk4_solve(rough(n=16), 1.0, x),
+                     id="ifrk4_solve-tau"),
+    ],
+)
+def test_positive_checks_share_one_refusal(name, make, value):
+    # SolverRun, StudyConfig and ifrk4_solve refuse through one check_positive,
+    # with one message and one error type (a ValueError, so exit 2 at the CLI)
+    with pytest.raises(SchemeConfigError) as err:
+        make(value)
+    assert str(err.value) == f"{name} must be positive and finite, got {value}"
 
 
 def test_dealias_keyword_truncates_output():
@@ -273,6 +301,55 @@ def test_workspace_steps_are_bitwise_the_allocating_update():
                                         dealias=dealias)
                         got = [f.spectrum.tobytes() for _, f in evolve(run)][1:]
                         assert got == want
+
+
+def test_blow_up_check_is_entrywise(monkeypatch):
+    # evolve first sums the spectrum's real view: a sum that overflows on
+    # finite entries is no blow-up, the first non-finite entry is
+    fills = iter([1e308, np.inf])
+
+    def fill(ws):
+        ws.s[:] = next(fills)
+
+    monkeypatch.setattr(integrators, "_update", fill)
+    with pytest.raises(BlowUpError) as err:
+        evolve(SolverRun(SchemeKind.LRI1, 0.5, 1.0, rough(n=16)))
+    assert err.value.step == 2
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_steady_state_step_binds_no_views(kind):
+    # every row, stack and real view a step uses is bound when its workspace
+    # is built, so at a small grid ten steady-state steps peak at what numpy's
+    # rfft/irfft wrappers allocate: 1,424-1,448 bytes, against 2,224-2,848
+    # when each step sliced its views; one view sliced per step adds 96
+    u = rough(n=64)
+    ws = integrators._Workspace(kind, u.grid, 2.0**-6, False)
+    ws.load(u.spectrum)
+    integrators._update(ws)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in range(10):
+            integrators._update(ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1500
+
+
+@pytest.mark.parametrize("c", [6.0, 18.0])
+def test_complex_division_is_the_real_view_reciprocal_product(c):
+    # _update divides d by 6 and q by 18 as real-view products with 1/c;
+    # numpy's complex division by a real c multiplies by the same 1.0 / c.
+    # Exact zeros are left out: a -0.0 part may come back +0.0 from division
+    rng = np.random.default_rng(int(c))
+    z = rng.standard_normal(4097) + 1j * rng.standard_normal(4097)
+    z *= 10.0 ** rng.integers(-300, 300, z.size)
+    want = np.divide(z, c)
+    got = np.multiply(z.view(float), np.float64(1.0 / c)).view(complex)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind))

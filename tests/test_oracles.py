@@ -357,6 +357,17 @@ def test_ifrk4_step_count_validation():
         ifrk4_solve(u0, 1.0, 0.3)
 
 
+def test_oracle_zero_mean_refusal_has_no_solver_hint():
+    # the oracles take no mean_shift, so their refusal does not point to it
+    g = Grid(16)
+    with pytest.raises(ValueError) as err:
+        ifrk4_solve(Field.from_values(g, 1.0 + np.cos(g.x)), 1.0, 0.1)
+    msg = str(err.value)
+    assert "ifrk4_solve requires zero-mean data" in msg
+    assert "mean value 1.000000e+00" in msg
+    assert "mean_shift" not in msg
+
+
 def test_ifrk4_refuses_bad_step_and_horizon():
     # each is refused by name before the first step; tau = 1e-300 would
     # otherwise step (almost) forever
