@@ -17,10 +17,13 @@ from kdvlri.spectral import (
 )
 
 g = Grid(64)
-print(f"grid: n={g.n}, spacing {2*np.pi/g.n:.4f}, wavenumbers {g.wavenumbers[:5]} ...")
+print(f"grid: n={g.n}, spacing {2*np.pi/g.n:.4f}, "
+      f"wavenumbers {g.wavenumbers[:4]} ... {g.wavenumbers[-1]}")
 
+# a spectrum holds the modes xi = 0..N/2; uhat(-xi) is the conjugate of uhat(xi)
 u = Field.from_values(g, np.cos(g.x) + 0.3 * np.sin(3 * g.x))
-print("coefficients at |xi| <= 3:", np.round(u.spectrum[:4], 3))
+print("coefficients at xi = 0..3:", np.round(u.spectrum[:4], 3))
+print("spectrum entries:", u.spectrum.size, "for", g.n, "grid values")
 
 # derivative / antiderivative are inverse on zero-mean fields
 du = dx(u, 1)

@@ -13,7 +13,6 @@ convergence-order experiments; the `kdvlri` console script fronts both.
 from .spectral import (
     Field,
     Grid,
-    conjugate_symmetry_defect,
     dx,
     exp_airy,
     integral,
@@ -79,7 +78,6 @@ __all__ = [
     "StudyConfig",
     "Trajectory",
     "an_time_integral",
-    "conjugate_symmetry_defect",
     "dx",
     "embedded_form_step",
     "emit_report",

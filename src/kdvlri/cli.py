@@ -15,6 +15,7 @@ tokens like 2^-8; scheme lists are comma-separated.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import argparse
@@ -325,6 +326,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        folder = os.path.dirname(os.path.abspath(args.output)) if args.output else "."
+        if not os.path.isdir(folder):  # refused before the work, not after it
+            raise FileNotFoundError(f"--output {args.output}: no directory {folder}")
         return _HANDLERS[args.command](args)
     except (SchemeConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -16,19 +16,18 @@ one update body (_update) builds all three:
 
 The update writes only into a workspace allocated once per run (by evolve)
 or per call (by step).  It holds the scheme, tau, the Airy symbol, the one
-full spectrum every step updates in place, the temporaries and every view of
-them a step uses, so a step in steady state allocates no array and slices no
-view.  A Field is built only for recorded samples and the final state.  The
-linear part e^{-tau dx^3} u is the spectrum times the symbol.  The correction terms are
-formed on the half spectrum (modes 0..N/2) with real transforms (rfft/irfft
-with norm="forward", so no separate 1/N scaling), added to the nonnegative
-modes, and mirrored as conjugates onto the negative ones.  Terms that share
-a multiplier share a transform: the 1/18 pair is one transform of the
-difference the 1/6 term builds, the resonant u^3 term rides in the p^3 half
-of the 1/54 pair and the ELRI2 (e^{-tau dx^3} u)^3 term in its other half.
-Mutually independent transforms are the rows of one stack and one call.  A
-step whose input holds a spectrum transforms 4 / 9 / 10 half-length real
-rows (LRI1 / ELRI1 / ELRI2) in 2 / 4 / 4 calls, and no full-length ones.
+spectrum (modes 0..N/2) every step updates in place, the temporaries and
+every view of them a step uses, so a step in steady state allocates no array
+and slices no view.  A Field is built only for recorded samples and the final
+state.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
+The correction terms are formed with real transforms (rfft/irfft with
+norm="forward", so no separate 1/N scaling), summed, and added to the
+spectrum.  Terms that share a multiplier share a transform: the 1/18 pair
+is one transform of the difference the 1/6 term builds, the resonant u^3
+term rides in the p^3 half of the 1/54 pair and the ELRI2 (e^{-tau dx^3} u)^3
+term in its other half.  Mutually independent transforms are the rows of
+one stack and one call.  A step whose input holds a spectrum transforms
+4 / 9 / 10 real rows (LRI1 / ELRI1 / ELRI2) in 2 / 4 / 4 calls.
 
 The schemes assume zero-mean data (the mode-0 coefficient of the update is
 only conserved, never evolved); with mean_shift, evolve removes a nonzero
@@ -137,10 +136,9 @@ class _Workspace:
 
     Holds the scheme, tau, the resonant and mass coefficients, the Airy
     symbol at tau, the dealias mask, the one spectrum s every step updates in
-    place, the stacks _update transforms in one call each (5 half spectra, 4
-    and 3 rows of grid values) and the blow-up flags.  Every row, stack, real
-    and mirror view a step reads or writes is bound here once, so a step
-    slices nothing.
+    place, the stacks _update transforms in one call each (5 spectra, 4 and 3
+    rows of grid values) and the blow-up flags.  Every row, stack and real
+    view a step reads or writes is bound here once, so a step slices nothing.
     """
 
     def __init__(self, kind, grid, tau, dealias):
@@ -152,25 +150,21 @@ class _Workspace:
         k = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
         self.resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
         self.mass = tau / (12.0 * np.pi)
-        self.airy = grid.airy(tau)
+        self.airy, self.inv_ik = grid.airy(tau), grid.inv_ik
         self.drop = ~grid.keep_two_thirds if dealias else None
-        self.s = s = np.empty(n, complex)
-        self.half = half = np.empty((5, m), complex)
+        self.s = s = np.empty(m, complex)
+        self.spec = spec = np.empty((5, m), complex)
         self.vals = vals = np.empty((4, n))
         self.prod = prod = np.empty((3, n))
-        self.finite = np.empty(n, bool)
-        self.a, self.inv_ik, self.s_lo = self.airy[:m], grid.inv_ik[:m], s[:m]
-        # half rows: 0 the correction sum; from 1 the rows of the first irfft,
+        self.finite = np.empty(m, bool)
+        # spec rows: 0 the correction sum; from 1 the rows of the first irfft,
         # e^{-tau dx^3} dxinv u, dxinv u, then e^{-tau dx^3} u (ELRI2) and -u
         # (ELRI1, ELRI2); the first rfft writes d and h to rows 2..3, the last
-        # q, cubic_ep and cubic to rows 2..4.  The sum's conjugate mirror goes
-        # to the start of row 1, so half's first N entries are what s gains
-        self.corr, self.ep, self.p, self.w = half[:4]
-        self.neg_u, self.rows, self.rows_v = half[k], half[1 : k + 1], vals[:k]
-        self.d, self.h, self.dh, self.out3 = half[2], half[3], half[2:4], half[2:]
+        # q, cubic_ep and cubic to rows 2..4
+        self.corr, self.ep, self.p, self.w = spec[:4]
+        self.neg_u, self.rows, self.rows_v = spec[k], spec[1 : k + 1], vals[:k]
+        self.d, self.h, self.dh, self.out3 = spec[2], spec[3], spec[2:4], spec[2:]
         self.q, self.cubic_ep, self.cubic = self.out3
-        self.gain = half.reshape(-1)[:n]
-        self.mirror_from, self.mirror = half[0, m - 2 : 0 : -1], half[1, : m - 2]
         # prod rows: the 1/18 product, then the squares and cubes of the grid
         # values of e^{-tau dx^3} dxinv u and dxinv u (the 1/54 pair)
         self.pair_v, self.ep_v, self.v2 = vals[:2], vals[0], vals[1]
@@ -182,8 +176,8 @@ class _Workspace:
         c = k - 2
         self.cube_v, self.cube_sq = vals[2:k], vals[2 - c : 2]
         self.cube_to = prod[3 - c :]
-        real = (self.s_lo, self.neg_u, self.d, self.q, self.ep, self.corr)
-        self.s_lo_f, self.neg_u_f, self.d_f, self.q_f, self.ep_f, self.corr_f = (
+        real = (s, self.neg_u, self.d, self.q, self.ep, self.corr)
+        self.s_f, self.neg_u_f, self.d_f, self.q_f, self.ep_f, self.corr_f = (
             x.view(float) for x in real
         )
 
@@ -198,25 +192,23 @@ class _Workspace:
 def _update(ws):
     """Advance ws.s by one step of ws.kind at ws.tau, in place.
 
-    The linear part is s times the symbol.  The correction terms are built
-    on the half spectrum, summed there, and s gains the sum on its
-    nonnegative modes and its conjugates on the negative ones.  Each
-    cancelling pair is one difference, so every scheme is the exact identity
-    at tau = 0.  Every array written is one of ws's, and each term keeps the
-    operation order of its formula, so the bits do not depend on which
-    buffer or stack row holds it.  No mean gate: evolve checks the initial
-    mean once, and a diverging iterate must reach the non-finite check
-    (BlowUpError), not trip the absolute mean gate.
+    The linear part is s times the symbol, and s gains the sum of the
+    correction terms.  Each cancelling pair is one difference, so every
+    scheme is the exact identity at tau = 0.  Every array written is one of
+    ws's, and each term keeps the operation order of its formula, so the bits
+    do not depend on which buffer or stack row holds it.  No mean gate:
+    evolve checks the initial mean once, and a diverging iterate must reach
+    the non-finite check (BlowUpError), not trip the absolute mean gate.
     """
-    kind, n, s, s_lo, a, inv_ik = ws.kind, ws.n, ws.s, ws.s_lo, ws.a, ws.inv_ik
+    kind, n, s, a, inv_ik = ws.kind, ws.n, ws.s, ws.airy, ws.inv_ik
     p = ws.p
-    np.multiply(s_lo, inv_ik, out=p)  # dxinv u
+    np.multiply(s, inv_ik, out=p)  # dxinv u
     np.multiply(p, a, out=ws.ep)  # e^{-tau dx^3} dxinv u
     if kind is not SchemeKind.LRI1:
-        np.negative(ws.s_lo_f, out=ws.neg_u_f)
-    np.multiply(s, ws.airy, out=s)  # the linear part; s holds it from here on
+        np.negative(ws.s_f, out=ws.neg_u_f)
+    np.multiply(s, a, out=s)  # the linear part; s holds it from here on
     if kind is SchemeKind.ELRI2:
-        np.copyto(ws.w, s_lo)  # e^{-tau dx^3} u
+        np.copyto(ws.w, s)  # e^{-tau dx^3} u
     np.fft.irfft(ws.rows, n, norm="forward", out=ws.rows_v)
     # pseudo-spectral products, no dealiasing
     pair_v, squares, d, h, corr = ws.pair_v, ws.squares, ws.d, ws.h, ws.corr
@@ -251,8 +243,7 @@ def _update(ws):
         # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
         np.multiply(ws.ep_f, mass, out=ws.ep_f)
         np.add(corr, ws.ep, out=corr)
-    np.conjugate(ws.mirror_from, out=ws.mirror)
-    np.add(s, ws.gain, out=s)
+    np.add(s, corr, out=s)
     if ws.drop is not None:
         np.copyto(s, 0.0, where=ws.drop)
 
@@ -343,12 +334,12 @@ def evolve(run: SolverRun) -> Trajectory:
     if run.mean_shift:
         c = float(u0.spectrum[0].real)
         s0 = u0.spectrum.copy()
-        s0[0] -= c  # at most a roundoff-size imaginary residue is left
+        s0[0] -= c
         u0 = Field.from_spectrum(u0.grid, s0)
         require_zero_mean(u0, "SolverRun")
     ws = _Workspace(run.scheme, u0.grid, tau, run.dealias)
     s = ws.load(u0.spectrum)
-    s_f, finite = s.view(float), ws.finite
+    s_f, finite = ws.s_f, ws.finite
     mean0 = complex(s[0])
     samples = [(0.0, u0)]
     drift = 0.0

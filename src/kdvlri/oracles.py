@@ -2,11 +2,12 @@
 
 Everything here exists to falsify the production integrators if they are
 wrong.  The embedded integral form of one time step is evaluated by exact
-per-frequency-triple time integration (O(N^3) sums over the discrete band,
-with true integer wavenumber sums, never folded); the integration-by-parts
-identities and the quadratic Duhamel closed form are checked against
-Gauss-Legendre quadrature; an unrelated integrating-factor RK4 provides a
-second route to reference solutions.
+per-frequency-triple time integration (O(N^3) sums over the full discrete
+band, its negative modes rebuilt by conjugate symmetry, with true integer
+wavenumber sums, never folded); the integration-by-parts identities and the
+quadratic Duhamel closed form are checked against Gauss-Legendre quadrature;
+an unrelated integrating-factor RK4 provides a second route to reference
+solutions.
 
 The triple sums are cubic in N and guarded to N <= 32.  Their kernels depend
 only on (N, t_n, tau, variant) and are kept (lru_cache, ORACLE_CACHE_SIZE
@@ -136,12 +137,11 @@ def random_band_field(grid: Grid, max_mode: int, seed, normalize=True) -> Field:
         raise ValueError(f"max_mode must be in [1, {grid.n // 2 - 1}], got {max_mode}")
     draws = splitmix64_uniform(seed, 2 * max_mode)
     coeff = (2.0 * draws[..., 0::2] - 1.0) + 1j * (2.0 * draws[..., 1::2] - 1.0)
-    spec = np.zeros(coeff.shape[:-1] + (grid.n,), dtype=np.complex128)
-    modes = np.arange(1, max_mode + 1)
-    spec[..., modes] = 0.5 * coeff
-    spec[..., grid.n - modes] = np.conj(spec[..., modes])
+    spec = np.zeros(coeff.shape[:-1] + grid.wavenumbers.shape, dtype=np.complex128)
+    spec[..., 1 : max_mode + 1] = 0.5 * coeff
     if normalize:
-        norm = np.sqrt(2.0 * np.pi * np.sum(np.abs(spec) ** 2, axis=-1, keepdims=True))
+        # each mode counts twice, for itself and its conjugate partner
+        norm = np.sqrt(4.0 * np.pi * np.sum(np.abs(spec) ** 2, axis=-1, keepdims=True))
         if np.any(norm == 0.0):
             raise ValueError("degenerate draw: zero field")
         spec /= norm
@@ -202,7 +202,7 @@ def fn_quadrature(w: Field, t_n: float, s: float, nodes: int = 64) -> Field:
     t_n, s = _finite("t_n", t_n), _finite("s", s)
     pts, wts = gauss_legendre_nodes(0.0, s, nodes)
     g = w.grid
-    acc = np.zeros(g.n, dtype=np.complex128)
+    acc = np.zeros_like(w.spectrum)
     if s != 0.0:
         ts = t_n + pts
         a = exp_airy(w, ts).values  # one row per node
@@ -264,7 +264,7 @@ def check_ibp_identity_i(
     # f, g, d_t f and d_t g at every node: one stack of shape (4, nodes, N)
     h = Field.from_spectrum(grid, [q(pts).spectrum for q in (f.at, g.at, f.dt, g.dt)])
 
-    lhs = np.zeros(grid.n, dtype=np.complex128)
+    lhs = np.zeros_like(h.spectrum[0, 0])
     a, b = exp_airy(Field.from_spectrum(grid, h.spectrum[:2]), ts).values  # f, g
     for wt, row in zip(wts, exp_airy(dx(Field.from_values(grid, a * b)), -ts).spectrum):
         lhs += wt * row
@@ -366,21 +366,26 @@ def an_time_integral(
 
 
 def _triples(n):
-    k = Grid(n).wavenumbers
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)  # the full band, FFT order
     return k[:, None, None], k[None, :, None], k[None, None, :]
 
 
+def _full_spectrum(f):
+    """f's coefficients over the full band in FFT order (conjugate symmetry)."""
+    return np.concatenate([f.spectrum, np.conj(f.spectrum[-2:0:-1])])
+
+
 def _contract(kernel, f1, f2, f3):
-    """Scatter kernel * f1hat(xi1) f2hat(xi2) f3hat(xi3) onto xi1 + xi2 + xi3."""
+    """Scatter kernel * f1hat(xi1) f2hat(xi2) f3hat(xi3) onto xi1 + xi2 + xi3.
+
+    The sum runs over the full band; the result is modes 0..N/2.
+    """
     mask, coeff, target = kernel
-    w = (
-        f1.spectrum[:, None, None]
-        * f2.spectrum[None, :, None]
-        * f3.spectrum[None, None, :]
-    )
+    s1, s2, s3 = (_full_spectrum(f) for f in (f1, f2, f3))
+    w = s1[:, None, None] * s2[None, :, None] * s3[None, None, :]
     out = np.zeros(f1.grid.n, dtype=np.complex128)
     np.add.at(out, target, coeff * w[mask])
-    return out
+    return out[: f1.grid.n // 2 + 1]
 
 
 @functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)

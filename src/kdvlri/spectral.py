@@ -6,20 +6,23 @@ Conventions shared by every module in this package:
 * Spectral coefficients are normalized as uhat(xi) = (1/N) sum_j u(x_j)
   exp(-i xi x_j), so for a band-limited trigonometric polynomial the discrete
   coefficients equal the continuous Fourier coefficients and operator
-  formulas transfer verbatim.  Arrays stay in numpy FFT order; the
-  wavenumber set is {0, 1, ..., N/2 - 1} together with {-N/2, ..., -1}.
-* The Nyquist mode -N/2 has no conjugate partner on the grid.  Odd-order
-  multipliers (dx with odd order, inv_dx) zero it, and the phase symbols of
-  exp_airy and translate drop their phase there (symbol 1).  This keeps real
-  fields real, makes exp_airy an exact isometry of every H^gamma norm, and
-  preserves the group law exp_airy(f, s + t) = exp_airy(exp_airy(f, s), t).
+  formulas transfer verbatim.  A spectrum holds the modes xi = 0, 1, ...,
+  N/2, Nyquist last (numpy's rfft layout, norm="forward"); each mode
+  0 < xi < N/2 stands for its conjugate partner -xi too, so every spectrum
+  is that of a real field.
+* The Nyquist mode N/2 has no partner on the grid.  Odd-order multipliers
+  (dx with odd order, inv_dx) zero it, and the phase symbols of exp_airy and
+  translate drop their phase there (symbol 1).  This makes exp_airy an exact
+  isometry of every H^gamma norm and preserves the group law
+  exp_airy(f, s + t) = exp_airy(exp_airy(f, s), t).
 * inv_dx is the mean-free antiderivative: multiplier 1/(i xi) for xi != 0
   and 0 at xi = 0, so inv_dx(dx(f, 1)) == project_zero_mean(f).
 
-A Field holds one field, shape (N,), or a stack of fields, shape (B, N).  The
-operators act on the last axis, row by row and bit for bit (exp_airy takes one
-time per row); norms and integrals give a float, or one value per row.  What
-writes or steps a field refuses a stack (require_single).
+A Field holds one field, shape (N,) of values and (N/2 + 1,) of spectrum, or
+a stack of fields with a leading axis (B, .).  The operators act on the last
+axis, row by row and bit for bit (exp_airy takes one time per row); norms and
+integrals give a float, or one value per row.  What writes or steps a field
+refuses a stack (require_single).
 
 All operations are pure: a Field is immutable after construction (its arrays
 are marked read-only) and safe to share between threads.
@@ -45,10 +48,10 @@ MAX_GRID_N = 2**24
 class Grid:
     """Uniform N-point grid on (0, 2*pi), N even and at least 4.
 
-    Caches the integer wavenumbers (FFT order) and the multiplier arrays
+    Caches the wavenumbers 0..N/2 of a spectrum and the multiplier arrays
     shared by the spectral operators: ik is the derivative multiplier i xi
     (0 at Nyquist), inv_ik the mean-free antiderivative multiplier 1/(i xi),
-    keep_two_thirds marks the modes 3 |xi| < N that the 2/3 rule keeps, and
+    keep_two_thirds marks the modes 3 xi < N that the 2/3 rule keeps, and
     airy(t) builds the Airy symbol.  Cached arrays are
     read-only, so a Grid can be used concurrently from several threads.
     """
@@ -60,32 +63,32 @@ class Grid:
         self.n = n
         self.length = TWO_PI
         self.x = TWO_PI * np.arange(n) / n
-        self.wavenumbers = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        self.wavenumbers = np.arange(n // 2 + 1)
         self.nyquist_index = n // 2
 
         k = self.wavenumbers.astype(np.float64)
         ik = 1j * k
-        ik[self.nyquist_index] = 0.0  # unpaired mode: odd multiplier vanishes
-        inv_ik = np.zeros(n, dtype=np.complex128)
-        nonzero = self.wavenumbers != 0
-        nonzero[self.nyquist_index] = False
-        inv_ik[nonzero] = 1.0 / ik[nonzero]
+        ik[-1] = 0.0  # unpaired mode: odd multiplier vanishes
+        inv_ik = np.zeros_like(ik)
+        inv_ik[1:-1] = 1.0 / ik[1:-1]
         k3 = k**3
-        k3[self.nyquist_index] = 0.0  # phase symbols carry no Nyquist phase
-        self.ik = ik
-        self.inv_ik = inv_ik
-        self._k3 = k3
-        self.keep_two_thirds = 3 * np.abs(self.wavenumbers) < n
+        k3[-1] = 0.0  # phase symbols carry no Nyquist phase
+        # modes 1..N/2-1 count for their conjugate partners in norms
+        pairs = np.full(k.size, 2.0)
+        pairs[[0, -1]] = 1.0
+        self.ik, self.inv_ik, self._k3, self._pairs = ik, inv_ik, k3, pairs
+        self.keep_two_thirds = 3 * self.wavenumbers < n
         for arr in (
             self.x, self.wavenumbers, self.ik, self.inv_ik, self._k3,
-            self.keep_two_thirds,
+            self._pairs, self.keep_two_thirds,
         ):
             arr.flags.writeable = False
 
     def airy(self, t) -> np.ndarray:
         """Symbol e^{i t xi^3} of e^{-t d^3/dx^3}; phase 1 at the Nyquist mode.
 
-        An array of times gives one symbol row per time, shape t.shape + (N,).
+        An array of times gives one symbol row per time, shape
+        t.shape + (N/2 + 1,).
         """
         return np.exp(1j * np.asarray(t)[..., None] * self._k3)
 
@@ -102,9 +105,10 @@ class Grid:
 class Field:
     """Real periodic field on a Grid, or a stack of them (leading axis).
 
-    Holds grid values and/or normalized spectral coefficients; whichever
-    representation is missing is computed on first access and cached.  Both
-    arrays are read-only: a Field never mutates after construction.
+    Holds grid values and/or normalized spectral coefficients of the modes
+    0..N/2; whichever representation is missing is computed on first access
+    (rfft/irfft) and cached.  Both arrays are read-only: a Field never
+    mutates after construction.
     """
 
     __slots__ = ("grid", "_values", "_spectrum")
@@ -126,9 +130,10 @@ class Field:
             self._values = values
         if spectrum is not None:
             spectrum = np.asarray(spectrum, dtype=np.complex128)
-            if spectrum.shape[-1:] != (grid.n,):
+            if spectrum.shape[-1:] != grid.wavenumbers.shape:
                 raise ValueError(
-                    f"spectrum shape {spectrum.shape} does not match grid n={grid.n}"
+                    f"spectrum shape {spectrum.shape} does not match grid n={grid.n} "
+                    f"(modes 0..{grid.n // 2})"
                 )
             spectrum = spectrum.copy()
             spectrum.flags.writeable = False
@@ -145,7 +150,7 @@ class Field:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            v = np.fft.ifft(self._spectrum * self.grid.n).real
+            v = np.fft.irfft(self._spectrum, self.grid.n, norm="forward")
             v.flags.writeable = False
             self._values = v
         return self._values
@@ -153,7 +158,7 @@ class Field:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            s = np.fft.fft(self._values) / self.grid.n
+            s = np.fft.rfft(self._values, norm="forward")
             s.flags.writeable = False
             self._spectrum = s
         return self._spectrum
@@ -163,8 +168,8 @@ class Field:
 
 
 def require_single(f: Field, where: str) -> None:
-    """Refuse a stack where one field is needed, naming the shape."""
-    shape = (f._spectrum if f._values is None else f._values).shape
+    """Refuse a stack where one field is needed, naming its shape of values."""
+    shape = (f._spectrum if f._values is None else f._values).shape[:-1] + (f.grid.n,)
     if shape != (f.grid.n,):
         raise ValueError(f"{where} needs one field of shape ({f.grid.n},), got {shape}")
 
@@ -211,7 +216,7 @@ def translate(f: Field, a: float) -> Field:
     k = f.grid.wavenumbers.astype(np.float64)
     phase = k * a
     sym = np.exp(1j * phase)
-    sym[f.grid.nyquist_index] = 1.0  # no Nyquist phase, keeps values real
+    sym[f.grid.nyquist_index] = 1.0  # no Nyquist phase: it has no sine on the grid
     return _apply_symbol(f, sym)
 
 
@@ -225,12 +230,13 @@ def project_zero_mean(f: Field) -> Field:
 def sobolev_norm(f: Field, gamma: float = 0.0) -> float:
     """H^gamma norm sqrt(2 pi) * (sum_xi (1 + xi^2)^gamma |uhat(xi)|^2)^(1/2).
 
-    The sum runs over the full discrete band including the Nyquist mode;
-    gamma = 0 gives the L^2 norm.
+    The sum runs over the full discrete band including the Nyquist mode, each
+    mode 0 < xi < N/2 counted twice for its partner -xi; gamma = 0 gives the
+    L^2 norm.
     """
     k = f.grid.wavenumbers.astype(np.float64)
     s = f.spectrum
-    weighted = (1.0 + k * k) ** gamma * (s.real**2 + s.imag**2)
+    weighted = f.grid._pairs * (1.0 + k * k) ** gamma * (s.real**2 + s.imag**2)
     return _per_field(np.sqrt(TWO_PI * np.sum(weighted, axis=-1)))
 
 
@@ -255,20 +261,9 @@ def mean_value(f: Field) -> float:
 
 
 def truncate_two_thirds(f: Field) -> Field:
-    """2/3-rule dealiasing: zero every mode with 3 |xi| >= N."""
+    """2/3-rule dealiasing: zero every mode with 3 xi >= N."""
     keep = f.grid.keep_two_thirds
     return Field.from_spectrum(f.grid, np.where(keep, f.spectrum, 0.0))
-
-
-def conjugate_symmetry_defect(f: Field) -> float:
-    """Max |uhat(xi) - conj(uhat(-xi))|; 0 for a perfectly real field.
-
-    The self-paired modes 0 and -N/2 contribute twice their imaginary part.
-    """
-    s = f.spectrum
-    n = f.grid.n
-    mirrored = s[..., (-np.arange(n)) % n]
-    return _per_field(np.max(np.abs(s - np.conj(mirrored)), axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from kdvlri import oracles
 from kdvlri.cli import main, parse_schemes, parse_tau_ladder, parse_tau_token
 from kdvlri.integrators import SchemeKind
 from kdvlri.rough_data import RoughSpec, generate_rough
@@ -315,6 +316,53 @@ def test_converge_unwritable_output_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--n", "64", "--tau-ladder", "2^-3,2^-4"],
+        ["local-error", "--n", "64", "--tau-ladder", "2^-6,2^-7"],
+        ["solve", "--scheme", "elri2", "--tau", "2^-4", "--n", "64"],
+        ["gen-data", "--n", "64"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_output_directory_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("cli.generate_rough", "cli.verification_suite", "studies.generate_rough",
+                 "studies.smooth_test_data", "studies.reference_solution"):
+        monkeypatch.setattr(f"kdvlri.{name}", no_work)
+    path = tmp_path / "missing" / "out"
+    assert main(argv + ["--output", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ") and str(path) in captured.err
+
+
+def test_no_complex_transform_is_called(tmp_path, capsys, monkeypatch):
+    # every spectrum holds modes 0..N/2 of a real field, so the real
+    # transforms rfft/irfft are the only ones any command needs
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT called")
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    oracles._reference.cache_clear()  # so converge builds its reference
+    u0 = tmp_path / "u0.csv"
+    for argv in (
+        ["gen-data", "--n", "64", "--output", str(u0)],
+        ["solve", "--scheme", "elri2", "--tau", "2^-4", "--input", str(u0)],
+        ["converge", "--n", "64", "--tau-ladder", "2^-3,2^-4", "--ref-tau", "2^-8"],
+        ["local-error", "--n", "64", "--tau-ladder", "2^-6,2^-7"],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+    assert all(r.passed for r in oracles.verification_suite())
+
+
 # ---------------------------------------------------------------------------
 # local-error
 
@@ -369,21 +417,21 @@ def test_verify_passes_and_writes_json(tmp_path, capsys):
         assert chk["pass"] is True
 
 
-# `verify` output as first recorded, before its checks drew their seeds as
-# stacks: stdout, then the --output file, byte for byte
+# `verify` output, stdout and then the --output file, byte for byte, as
+# recorded with spectra of the modes 0..N/2
 VERIFY_STDOUT = """\
 PASS inv_dx_dx_equals_projection: residual 1.084e-16 (tolerance 1.000e-10)
-PASS exp_airy_isometry: residual 2.544e-16 (tolerance 1.000e-12)
+PASS exp_airy_isometry: residual 2.576e-16 (tolerance 1.000e-12)
 PASS exp_airy_group_action: residual 2.659e-12 (tolerance 1.000e-10)
-PASS ibp_identity_i_constant: residual 1.386e-16 (tolerance 1.000e-09)
-PASS ibp_identity_i_modulated: residual 5.570e-16 (tolerance 1.000e-08)
-PASS ibp_identity_ii_cubic: residual 1.214e-17 (tolerance 1.000e-09)
-PASS fn_closed_form_vs_quadrature: residual 1.457e-16 (tolerance 1.000e-10)
+PASS ibp_identity_i_constant: residual 1.354e-16 (tolerance 1.000e-09)
+PASS ibp_identity_i_modulated: residual 5.573e-16 (tolerance 1.000e-08)
+PASS ibp_identity_ii_cubic: residual 1.041e-17 (tolerance 1.000e-09)
+PASS fn_closed_form_vs_quadrature: residual 1.462e-16 (tolerance 1.000e-10)
 PASS alpha3_alpha4_integer_identities: residual 0.000e+00 (tolerance 0.000e+00)
 PASS multiplier_symmetrization_exact: residual 0.000e+00 (tolerance 0.000e+00)
-PASS an_tilde_minus_an_boundary_terms: residual 1.045e-18 (tolerance 1.000e-12)
-PASS embedded_form_matches_elri1: residual 2.232e-16 (tolerance 1.000e-10)
-PASS embedded_form_matches_elri2: residual 2.232e-16 (tolerance 1.000e-10)
+PASS an_tilde_minus_an_boundary_terms: residual 1.301e-18 (tolerance 1.000e-12)
+PASS embedded_form_matches_elri1: residual 2.228e-16 (tolerance 1.000e-10)
+PASS embedded_form_matches_elri2: residual 2.228e-16 (tolerance 1.000e-10)
 PASS reference_cross_check_smooth: residual 1.931e-08 (tolerance 2.010e-07)
 13/13 checks passed
 wrote verification results to {path}
@@ -394,18 +442,18 @@ VERIFY_JSON = (
         f'{{"check_name": "{name}", "residual": {res}, "tolerance": {tol}, "pass": true}}'
         for name, res, tol in (
             ("inv_dx_dx_equals_projection", "1.0836197631025253e-16", "1e-10"),
-            ("exp_airy_isometry", "2.5441811184387746e-16", "9.9999999999999998e-13"),
+            ("exp_airy_isometry", "2.5757085760227528e-16", "9.9999999999999998e-13"),
             ("exp_airy_group_action", "2.6585810501884683e-12", "1e-10"),
-            ("ibp_identity_i_constant", "1.3860817293390166e-16", "1.0000000000000001e-09"),
-            ("ibp_identity_i_modulated", "5.5698468490938688e-16", "1e-08"),
-            ("ibp_identity_ii_cubic", "1.214306433183765e-17", "1.0000000000000001e-09"),
-            ("fn_closed_form_vs_quadrature", "1.4572433607570149e-16", "1e-10"),
+            ("ibp_identity_i_constant", "1.3543039381769579e-16", "1.0000000000000001e-09"),
+            ("ibp_identity_i_modulated", "5.5732037927542049e-16", "1e-08"),
+            ("ibp_identity_ii_cubic", "1.0408340855860843e-17", "1.0000000000000001e-09"),
+            ("fn_closed_form_vs_quadrature", "1.4623521942398627e-16", "1e-10"),
             ("alpha3_alpha4_integer_identities", "0", "0"),
             ("multiplier_symmetrization_exact", "0", "0"),
-            ("an_tilde_minus_an_boundary_terms", "1.0451438421388508e-18", "9.9999999999999998e-13"),
-            ("embedded_form_matches_elri1", "2.2318413362601898e-16", "1e-10"),
-            ("embedded_form_matches_elri2", "2.2320082017196986e-16", "1e-10"),
-            ("reference_cross_check_smooth", "1.930692628466609e-08", "2.0100031429480054e-07"),
+            ("an_tilde_minus_an_boundary_terms", "1.3012324331722206e-18", "9.9999999999999998e-13"),
+            ("embedded_form_matches_elri1", "2.2275232229033852e-16", "1e-10"),
+            ("embedded_form_matches_elri2", "2.2275140515209969e-16", "1e-10"),
+            ("reference_cross_check_smooth", "1.9306926098202705e-08", "2.0100031399889556e-07"),
         )
     )
     + "]}\n"

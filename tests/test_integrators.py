@@ -27,7 +27,6 @@ from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import (
     Field,
     Grid,
-    conjugate_symmetry_defect,
     exp_airy,
     inv_dx,
     mean_value,
@@ -109,11 +108,11 @@ def test_elri2_is_elri1_plus_correction():
 
 
 def test_steps_preserve_mean_and_realness():
+    # a spectrum of modes 0..N/2 is real by construction: only the mean is left
     u = rough(n=128, theta=2.0, seed=8)
     for step in ALL_STEPS:
         out = step(u, 0.1)
         assert abs(mean_value(out)) < 1e-13
-        assert conjugate_symmetry_defect(out) < 1e-13
 
 
 def test_public_steps_reject_nonzero_mean():
@@ -128,8 +127,8 @@ def test_zero_mean_refusal_names_what_tripped_it():
     # mode 0 = 0.3 + 1e-6j: the real mean trips a plain run; after the mean
     # shift only the imaginary residue is left, and no shift removes it
     g = Grid(16)
-    spec = np.zeros(g.n, dtype=np.complex128)
-    spec[1] = spec[-1] = 0.25
+    spec = np.zeros(g.n // 2 + 1, dtype=np.complex128)
+    spec[1] = 0.25
     spec[0] = 0.3 + 1e-6j
     u = Field.from_spectrum(g, spec)
     with pytest.raises(SchemeConfigError) as err:
@@ -182,13 +181,18 @@ def test_dealias_keyword_truncates_output():
 def full_complex_update(kind, u, tau):
     """The update on full-length complex FFTs, transcribed term by term.
 
-    This is the one-transform-per-term form the half-spectrum kernel
-    replaced: it keeps every term separate, so it checks the kernel's shared
-    transforms and conjugate mirroring.
+    This is the one-transform-per-term form the real-transform kernel
+    replaced: it keeps every term separate and every mode of the full band,
+    with its own multipliers, so it checks the kernel's shared transforms
+    and its half spectrum.  Returns modes 0..N/2.
     """
-    g = u.grid
-    n, inv_ik, airy = g.n, g.inv_ik, g.airy(tau)
-    s = u.spectrum
+    n = u.grid.n
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = 0.0  # Nyquist: no odd multiplier, no Airy phase
+    inv_ik = np.zeros(n, dtype=complex)
+    inv_ik[k != 0] = 1.0 / (1j * k[k != 0])
+    airy = np.exp(1j * tau * k**3)
+    s = np.fft.fft(u.values) / n
     p = s * inv_ik
     ep = p * airy
     p_v = np.fft.ifft(p * n).real
@@ -199,7 +203,7 @@ def full_complex_update(kind, u, tau):
     ep2 = np.fft.fft(ep2_v) / n
     out = s * airy + (ep2 - p2 * airy) / 6.0
     if kind is SchemeKind.LRI1:
-        return out
+        return out[: n // 2 + 1]
     v = u.values
     u3 = np.fft.fft(v**3) / n
     q_plus = np.fft.fft(ep_v * np.fft.ifft(ep2 * inv_ik * n).real) / n
@@ -213,10 +217,10 @@ def full_complex_update(kind, u, tau):
     out += (tau / (12.0 * np.pi) * (2.0 * np.pi * np.mean(v * v))) * ep
     out -= (tau / 18.0) * (u3 * airy * inv_ik)
     if kind is SchemeKind.ELRI1:
-        return out
+        return out[: n // 2 + 1]
     eu3 = np.fft.fft(np.fft.ifft(s * airy * n).real ** 3) / n
     out += (tau / 36.0) * (u3 * inv_ik * airy - eu3 * inv_ik)
-    return out
+    return out[: n // 2 + 1]
 
 
 def test_steps_agree_with_full_complex_update():
@@ -240,12 +244,12 @@ def test_steps_agree_with_full_complex_update():
 
 
 def allocating_update(kind, u, tau):
-    """The half-spectrum update with a fresh array per term, as before workspaces.
+    """The update with a fresh array per term, as before workspaces.
 
     Same terms in the same operation order as the workspace kernel, so the
     two must agree bit for bit.
     """
-    n, m = u.grid.n, u.grid.n // 2 + 1
+    n = u.grid.n
 
     def irfft(h):
         return np.fft.irfft(h, n, norm="forward")
@@ -253,18 +257,17 @@ def allocating_update(kind, u, tau):
     def rfft(v):
         return np.fft.rfft(v, norm="forward")
 
-    airy = u.grid.airy(tau)
+    a, inv_ik = u.grid.airy(tau), u.grid.inv_ik
     s = u.spectrum
-    out = s * airy
-    inv_ik, a = u.grid.inv_ik[:m], airy[:m]
-    p = s[:m] * inv_ik
+    out = s * a
+    p = s * inv_ik
     ep = p * a
     p_v, ep_v = irfft(p), irfft(ep)
     p2_v, ep2_v = p_v * p_v, ep_v * ep_v
     d = rfft(ep2_v) - rfft(p2_v) * a
     corr = d / 6.0
     if kind is not SchemeKind.LRI1:
-        v = irfft(s[:m])
+        v = irfft(s)
         v2 = v * v
         q = rfft(ep_v * irfft(d * inv_ik))
         q[0] = 0.0
@@ -273,13 +276,11 @@ def allocating_update(kind, u, tau):
         cubic_ep = ep_v * ep2_v / 54.0
         cubic_p -= (tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0) * (v2 * v)
         if kind is SchemeKind.ELRI2:
-            w = irfft(out[:m])
+            w = irfft(out)
             cubic_ep += (tau / 36.0) * (w * w * w)
         corr += (rfft(cubic_p) * a - rfft(cubic_ep)) * inv_ik
         corr += (tau / (12.0 * np.pi) * (2.0 * np.pi * np.mean(v2))) * ep
-    out[:m] += corr
-    out[m:] += np.conj(corr[m - 2 : 0 : -1])
-    return out
+    return out + corr
 
 
 def test_workspace_steps_are_bitwise_the_allocating_update():
@@ -379,16 +380,16 @@ def test_steady_state_steps_allocate_nothing(monkeypatch, kind):
 
 
 def test_workspace_owns_one_spectrum_stepped_in_place(monkeypatch):
-    # arrays the workspace owns (base is None; views of its own or the
-    # grid's arrays do not count) at the paper's grid: the Airy symbol, the
-    # one spectrum, 4 half spectra, the correction sum, 4 + 3 rows of grid
-    # values and the blow-up flags
+    # arrays the workspace holds that are no view (base is None) at the
+    # paper's grid: the Airy symbol, the grid's inv_ik, the one spectrum, 4
+    # more spectra, the correction sum, 4 + 3 rows of grid values and the
+    # blow-up flags
     u = rough(n=2**14, theta=3.0)
     ws = integrators._Workspace(SchemeKind.ELRI2, u.grid, 2.0**-10, False)
     attrs = [x if isinstance(x, tuple) else (x,) for x in vars(ws).values()]
     arrays = [x for xs in attrs for x in xs if isinstance(x, np.ndarray)]
     owned = [x for x in arrays if x.base is None]
-    assert sum(x.nbytes for x in owned) <= 2_113_616
+    assert sum(x.nbytes for x in owned) <= 1_974_401
     update = integrators._update
     seen = []
 

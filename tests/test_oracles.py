@@ -476,7 +476,7 @@ def _t_product(g, *fields):
 
 def _t_fn_quadrature(w, t_n, s, nodes=64):
     g = w.grid
-    acc = np.zeros(g.n, dtype=np.complex128)
+    acc = np.zeros(g.n // 2 + 1, dtype=np.complex128)
     if s != 0.0:
         pts, wts = gauss_legendre_nodes(0.0, s, nodes)
         for r, wt in zip(pts, wts):
@@ -489,7 +489,7 @@ def _t_fn_quadrature(w, t_n, s, nodes=64):
 def _t_check_ibp_identity_i(f, g, t_n, tau, nodes=64):
     grid = f.at(0.0).grid
     pts, wts = gauss_legendre_nodes(0.0, tau, nodes)
-    lhs = np.zeros(grid.n, dtype=np.complex128)
+    lhs = np.zeros(grid.n // 2 + 1, dtype=np.complex128)
     for t, wt in zip(pts, wts):
         s_abs = t_n + t
         a = exp_airy(f.at(t), s_abs)
@@ -563,29 +563,35 @@ def _t_an_kernel_integral(alpha_int, t_n, tau, variant):
     return np.where(alpha_int == 0, 0.0 + 0.0j, out)
 
 
+def _t_full_band(f):
+    # the spectrum over all N wavenumbers in FFT order, which the triple sums
+    # run over: each negative mode is the conjugate of its partner
+    k = np.fft.fftfreq(f.grid.n, 1.0 / f.grid.n).astype(np.int64)
+    return k, np.concatenate([f.spectrum, np.conj(f.spectrum[-2:0:-1])])
+
+
 def _t_an_time_integral(f1, f2, f3, t_n, tau, variant="A"):
     grid = f1.grid
     n = grid.n
-    k = grid.wavenumbers
+    (k, s1), (_, s2), (_, s3) = (_t_full_band(f) for f in (f1, f2, f3))
     k1, k2, k3 = k[:, None, None], k[None, :, None], k[None, None, :]
     xi = k1 + k2 + k3
     alpha = xi**3 - k1**3 - k2**3 - k3**3
     kernel = _t_an_kernel_integral(alpha, t_n, tau, variant)
-    w = f1.spectrum[:, None, None] * f2.spectrum[None, :, None] * f3.spectrum[None, None, :]
+    w = s1[:, None, None] * s2[None, :, None] * s3[None, None, :]
     mask = _t_band_mask(xi, n) & (xi != 0)
     inv_ixi = np.zeros(xi.shape, dtype=np.complex128)
     inv_ixi[mask] = 1.0 / (1j * xi[mask].astype(np.float64))
     contrib = inv_ixi * kernel * w
     out = np.zeros(n, dtype=np.complex128)
     np.add.at(out, (xi % n)[mask], contrib[mask])
-    return Field.from_spectrum(grid, out)
+    return Field.from_spectrum(grid, out[: n // 2 + 1])
 
 
 def _t_embedded_form_step(v, t_n, tau, variant="elri1"):
     grid = v.grid
     n = grid.n
-    s = v.spectrum
-    k = grid.wavenumbers
+    k, s = _t_full_band(v)
     k1, k2, k3 = k[:, None, None], k[None, :, None], k[None, None, :]
     eta = k2 + k3
     xi = k1 + eta
@@ -606,8 +612,8 @@ def _t_embedded_form_step(v, t_n, tau, variant="elri1"):
     corr = _t_an_time_integral(
         v, v, v, t_n, tau, variant="A" if variant == "elri1" else "A_tilde"
     )
-    v_next = s + 0.5 * fn_closed_form(v, t_n, tau).spectrum + cascade
-    v_next = v_next + corr.spectrum / 18.0
+    v_next = v.spectrum + 0.5 * fn_closed_form(v, t_n, tau).spectrum
+    v_next = v_next + cascade[: n // 2 + 1] + corr.spectrum / 18.0
     return exp_airy(Field.from_spectrum(grid, v_next), t_n + tau)
 
 

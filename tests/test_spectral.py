@@ -8,7 +8,6 @@ from kdvlri.spectral import (
     MAX_GRID_N,
     Field,
     Grid,
-    conjugate_symmetry_defect,
     dx,
     exp_airy,
     integral,
@@ -47,10 +46,12 @@ def test_grid_rejects_bad_sizes():
             Grid(bad)
 
 
-def test_grid_wavenumbers_fft_order():
+def test_grid_wavenumbers_are_modes_zero_to_nyquist():
     g = Grid(8)
-    assert list(g.wavenumbers) == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert list(g.wavenumbers) == [0, 1, 2, 3, 4]
     assert g.nyquist_index == 4
+    for arr in (g.ik, g.inv_ik, g.keep_two_thirds, g.airy(0.3), g.airy([0.1, 0.2])[1]):
+        assert arr.shape == (5,)
     assert g.x[0] == 0.0
     assert np.allclose(np.diff(g.x), TWO_PI / 8)
 
@@ -60,7 +61,7 @@ def test_field_shape_mismatch():
     with pytest.raises(ValueError):
         Field.from_values(g, np.zeros(7))
     with pytest.raises(ValueError):
-        Field.from_spectrum(g, np.zeros(9, dtype=complex))
+        Field.from_spectrum(g, np.zeros(8, dtype=complex))  # the full band
     with pytest.raises(ValueError):
         Field(g)
 
@@ -75,7 +76,7 @@ def test_grid_size_is_capped_before_any_allocation():
 def test_field_holds_a_stack_and_checks_only_the_last_axis():
     g = Grid(8)
     f = Field.from_values(g, np.zeros((3, 8)))
-    assert f.spectrum.shape == (3, 8)
+    assert f.spectrum.shape == (3, 5)
     for bad in (np.zeros((3, 7)), np.zeros((8, 3)), np.float64(0.0)):
         with pytest.raises(ValueError, match="does not match grid n=8"):
             Field.from_values(g, bad)
@@ -105,8 +106,7 @@ def test_dft_normalization_matches_continuous_coefficients():
     for k in (1, 2, 5):
         s = Field.from_values(g, np.cos(k * g.x)).spectrum
         assert abs(s[k] - 0.5) < 1e-14
-        assert abs(s[-k] - 0.5) < 1e-14
-        others = np.delete(s, [k, g.n - k])
+        others = np.delete(s, k)
         assert np.max(np.abs(others)) < 1e-14
 
 
@@ -118,10 +118,17 @@ def test_values_spectrum_round_trip():
         assert np.max(np.abs(back.values - f.values)) < 1e-13
 
 
-def test_real_fields_have_conjugate_symmetric_spectra():
-    g = Grid(32)
-    for seed in range(20):
-        assert conjugate_symmetry_defect(random_field(g, seed)) < 1e-14
+def test_spectrum_is_the_nonnegative_half_of_the_complex_fft():
+    # the modes 0..N/2 a real field's complex FFT holds; the rest are their
+    # conjugates, so they carry nothing the half spectrum does not
+    for n in (8, 32, 1024):
+        g = Grid(n)
+        for seed in range(5):
+            f = random_field(g, seed)
+            full = np.fft.fft(f.values) / n
+            assert np.max(np.abs(f.spectrum - full[: n // 2 + 1])) < 1e-15
+            assert np.max(np.abs(full[: n // 2 : -1] - np.conj(full[1 : n // 2]))) < 1e-15
+            assert f.spectrum[0].imag == f.spectrum[-1].imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +151,7 @@ def test_dx_orders():
 
 def test_odd_dx_zeroes_nyquist():
     g = Grid(8)
-    spec = np.zeros(8, dtype=complex)
+    spec = np.zeros(5, dtype=complex)
     spec[g.nyquist_index] = 1.0
     f = Field.from_spectrum(g, spec)
     assert np.max(np.abs(dx(f, 1).spectrum)) == 0.0
@@ -206,8 +213,7 @@ def test_exp_airy_keeps_fields_real_with_nyquist_content():
     f = Field.from_values(g, rng.standard_normal(g.n))
     assert abs(f.spectrum[g.nyquist_index]) > 1e-3  # content actually there
     out = exp_airy(f, 0.9)
-    assert conjugate_symmetry_defect(out) < 1e-14
-    # dropped phase also means the mode passes through unchanged
+    # dropped phase means the mode passes through unchanged, and real
     assert out.spectrum[g.nyquist_index] == f.spectrum[g.nyquist_index]
 
 
@@ -240,9 +246,9 @@ def test_project_zero_mean():
 
 def test_truncate_two_thirds_band():
     g = Grid(12)  # keep 3|xi| < 12, i.e. |xi| <= 3
-    spec = np.ones(12, dtype=complex)
+    spec = np.ones(7, dtype=complex)
     out = truncate_two_thirds(Field.from_spectrum(g, spec))
-    kept = np.abs(g.wavenumbers) * 3 < g.n
+    kept = np.arange(7) <= 3
     assert np.array_equal(out.spectrum != 0, kept)
     assert np.array_equal(g.keep_two_thirds, kept)
     assert not g.keep_two_thirds.flags.writeable
@@ -269,6 +275,23 @@ def test_sobolev_norm_monotone_in_gamma():
     f = random_field(g, 11)
     norms = [sobolev_norm(f, gamma) for gamma in (0.0, 0.5, 1.0, 2.0)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_sobolev_norm_counts_each_paired_mode_twice(n):
+    # against the sum over all N coefficients of the complex FFT, Nyquist
+    # included, for a stack of white-noise fields and for each of its rows
+    g = Grid(n)
+    values = np.random.default_rng(n).standard_normal((3, n))
+    full = np.fft.fft(values) / n
+    assert np.all(np.abs(full[:, n // 2]) > 1e-3 / n)  # Nyquist content
+    k = np.fft.fftfreq(n, 1.0 / n)
+    stack = Field.from_values(g, values)
+    for gamma in (0.0, 0.5, 1.0, 2.0):
+        want = np.sqrt(TWO_PI * np.sum((1 + k * k) ** gamma * np.abs(full) ** 2, axis=-1))
+        got = sobolev_norm(stack, gamma)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+        assert list(got) == [sobolev_norm(Field.from_values(g, v), gamma) for v in values]
 
 
 def test_sobolev_distance_is_norm_of_difference():
