@@ -329,6 +329,8 @@ def main(argv=None) -> int:
         folder = os.path.dirname(os.path.abspath(args.output)) if args.output else "."
         if not os.path.isdir(folder):  # refused before the work, not after it
             raise FileNotFoundError(f"--output {args.output}: no directory {folder}")
+        if args.output and os.path.isdir(args.output):
+            raise IsADirectoryError(f"--output {args.output}: is a directory")
         return _HANDLERS[args.command](args)
     except (SchemeConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

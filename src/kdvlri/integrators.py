@@ -80,12 +80,16 @@ class SchemeKind(enum.Enum):
     ELRI2 = "elri2"
 
 
-def require_zero_mean(f, where, shift_hint=False):
-    """Refuse a stack, or a field whose mode-0 coefficient exceeds MEAN_TOL."""
-    require_single(f, where)
-    m = complex(f.spectrum[0])
-    if abs(m) <= MEAN_TOL:
+def require_zero_mean(f, where, shift_hint=False, stack=False):
+    """Refuse a mode 0 above MEAN_TOL (naming its row), and a stack unless stack."""
+    if not stack:
+        require_single(f, where)
+    m0 = f.spectrum[..., 0]
+    bad = [(i, m) for i, m in enumerate(m0.ravel().tolist()) if not abs(m) <= MEAN_TOL]
+    if not bad:
         return
+    row, m = bad[0]
+    where += f" (row {row})" if m0.ndim else ""
     if abs(m.real) > MEAN_TOL:
         cause = f"mean value {m.real:.6e}"
         cause += " (set mean_shift for nonzero mean)" if shift_hint else ""

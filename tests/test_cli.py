@@ -336,11 +336,12 @@ def test_missing_output_directory_is_refused_before_any_work(
     for name in ("cli.generate_rough", "cli.verification_suite", "studies.generate_rough",
                  "studies.smooth_test_data", "studies.reference_solution"):
         monkeypatch.setattr(f"kdvlri.{name}", no_work)
-    path = tmp_path / "missing" / "out"
-    assert main(argv + ["--output", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("i/o error: ") and str(path) in captured.err
+    # a missing directory, and an existing directory as the file itself
+    for path in (tmp_path / "missing" / "out", tmp_path):
+        assert main(argv + ["--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and str(path) in captured.err
 
 
 def test_no_complex_transform_is_called(tmp_path, capsys, monkeypatch):

@@ -291,16 +291,60 @@ def test_oracles_refuse_non_finite_times_and_bad_node_counts():
     "boundary, call",
     [
         ("reference_solution", lambda u: reference_solution(u, 0.25, 2.0**-6)),
-        ("fn_closed_form", lambda u: fn_closed_form(u, 0.0, 0.1)),
-        ("fn_quadrature", lambda u: fn_quadrature(u, 0.0, 0.1)),
         ("embedded_form_step", lambda u: embedded_form_step(u, 0.0, 0.1)),
         ("an_time_integral", lambda u: an_time_integral(u, u, u, 0.0, 0.1)),
+        ("ifrk4_solve", lambda u: ifrk4_solve(u, 0.25, 2.0**-6)),
     ],
 )
 def test_single_field_oracles_refuse_a_stack(boundary, call):
     stack = random_band_field(Grid(16), 3, seed=np.arange(2))
     with pytest.raises(ValueError, match=rf"{boundary} needs one field of shape \(16,\)"):
         call(stack)
+
+
+def _rows(stack):
+    return [Field.from_spectrum(stack.grid, row) for row in stack.spectrum]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_stacked_oracles_rows_equal_singles(n):
+    # one call on a stack of B = 3 fields equals three single-field calls, bit
+    # for bit; a single field still gives a float
+    g = Grid(n)
+    seeds = np.arange(3)
+    mm2, mm3 = alias_free_max_mode(n, 2), alias_free_max_mode(n, 3)
+    w = random_band_field(g, mm2, seed=200 + seeds)
+    f, h = (random_band_field(g, mm2, seed=base + seeds) for base in (210, 220))
+    trio = [random_band_field(g, mm3, seed=230 + 3 * seeds + j) for j in range(3)]
+    for t_n in (0.0, 0.3):
+        for oracle in (fn_closed_form, fn_quadrature):
+            stacked = oracle(w, t_n, 0.05).spectrum
+            assert stacked.shape == w.spectrum.shape
+            for row, single in zip(stacked, _rows(w)):
+                assert row.tobytes() == oracle(single, t_n, 0.05).spectrum.tobytes()
+        for family, omegas in ((TimeField.constant, ()), (TimeField.modulated, (3.0,))):
+            stacked = check_ibp_identity_i(family(f, *omegas), family(h, *omegas), t_n, 0.1)
+            singles = [
+                check_ibp_identity_i(family(a, *omegas), family(b, *omegas), t_n, 0.1)
+                for a, b in zip(_rows(f), _rows(h))
+            ]
+            assert all(isinstance(r, float) for r in singles)
+            assert stacked.tolist() == singles
+        stacked = check_ibp_identity_ii(*trio, t_n, 0.1)
+        singles = [check_ibp_identity_ii(*fs, t_n, 0.1) for fs in zip(*map(_rows, trio))]
+        assert all(isinstance(r, float) for r in singles)
+        assert stacked.tolist() == singles
+    # the zero-mean gate checks every row and names the first offending one
+    spec = w.spectrum.copy()
+    spec[1, 0] = 0.5
+    shifted = Field.from_spectrum(g, spec)
+    for name, call in (
+        ("fn_closed_form", lambda: fn_closed_form(shifted, 0.0, 0.1)),
+        ("fn_quadrature", lambda: fn_quadrature(shifted, 0.0, 0.1)),
+        ("check_ibp_identity_ii", lambda: check_ibp_identity_ii(w, shifted, w, 0.0, 0.1)),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} \(row 1\) requires zero-mean"):
+            call()
 
 
 def test_triple_kernel_caches_are_safe():
@@ -659,6 +703,82 @@ def test_oracles_reproduce_their_per_node_transcription(n):
             )
 
 
+def _t_cascade_kernel(n, t_n, tau):
+    # the triple kernels as first built: every phase over the full (N, N, N)
+    # band, masked last
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    k1, k2, k3 = k[:, None, None], k[None, :, None], k[None, None, :]
+    eta = k2 + k3
+    xi = k1 + eta
+    beta = eta**3 - k2**3 - k3**3
+    mu = xi**3 - k1**3 - eta**3
+    j_alpha = _t_phase_J(mu + beta, t_n, tau)
+    j_mu = _t_phase_J(mu, t_n, tau)
+    bracket = j_alpha - np.exp(-1j * t_n * beta.astype(np.float64)) * j_mu
+    mask = (k2 != 0) & (k3 != 0) & _t_band_mask(xi, n)
+    factor = np.zeros(xi.shape, dtype=np.complex128)
+    k2f, k3f, xif = k2.astype(np.float64), k3.astype(np.float64), xi.astype(np.float64)
+    denom = np.broadcast_to((1j * k2f) * (1j * k3f) * 3.0, xi.shape)
+    factor[mask] = (0.5j * xif[mask]) / denom[mask]
+    return mask, (factor * bracket)[mask], (xi % n)[mask]
+
+
+def _t_an_kernel(n, t_n, tau, variant):
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    k1, k2, k3 = k[:, None, None], k[None, :, None], k[None, None, :]
+    xi = k1 + k2 + k3
+    alpha = xi**3 - k1**3 - k2**3 - k3**3
+    kernel = _t_an_kernel_integral(alpha, t_n, tau, variant)
+    mask = _t_band_mask(xi, n) & (xi != 0)
+    inv_ixi = np.zeros(xi.shape, dtype=np.complex128)
+    inv_ixi[mask] = 1.0 / (1j * xi[mask].astype(np.float64))
+    return mask, (inv_ixi * kernel)[mask], (xi % n)[mask]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_triple_kernels_match_the_full_array_construction(n):
+    # built on the kept triples only, each kernel's mask, coefficients and
+    # target modes are bitwise those of the full-array construction
+    for t_n in (0.0, 0.3):
+        for tau in (0.01, 0.05):
+            pairs = [(oracles._cascade_kernel(n, t_n, tau), _t_cascade_kernel(n, t_n, tau))]
+            for variant in ("A", "A_tilde"):
+                pairs.append((
+                    oracles._an_kernel(n, t_n, tau, variant),
+                    _t_an_kernel(n, t_n, tau, variant),
+                ))
+            for new, old in pairs:
+                for a, b in zip(new, old, strict=True):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                    assert a.tobytes() == b.tobytes(), (n, t_n, tau)
+
+
+def _t_row(x, i):
+    # row i of a stacked Field or TimeField; anything else as it is
+    if isinstance(x, Field):
+        return Field.from_spectrum(x.grid, x.spectrum[i])
+    if isinstance(x, TimeField):
+        return TimeField(at=lambda t: _t_row(x.at(t), i), dt=lambda t: _t_row(x.dt(t), i))
+    return x
+
+
+def _t_row_by_row(old):
+    # runs a per-field transcription once per row of stacked arguments
+    def call(*args, **kwargs):
+        first = args[0].at(0.0) if isinstance(args[0], TimeField) else args[0]
+        if first.spectrum.ndim == 1:
+            return old(*args, **kwargs)
+        out = [
+            old(*(_t_row(a, i) for a in args), **kwargs)
+            for i in range(len(first.spectrum))
+        ]
+        if isinstance(out[0], Field):
+            return Field.from_spectrum(first.grid, [f.spectrum for f in out])
+        return np.array(out)
+
+    return call
+
+
 def test_verify_residuals_match_the_per_node_transcription(monkeypatch):
     fast = verification_suite()
     for name, old in (
@@ -668,7 +788,7 @@ def test_verify_residuals_match_the_per_node_transcription(monkeypatch):
         ("an_time_integral", _t_an_time_integral),
         ("embedded_form_step", _t_embedded_form_step),
     ):
-        monkeypatch.setattr(oracles, name, old)
+        monkeypatch.setattr(oracles, name, _t_row_by_row(old))
     slow = verification_suite()
     assert [r.check_name for r in fast] == [r.check_name for r in slow]
     for a, b in zip(fast, slow):
