@@ -81,15 +81,23 @@ class SchemeKind(enum.Enum):
 
 
 def require_zero_mean(f, where, shift_hint=False, stack=False):
-    """Refuse a mode 0 above MEAN_TOL (naming its row), and a stack unless stack."""
+    """Refuse a mode 0, or an imaginary part of mode N/2, above MEAN_TOL
+    (naming its row), and a stack unless stack."""
     if not stack:
         require_single(f, where)
-    m0 = f.spectrum[..., 0]
-    bad = [(i, m) for i, m in enumerate(m0.ravel().tolist()) if not abs(m) <= MEAN_TOL]
+    spec = f.spectrum
+    m0, top = spec[..., 0].ravel().tolist(), spec[..., -1].imag.ravel().tolist()
+    bad = [(i, m, t) for i, (m, t) in enumerate(zip(m0, top))
+           if not (abs(m) <= MEAN_TOL and abs(t) <= MEAN_TOL)]
     if not bad:
         return
-    row, m = bad[0]
-    where += f" (row {row})" if m0.ndim else ""
+    row, m, t = bad[0]
+    where += f" (row {row})" if spec.ndim > 1 else ""
+    if abs(m) <= MEAN_TOL:  # irfft drops it, so the values show no trace of it
+        raise SchemeConfigError(
+            f"{where} requires a real field: mode N/2 has imaginary part {t:.6e}, "
+            f"above {MEAN_TOL:g} (the data is not a real field)"
+        )
     if abs(m.real) > MEAN_TOL:
         cause = f"mean value {m.real:.6e}"
         cause += " (set mean_shift for nonzero mean)" if shift_hint else ""
@@ -115,13 +123,21 @@ def check_positive(name, value):
 
 
 def check_step_count(name, tau, t_final):
-    """Refuse a step size tau that needs more than MAX_STEPS steps to t_final."""
-    steps = t_final / tau
-    if steps > MAX_STEPS:
+    """Return the step count t_final/tau; refuse one above MAX_STEPS, or one
+    that is not a positive whole number (within 1e-9)."""
+    ratio = t_final / tau
+    if ratio > MAX_STEPS:
         raise SchemeConfigError(
-            f"{name} = {tau:g} takes {steps:.3g} steps to t_final = {t_final:g}, "
+            f"{name} = {tau:g} takes {ratio:.3g} steps to t_final = {t_final:g}, "
             f"more than MAX_STEPS = {MAX_STEPS:.0e}"
         )
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9:
+        raise SchemeConfigError(
+            f"{name} = {tau:g} does not divide t_final = {t_final:g}: "
+            f"t_final/{name} = {ratio!r} is not a positive integer step count"
+        )
+    return steps
 
 
 @functools.cache
@@ -266,9 +282,9 @@ def step(kind: SchemeKind, u: Field, tau: float, dealias: bool = False) -> Field
 class SolverRun:
     """One time-integration job: scheme, step size, horizon, initial data.
 
-    t_final/tau must be an integer (within 1e-9); without mean_shift the
-    initial mean must vanish to 1e-12.  record_every = 0 keeps only the
-    endpoints, k > 0 keeps every k-th step plus both endpoints.
+    t_final/tau must be a whole step count (check_step_count gives n_steps);
+    without mean_shift the initial mean must vanish to 1e-12.  record_every = 0
+    keeps only the endpoints, k > 0 every k-th step plus both endpoints.
     """
 
     scheme: SchemeKind
@@ -284,22 +300,13 @@ class SolverRun:
         require_single(self.initial, "SolverRun")
         check_positive("tau", self.tau)
         check_positive("t_final", self.t_final)
-        check_step_count("tau", self.tau, self.t_final)
-        ratio = self.t_final / self.tau
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise SchemeConfigError(
-                f"t_final/tau = {ratio!r} is not a positive integer step count"
-            )
+        self.n_steps = check_step_count("tau", self.tau, self.t_final)
         if self.record_every < 0:
             raise SchemeConfigError(
                 f"record_every must be >= 0, got {self.record_every}"
             )
         if not self.mean_shift:
             require_zero_mean(self.initial, "SolverRun", shift_hint=True)
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_final / self.tau))
 
 
 @dataclass

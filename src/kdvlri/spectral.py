@@ -24,6 +24,12 @@ axis, row by row and bit for bit (exp_airy takes one time per row); norms and
 integrals give a float, or one value per row.  What writes or steps a field
 refuses a stack (require_single).
 
+write_field writes one field as "csv" (the header '# n=<N> length=<2 pi>',
+then one %.17g value per line) or "bin" (a 16-byte header: the magic bytes
+KDVF, u32 N and 8 reserved bytes; then N little-endian float64); read_field
+reads either, picking the format from the first 4 bytes.  Both round trips
+are bit-exact.
+
 All operations are pure: a Field is immutable after construction (its arrays
 are marked read-only) and safe to share between threads.
 """
@@ -61,7 +67,6 @@ class Grid:
         if n < 4 or n % 2 != 0 or n > MAX_GRID_N:
             raise ValueError(f"grid size n = {n} must be even and in [4, {MAX_GRID_N}]")
         self.n = n
-        self.length = TWO_PI
         self.x = TWO_PI * np.arange(n) / n
         self.wavenumbers = np.arange(n // 2 + 1)
         self.nyquist_index = n // 2
@@ -91,12 +96,6 @@ class Grid:
         t.shape + (N/2 + 1,).
         """
         return np.exp(1j * np.asarray(t)[..., None] * self._k3)
-
-    def __eq__(self, other):
-        return isinstance(other, Grid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("Grid", self.n))
 
     def __repr__(self):
         return f"Grid(n={self.n})"
@@ -270,18 +269,38 @@ def truncate_two_thirds(f: Field) -> Field:
 # serialization
 
 
-def write_field_csv(f: Field, path) -> None:
-    """CSV: header '# n=<N> length=<2 pi>' then one grid value per line."""
-    require_single(f, "write_field_csv")
-    body = ("%.17g\n" * f.grid.n) % tuple(f.values.tolist())  # one C-level pass
-    with open(path, "w") as fh:
-        fh.write(f"# n={f.grid.n} length={TWO_PI!r}\n")
-        fh.write(body)
+def write_field(f: Field, path, fmt: str = "csv") -> None:
+    """Write one field as "csv" or "bin" (see the module docstring)."""
+    require_single(f, "write_field")
+    n = f.grid.n
+    if fmt == "csv":
+        with open(path, "w") as fh:
+            fh.write(f"# n={n} length={TWO_PI!r}\n")
+            fh.write(("%.17g\n" * n) % tuple(f.values.tolist()))  # one C-level pass
+    elif fmt == "bin":
+        with open(path, "wb") as fh:
+            fh.write(_BINARY_HEADER.pack(_BINARY_MAGIC, n, 0))
+            fh.write(f.values.astype("<f8", copy=False).tobytes())
+    else:
+        raise ValueError(f"unknown field format {fmt!r}")
 
 
-def read_field_csv(path) -> Field:
-    with open(path) as fh:
-        header = fh.readline().strip()
+def read_field(path) -> Field:
+    """Read a field write_field wrote, in the format its first 4 bytes name."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] == _BINARY_MAGIC:
+        if len(raw) < _BINARY_HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        _, n, _ = _BINARY_HEADER.unpack_from(raw)
+        if len(raw) != _BINARY_HEADER.size + 8 * n:
+            raise ValueError(
+                f"{path}: expected {_BINARY_HEADER.size + 8 * n} bytes, got {len(raw)}"
+            )
+        values = np.frombuffer(raw, "<f8", offset=_BINARY_HEADER.size).astype(float)
+    else:
+        header, *lines = raw.decode().splitlines() or [""]
+        header = header.strip()
         if not header.startswith("# n="):
             raise ValueError(f"{path}: missing field header, got {header!r}")
         try:
@@ -295,43 +314,13 @@ def read_field_csv(path) -> Field:
         try:
             with warnings.catch_warnings():  # an empty body is refused below
                 warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+                values = np.loadtxt(lines, dtype=np.float64, ndmin=1)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if values.shape != (n,):
-        raise ValueError(
-            f"{path}: header says n={n} but file has {values.shape[0]} values"
-        )
-    return _field_from_file(path, values)
-
-
-def write_field_binary(f: Field, path) -> None:
-    """16-byte header (magic 'KDVF', u32 N, reserved) + N little-endian f64.
-
-    Round trip through read_field_binary is bit-exact.
-    """
-    require_single(f, "write_field_binary")
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_HEADER.pack(_BINARY_MAGIC, f.grid.n, 0))
-        fh.write(f.values.astype("<f8", copy=False).tobytes())
-
-
-def read_field_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _BINARY_HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, n, _reserved = _BINARY_HEADER.unpack_from(raw)
-    if magic != _BINARY_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    expected = _BINARY_HEADER.size + 8 * n
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f8", offset=_BINARY_HEADER.size)
-    return _field_from_file(path, values.astype(np.float64))
-
-
-def _field_from_file(path, values):
+        if values.shape != (n,):
+            raise ValueError(
+                f"{path}: header says n={n} but file has {values.shape[0]} values"
+            )
     # checked here, not in Field, so the stepping loop pays nothing for it
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -343,24 +332,3 @@ def _field_from_file(path, values):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return Field.from_values(grid, values)
-
-
-def write_field(f: Field, path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        write_field_csv(f, path)
-    elif fmt in ("bin", "binary"):
-        write_field_binary(f, path)
-    else:
-        raise ValueError(f"unknown field format {fmt!r}")
-
-
-def read_field(path, fmt: str = None) -> Field:
-    """Read a field; format sniffed from the magic bytes when not given."""
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == _BINARY_MAGIC else "csv"
-    if fmt == "csv":
-        return read_field_csv(path)
-    if fmt in ("bin", "binary"):
-        return read_field_binary(path)
-    raise ValueError(f"unknown field format {fmt!r}")

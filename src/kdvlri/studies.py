@@ -77,8 +77,8 @@ class StudyConfig:
                 raise ValueError(f"scheme {s.value} is given more than once")
         if not self.taus:
             raise ValueError("study needs at least one tau")
-        if not all(math.isfinite(t) and t > 0 for t in self.taus):
-            raise ValueError(f"taus must be positive and finite, got {self.taus}")
+        for t in self.taus:
+            check_positive("tau", t)
         if any(a <= b for a, b in zip(self.taus, self.taus[1:])):
             raise ValueError(f"tau ladder must be strictly decreasing: {self.taus}")
         check_positive("t_final", self.t_final)
@@ -89,7 +89,8 @@ class StudyConfig:
                     f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "
                     f"{min(self.taus) / 10.0:g}"
                 )
-            check_step_count("tau", min(self.taus), self.t_final)
+            for t in self.taus[::-1]:  # smallest first: it takes the most steps
+                check_step_count("tau", t, self.t_final)
             check_step_count("ref_tau", self.ref_tau, self.t_final)
         if not 0 <= self.gamma_err < math.inf:
             raise ValueError(f"gamma_err must be finite and >= 0, got {self.gamma_err}")

@@ -310,6 +310,26 @@ def test_repeated_scheme_is_refused_before_any_data(capsys, monkeypatch):
         assert "given more than once" in captured.err
 
 
+@pytest.mark.parametrize(
+    "steps, named",
+    [
+        (["--tau-ladder", "0.3,0.1", "--t-final", "1"], "tau = 0.3"),
+        (["--tau-ladder", "2^-2,2^-3", "--ref-tau", "0.003"], "ref_tau = 0.003"),
+    ],
+    ids=["ladder", "ref-tau"],
+)
+def test_non_dividing_step_is_refused_before_any_data(capsys, monkeypatch, steps, named):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data or reference built")
+
+    for name in ("generate_rough", "reference_solution"):
+        monkeypatch.setattr(f"kdvlri.studies.{name}", no_data)
+    assert main(["converge", "--n", "256", *steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"configuration error: {named} does not divide t_final = 1: " in captured.err
+
+
 def test_converge_unwritable_output_is_io_error(tmp_path, capsys):
     rc = main(CONV_QUICK + ["--output", str(tmp_path / "nope" / "r.csv")])
     assert rc == 1

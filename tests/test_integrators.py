@@ -22,7 +22,7 @@ from kdvlri.integrators import (
     evolve,
     step,
 )
-from kdvlri.oracles import ifrk4_solve
+from kdvlri.oracles import fn_closed_form, ifrk4_solve
 from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import (
     Field,
@@ -143,6 +143,33 @@ def test_zero_mean_refusal_names_what_tripped_it():
     assert "magnitude 1.000000e-06" in msg
     assert "imaginary residue 1.000000e-06 (the data is not a real field)" in msg
     assert "mean_shift" not in msg
+
+
+def test_imaginary_nyquist_mode_is_refused():
+    # irfft drops the imaginary part of mode N/2: every value of this field is
+    # 0, yet its L2 norm is sqrt(2 pi); each zero-mean gate refuses it
+    g = Grid(8)
+    u = Field.from_spectrum(g, [0, 0, 0, 0, 1j])
+    assert not np.any(u.values) and sobolev_norm(u, 0.0) > 2.5
+    for where, make in (
+        ("elri2_step", lambda: step(SchemeKind.ELRI2, u, 0.1)),
+        ("SolverRun", lambda: SolverRun(SchemeKind.ELRI2, 0.1, 1.0, u)),
+        ("SolverRun", lambda: evolve(SolverRun(SchemeKind.ELRI2, 0.1, 1.0, u,
+                                               mean_shift=True))),
+        ("fn_closed_form", lambda: fn_closed_form(u, 0.0, 0.1)),
+    ):
+        with pytest.raises(SchemeConfigError) as err:
+            make()
+        assert str(err.value) == (
+            f"{where} requires a real field: mode N/2 has imaginary part "
+            "1.000000e+00, above 1e-12 (the data is not a real field)"
+        )
+    # a stack names its offending row
+    spec = np.zeros((3, 5), complex)
+    spec[2, 4] = -1j
+    with pytest.raises(SchemeConfigError, match=r"^fn_closed_form \(row 2\) requires a "
+                       r"real field: mode N/2 has imaginary part -1.000000e\+00"):
+        fn_closed_form(Field.from_spectrum(g, spec), 0.0, 0.1)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])

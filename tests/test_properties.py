@@ -68,9 +68,10 @@ def max_gamma(n):
 @st.composite
 def reports(draw):
     n = draw(st.integers(4, 2**20))
-    t_final = draw(positive)
-    # a step and reference step that reach any t_final within MAX_STEPS
-    tau = max(1.0, t_final)
+    # a step and reference step that divide t_final within MAX_STEPS; below
+    # 2^-1018, t_final/16 is subnormal or 0, and no reference step divides it
+    t_final = draw(st.floats(min_value=2.0**-1018, allow_infinity=False))
+    tau = t_final
     cfg = StudyConfig(
         schemes=(SchemeKind.ELRI1,),
         taus=(tau,),

@@ -15,13 +15,11 @@ from kdvlri.spectral import (
     mean_value,
     project_zero_mean,
     read_field,
-    read_field_csv,
     sobolev_distance,
     sobolev_norm,
     translate,
     truncate_two_thirds,
     write_field,
-    write_field_csv,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -330,11 +328,11 @@ def test_csv_round_trip_is_exact(tmp_path):
     g = Grid(32)
     f = random_field(g, 21)
     path = tmp_path / "f.csv"
-    write_field_csv(f, path)
+    write_field(f, path, fmt="csv")
     text = path.read_text()
     assert text.startswith("# n=32 length=6.283185307179586\n")
     assert text.endswith("\n")
-    back = read_field_csv(path)
+    back = read_field(path)
     # 17 significant digits round-trip float64 exactly
     assert np.array_equal(back.values, f.values)
 
@@ -361,7 +359,7 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, 1e308, -2.5, 0.1, 1.0 / 3.0, -1e-300]
 )
 def test_csv_writer_bytes_match_the_per_value_writer(tmp_path, field):
     path = tmp_path / "f.csv"
-    write_field_csv(field, path)
+    write_field(field, path, fmt="csv")
     assert path.read_bytes() == per_value_csv_bytes(field)
 
 
@@ -369,13 +367,13 @@ def test_csv_header_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0\n1.0\n")
     with pytest.raises(ValueError):
-        read_field_csv(path)
+        read_field(path)
     path.write_text("# n=8 length=1.0\n" + "0.0\n" * 8)
     with pytest.raises(ValueError):
-        read_field_csv(path)
+        read_field(path)
     path.write_text("# n=8 length=6.283185307179586\n" + "0.0\n" * 5)
     with pytest.raises(ValueError):
-        read_field_csv(path)
+        read_field(path)
 
 
 def test_binary_round_trip_bit_exact(tmp_path):
@@ -397,22 +395,28 @@ def test_read_field_sniffs_format(tmp_path):
     write_field(f, tmp_path / "a.bin", fmt="bin")
     assert np.array_equal(read_field(tmp_path / "a.csv").values, f.values)
     assert np.array_equal(read_field(tmp_path / "a.bin").values, f.values)
-    with pytest.raises(ValueError):
-        write_field(f, tmp_path / "a.xyz", fmt="xyz")
+    for fmt in ("xyz", "binary"):  # the writer offers "bin" only
+        with pytest.raises(ValueError, match=f"unknown field format '{fmt}'"):
+            write_field(f, tmp_path / "a.xyz", fmt=fmt)
+    assert not (tmp_path / "a.xyz").exists()
 
 
 def test_binary_rejects_corrupt_files(tmp_path):
     path = tmp_path / "bad.bin"
+    # without the magic bytes a file is read as CSV, and has no CSV header
     path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(ValueError):
-        read_field(path, fmt="bin")
+    with pytest.raises(ValueError, match="missing field header"):
+        read_field(path)
+    path.write_bytes(b"KDVF" + b"\x00" * 11)  # one byte short of a header
+    with pytest.raises(ValueError, match="truncated header"):
+        read_field(path)
     g = Grid(16)
     write_field(random_field(g, 1), path, fmt="bin")
     path.write_bytes(path.read_bytes()[:-8])  # drop one value
-    with pytest.raises(ValueError):
-        read_field(path, fmt="bin")
+    with pytest.raises(ValueError, match="expected 144 bytes, got 136"):
+        read_field(path)
     values = np.cos(g.x)
     values[3] = np.inf
     write_field(Field.from_values(g, values), path, fmt="bin")
     with pytest.raises(ValueError, match="non-finite value inf at index 3"):
-        read_field(path, fmt="bin")
+        read_field(path)
