@@ -61,49 +61,3 @@ from .studies import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlowUpError",
-    "CheckResult",
-    "ConvergenceReport",
-    "CostGuardError",
-    "Field",
-    "FitDataError",
-    "Grid",
-    "ReferenceMismatchError",
-    "RoughSpec",
-    "SchemeConfigError",
-    "SchemeKind",
-    "SolverRun",
-    "StudyConfig",
-    "Trajectory",
-    "an_time_integral",
-    "dx",
-    "embedded_form_step",
-    "emit_report",
-    "estimate_order",
-    "evolve",
-    "exp_airy",
-    "fn_closed_form",
-    "fn_quadrature",
-    "generate_rough",
-    "ifrk4_solve",
-    "integral",
-    "inv_dx",
-    "mean_value",
-    "parse_report_csv",
-    "project_zero_mean",
-    "read_field",
-    "reference_solution",
-    "render_report",
-    "run_convergence_study",
-    "run_local_error_study",
-    "smooth_test_data",
-    "sobolev_norm",
-    "splitmix64_uniform",
-    "step",
-    "translate",
-    "truncate_two_thirds",
-    "verification_suite",
-    "write_field",
-]

@@ -25,6 +25,7 @@ from .integrators import (
     SchemeConfigError,
     SchemeKind,
     SolverRun,
+    check_scheme,
     evolve,
 )
 from .oracles import ReferenceMismatchError, verification_suite
@@ -76,16 +77,11 @@ def parse_schemes(text: str):
     names = [t.strip().lower() for t in text.split(",") if t.strip()]
     if not names:
         raise ValueError("no scheme names given")
-    out = []
-    for name in names:
-        try:
-            out.append(SchemeKind(name))
-        except ValueError:
-            valid = ", ".join(k.value for k in SchemeKind)
-            raise ValueError(
-                f"unknown scheme {name!r}; valid names: {valid}"
-            ) from None
-    return tuple(out)
+    kinds = {k.value: k for k in SchemeKind}
+    out = tuple(kinds.get(name, name) for name in names)
+    for kind in out:
+        check_scheme(kind)
+    return out
 
 
 def _add_data_flags(p, n_default=1024):

@@ -344,9 +344,7 @@ def evolve(run: SolverRun) -> Trajectory:
     n_steps, tau, u0 = run.n_steps, run.tau, run.initial
     if run.mean_shift:
         c = float(u0.spectrum[0].real)
-        s0 = u0.spectrum.copy()
-        s0[0] -= c
-        u0 = Field.from_spectrum(u0.grid, s0)
+        u0 = _add_constant(u0, -c)
         require_zero_mean(u0, "SolverRun")
     ws = _Workspace(run.scheme, u0.grid, tau, run.dealias)
     s = ws.load(u0.spectrum)

@@ -35,7 +35,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -107,20 +106,6 @@ def alpha4(xi1: int, xi2: int, xi3: int) -> int:
     """
     xi = xi1 + xi2 + xi3
     return 3 * (xi * xi1 * xi2 + xi * xi1 * xi3 + xi * xi2 * xi3 - xi1 * xi2 * xi3)
-
-
-def symmetrized_multiplier_exact(xi1: int, xi2: int, xi3: int):
-    """Both sides of 1/xi1 + 1/xi2 + 1/xi3 = alpha4/(3 xi xi1 xi2 xi3) + 1/xi.
-
-    Evaluated in exact rational arithmetic; xi = xi1 + xi2 + xi3 and every
-    frequency must be nonzero.  Returns (lhs, rhs) as Fractions.
-    """
-    xi = xi1 + xi2 + xi3
-    if 0 in (xi, xi1, xi2, xi3):
-        raise ValueError("identity needs nonzero xi1, xi2, xi3 and nonzero sum")
-    lhs = Fraction(1, xi1) + Fraction(1, xi2) + Fraction(1, xi3)
-    rhs = Fraction(alpha4(xi1, xi2, xi3), 3 * xi * xi1 * xi2 * xi3) + Fraction(1, xi)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +517,9 @@ def reference_solution(
     """High-accuracy reference: ELRI2 at tau_ref, optionally cross-validated.
 
     With cross_check (meant for smooth data) the result must agree with the
-    independent integrating-factor RK4 at step 10*tau_ref to within 10x the
-    ELRI2 error estimated by Richardson extrapolation from a 2*tau_ref run;
+    independent integrating-factor RK4 to within 10x the ELRI2 error
+    estimated by Richardson extrapolation from a 2*tau_ref run.  The RK4 takes
+    a tenth of the reference's steps, rounded up, so its step divides t_final;
     disagreement raises ReferenceMismatchError rather than silently
     returning either field.
     dealias must match the runs the reference will be compared against:
@@ -556,9 +542,8 @@ def _reference(n, spectrum, t_final, tau_ref, cross_check, dealias):
     u0 = Field.from_spectrum(Grid(n), np.frombuffer(spectrum, dtype=np.complex128))
     if not cross_check:
         return _elri2_final(u0, t_final, tau_ref, dealias)
-    fine, disagreement, bound = _reference_pair(
-        u0, t_final, tau_ref, 10.0 * tau_ref, dealias
-    )
+    cross_tau = t_final / -(-check_step_count("ref_tau", tau_ref, t_final) // 10)
+    fine, disagreement, bound = _reference_pair(u0, t_final, tau_ref, cross_tau, dealias)
     if disagreement > bound:
         raise ReferenceMismatchError(
             f"reference solvers disagree: |ELRI2 - IFRK4| = {disagreement:.3e} "
@@ -681,8 +666,9 @@ def _check_alpha_identities():
 
 
 def _check_symmetrization():
-    # the identity of symmetrized_multiplier_exact times 3 xi x1 x2 x3 != 0;
-    # with |xi_j| <= 40 every int64 term stays below 2.4e7, so it is exact
+    # 1/x1 + 1/x2 + 1/x3 = alpha4/(3 xi x1 x2 x3) + 1/xi, xi = x1 + x2 + x3,
+    # times 3 xi x1 x2 x3 != 0; with |x_j| <= 40 every int64 term stays below
+    # 2.4e7, so it is exact
     x1, x2, x3 = _random_int_triples(10_000, seed=6).T
     xi = x1 + x2 + x3
     valid = (x1 != 0) & (x2 != 0) & (x3 != 0) & (xi != 0)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid
+from .spectral import Field, Grid, check_grid_size
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -43,8 +43,7 @@ class RoughSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_points < 4 or self.n_points % 2 != 0:
-            raise ValueError(f"n_points must be even and >= 4, got {self.n_points}")
+        check_grid_size(self.n_points)
         if not 0 <= self.theta < np.inf:
             raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if not 0 <= self.seed < 2**64:

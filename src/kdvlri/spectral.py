@@ -51,6 +51,13 @@ _BINARY_HEADER = struct.Struct("<4sII4x")
 MAX_GRID_N = 2**24
 
 
+def check_grid_size(n) -> int:
+    """Return int(n); refuse a size that is not even or not in [4, MAX_GRID_N]."""
+    if n % 2 != 0 or not 4 <= n <= MAX_GRID_N:
+        raise ValueError(f"grid size n = {n} must be even and in [4, {MAX_GRID_N}]")
+    return int(n)
+
+
 class Grid:
     """Uniform N-point grid on (0, 2*pi), N even and at least 4.
 
@@ -63,10 +70,7 @@ class Grid:
     """
 
     def __init__(self, n: int):
-        n = int(n)
-        if n < 4 or n % 2 != 0 or n > MAX_GRID_N:
-            raise ValueError(f"grid size n = {n} must be even and in [4, {MAX_GRID_N}]")
-        self.n = n
+        self.n = n = check_grid_size(n)
         self.x = TWO_PI * np.arange(n) / n
         self.wavenumbers = np.arange(n // 2 + 1)
         self.nyquist_index = n // 2

@@ -158,10 +158,10 @@ def estimate_order(pairs):
 
 
 def _fit_scheme(scheme, rows):
+    """Fit of scheme's ok rows, which come in descending tau."""
     pairs = [
         (r.tau, r.error_rel) for r in rows if r.scheme == scheme and r.status == "ok"
     ]
-    pairs.sort(key=lambda p: -p[0])  # descending tau
     try:
         slope, residual = estimate_order(pairs)
     except FitDataError:
@@ -178,10 +178,10 @@ def _fit_scheme(scheme, rows):
 
 
 def _monotonicity_flags(rows, schemes):
+    """A flag where an error grows as tau falls; rows of a scheme descend in tau."""
     flags = []
     for scheme in schemes:
         ok = [r for r in rows if r.scheme == scheme and r.status == "ok"]
-        ok.sort(key=lambda r: -r.tau)
         for a, b in zip(ok, ok[1:]):
             if b.error_rel > a.error_rel:
                 flags.append(
@@ -376,6 +376,7 @@ def render_report_json(report: ConvergenceReport) -> str:
     return json_text(report_as_dict(report)) + "\n"
 
 
+_SCHEME_NAMES = {"enum": [k.value for k in SchemeKind]}
 #: jsonschema document the JSON report validates against
 REPORT_JSON_SCHEMA = {
     "type": "object",
@@ -401,7 +402,7 @@ REPORT_JSON_SCHEMA = {
                 "type": "object",
                 "required": list(COLUMNS),
                 "properties": dict(zip(COLUMNS, (
-                    {"enum": ["lri1", "elri1", "elri2"]},
+                    _SCHEME_NAMES,
                     {"type": "number", "exclusiveMinimum": 0},
                     {"type": ["number", "null"], "minimum": 0},  # null: diverged
                     {"type": "number", "minimum": 0},
@@ -419,7 +420,7 @@ REPORT_JSON_SCHEMA = {
                 "type": "object",
                 "required": ["scheme", "fitted_order", "fit_residual", "excluded_taus"],
                 "properties": {
-                    "scheme": {"enum": ["lri1", "elri1", "elri2"]},
+                    "scheme": _SCHEME_NAMES,
                     "fitted_order": {"type": ["number", "null"]},
                     "fit_residual": {"type": ["number", "null"]},
                     "excluded_taus": {"type": "array", "items": {"type": "number"}},

@@ -50,7 +50,7 @@ def test_parse_schemes():
     assert parse_schemes("elri1,elri2") == (SchemeKind.ELRI1, SchemeKind.ELRI2)
     assert parse_schemes(" LRI1 ") == (SchemeKind.LRI1,)
     for name in ("rk4", "lri2"):
-        with pytest.raises(ValueError, match="valid names"):
+        with pytest.raises(ValueError, match="choose one of"):
             parse_schemes(name)
     with pytest.raises(ValueError):
         parse_schemes(",")
@@ -230,6 +230,21 @@ def test_converge_json_report_validates(tmp_path):
     jsonschema.validate(doc, REPORT_JSON_SCHEMA)
     assert doc["metadata"]["n_points"] == 64
     assert len(doc["rows"]) == 3
+
+
+@pytest.mark.parametrize(
+    "theta, code, said",
+    [("10", 0, "elri2: fitted order"), ("2", 1, "reference check failed")],
+)
+def test_converge_cross_check_at_a_dyadic_reference_step(theta, code, said, capsys):
+    # the RK4 takes a tenth of the 2^11 reference steps, a step dividing
+    # t_final where 10 * 2^-11 does not; its check holds on smooth data and
+    # refuses rough data
+    argv = ["converge", "--n", "64", "--theta", theta, "--tau-ladder", "2^-6,2^-7",
+            "--ref-tau", "2^-11", "--scheme", "elri2", "--cross-check"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert said in err and "configuration error" not in err
 
 
 def test_converge_bad_ladder_is_config_error(capsys, monkeypatch):

@@ -25,7 +25,6 @@ from kdvlri.oracles import (
     ifrk4_solve,
     random_band_field,
     reference_solution,
-    symmetrized_multiplier_exact,
     verification_suite,
 )
 from kdvlri.spectral import Field, Grid, dx, exp_airy, integral, inv_dx, sobolev_norm
@@ -48,23 +47,13 @@ def test_alpha_identities_on_random_integers():
         assert alpha4(x1, x2, x3) == s**3 - x1**3 - x2**3 - x3**3
 
 
-def test_symmetrized_multiplier_exact_equality():
-    rng = np.random.default_rng(1)
-    checked = 0
-    while checked < 200:
-        x1, x2, x3 = (int(v) for v in rng.integers(-30, 31, size=3))
-        if 0 in (x1, x2, x3, x1 + x2 + x3):
-            continue
-        lhs, rhs = symmetrized_multiplier_exact(x1, x2, x3)
-        assert lhs == rhs  # exact rational arithmetic, no tolerance
-        checked += 1
-
-
-def test_symmetrized_multiplier_rejects_zero_frequencies():
-    with pytest.raises(ValueError):
-        symmetrized_multiplier_exact(0, 1, 2)
-    with pytest.raises(ValueError):
-        symmetrized_multiplier_exact(1, 2, -3)  # sum is zero
+def test_integer_identity_checks_fail_on_a_wrong_alpha4(monkeypatch):
+    # verify's exact checks must report an off-by-one alpha4, not pass anyway
+    exact = oracles.alpha4
+    monkeypatch.setattr(oracles, "alpha4", lambda x1, x2, x3: exact(x1, x2, x3) + 1)
+    for check in (oracles._check_symmetrization, oracles._check_alpha_identities):
+        result = check()
+        assert result.residual > 0 and not result.passed, result
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ def test_rough_spec_validation():
         RoughSpec(3, 1.0)
     with pytest.raises(ValueError):
         RoughSpec(7, 1.0)
+    with pytest.raises(ValueError, match="grid size n = 1073741824 must be even"):
+        RoughSpec(2**30, 1.0)  # above MAX_GRID_N, refused before any draw
     for bad in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="theta"):
             RoughSpec(64, bad)
