@@ -20,14 +20,14 @@ spectrum (modes 0..N/2) every step updates in place, the temporaries and
 every view of them a step uses, so a step in steady state allocates no array
 and slices no view.  A Field is built only for recorded samples and the final
 state.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
-The correction terms are formed with real transforms (rfft/irfft with
-norm="forward", so no separate 1/N scaling), summed, and added to the
-spectrum.  Terms that share a multiplier share a transform: the 1/18 pair
-is one transform of the difference the 1/6 term builds, the resonant u^3
-term rides in the p^3 half of the 1/54 pair and the ELRI2 (e^{-tau dx^3} u)^3
-term in its other half.  Mutually independent transforms are the rows of
-one stack and one call.  A step whose input holds a spectrum transforms
-4 / 9 / 10 real rows (LRI1 / ELRI1 / ELRI2) in 2 / 4 / 4 calls.
+The correction terms are formed with Grid.rfft/irfft (normalized like the
+spectrum, so no separate 1/N scaling), summed, and added to the spectrum.
+Terms that share a multiplier share a transform: the 1/18 pair is one
+transform of the difference the 1/6 term builds, the resonant u^3 term rides
+in the p^3 half of the 1/54 pair and the ELRI2 (e^{-tau dx^3} u)^3 term in
+its other half.  Mutually independent transforms are the rows of one stack
+and one call.  A step whose input holds a spectrum transforms 4 / 9 / 10
+real rows (LRI1 / ELRI1 / ELRI2) in 2 / 4 / 4 calls.
 
 The schemes assume zero-mean data (the mode-0 coefficient of the update is
 only conserved, never evolved); with mean_shift, evolve removes a nonzero
@@ -52,7 +52,7 @@ MEAN_TOL = 1e-12
 #: only a mistyped step size reaches this; it is refused before any stepping.
 MAX_STEPS = 10**7
 
-#: from this grid size up, numpy's stacked rfft/irfft scratch page-faults on
+#: from this grid size up, stacked Grid.rfft/irfft scratch page-faults on
 #: every call until the first workspace frees a 4 MB block (none at 8192)
 SCRATCH_N = 2**14
 
@@ -142,12 +142,12 @@ def check_step_count(name, tau, t_final):
 
 @functools.cache
 def _raise_malloc_thresholds():
-    # numpy's rfft/irfft of two or more rows allocates scratch on each call.
-    # At N >= SCRATCH_N glibc hands it back to the system after the call (96
-    # minor faults per call at 2^14) until a larger mapped block is freed:
-    # that raises glibc's dynamic mmap threshold to the block's size, and its
-    # trim threshold to twice that.  This relies on that glibc heuristic (1 MB
-    # measured too small here, 2 MB enough); the 4 MB are never touched.
+    # numpy's real FFT kernels allocate scratch on each call of two or more
+    # rows.  At N >= SCRATCH_N glibc hands it back to the system after the
+    # call (96 minor faults per call at 2^14) until a larger mapped block is
+    # freed: that raises glibc's dynamic mmap threshold to the block's size,
+    # and its trim threshold to twice that.  This relies on that glibc
+    # heuristic (1 MB too small, 2 MB enough); the 4 MB are never touched.
     np.empty(1 << 19)
 
 
@@ -155,7 +155,7 @@ class _Workspace:
     """One run's stepping state, allocated once per run.
 
     Holds the scheme, tau, the resonant and mass coefficients, the Airy
-    symbol at tau, the dealias mask, the one spectrum s every step updates in
+    symbol at tau, the grid's transform pair, the dealias mask, the one spectrum s every step updates in
     place, the stacks _update transforms in one call each (5 spectra, 4 and 3
     rows of grid values) and the blow-up flags.  Every row, stack and real
     view a step reads or writes is bound here once, so a step slices nothing.
@@ -171,6 +171,7 @@ class _Workspace:
         self.resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
         self.mass = tau / (12.0 * np.pi)
         self.airy, self.inv_ik = grid.airy(tau), grid.inv_ik
+        self.rfft, self.irfft = grid.rfft, grid.irfft
         self.drop = ~grid.keep_two_thirds if dealias else None
         self.s = s = np.empty(m, complex)
         self.spec = spec = np.empty((5, m), complex)
@@ -229,17 +230,17 @@ def _update(ws):
     np.multiply(s, a, out=s)  # the linear part; s holds it from here on
     if kind is SchemeKind.ELRI2:
         np.copyto(ws.w, s)  # e^{-tau dx^3} u
-    np.fft.irfft(ws.rows, n, norm="forward", out=ws.rows_v)
+    ws.irfft(ws.rows, ws.rows_v)
     # pseudo-spectral products, no dealiasing
     pair_v, squares, d, h, corr = ws.pair_v, ws.squares, ws.d, ws.h, ws.corr
     np.multiply(pair_v, pair_v, out=squares)
     # d = rfft(ep_v^2) - rfft(p_v^2) a
-    np.fft.rfft(squares, norm="forward", out=ws.dh)
+    ws.rfft(squares, ws.dh)
     np.subtract(d, np.multiply(h, a, out=h), out=d)
     np.multiply(ws.d_f, SIXTH, out=ws.corr_f)  # d / 6
     if kind is not SchemeKind.LRI1:
         # projected cubic pair, 1/18: one transform of the difference d
-        g = np.fft.irfft(np.multiply(d, inv_ik, out=h), n, norm="forward", out=ws.g)
+        g = ws.irfft(np.multiply(d, inv_ik, out=h), ws.g)
         np.multiply(ws.ep_v, g, out=g)
         # antiderivative cubic pair, 1/54; the resonant u^3 term (tau/18,
         # net tau/36 in ELRI2) rides in the p_v^3 transform, the ELRI2
@@ -254,7 +255,7 @@ def _update(ws):
         np.add(ws.cube_to, cube_v, out=ws.cube_to)
         # rows ep_v g, cubic_ep, cubic_p
         q, cubic = ws.q, ws.cubic
-        np.fft.rfft(ws.prod, norm="forward", out=ws.out3)
+        ws.rfft(ws.prod, ws.out3)
         q[0] = 0.0  # zero-mean projection
         np.multiply(ws.q_f, EIGHTEENTH, out=ws.q_f)
         np.add(corr, q, out=corr)

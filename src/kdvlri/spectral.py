@@ -40,6 +40,10 @@ import struct
 import warnings
 
 import numpy as np
+# numpy's own real FFT kernels, the ones np.fft.rfft/irfft call, without their
+# per-call argument handling.  Private numpy API (numpy >= 2.0, which
+# pyproject requires); tests/test_spectral.py pins it bit for bit to np.fft.
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,8 +69,8 @@ class Grid:
     shared by the spectral operators: ik is the derivative multiplier i xi
     (0 at Nyquist), inv_ik the mean-free antiderivative multiplier 1/(i xi),
     keep_two_thirds marks the modes 3 xi < N that the 2/3 rule keeps, and
-    airy(t) builds the Airy symbol.  Cached arrays are
-    read-only, so a Grid can be used concurrently from several threads.
+    airy(t) builds the Airy symbol; rfft/irfft are the package's one transform
+    pair.  Cached arrays are read-only, so a Grid can be used concurrently.
     """
 
     def __init__(self, n: int):
@@ -74,6 +78,7 @@ class Grid:
         self.x = TWO_PI * np.arange(n) / n
         self.wavenumbers = np.arange(n // 2 + 1)
         self.nyquist_index = n // 2
+        self._inv_n = 1.0 / n  # the norm="forward" factor of rfft
 
         k = self.wavenumbers.astype(np.float64)
         ik = 1j * k
@@ -101,6 +106,21 @@ class Grid:
         """
         return np.exp(1j * np.asarray(t)[..., None] * self._k3)
 
+    def rfft(self, values, out=None) -> np.ndarray:
+        """Spectrum (modes 0..N/2) of the grid values on the last axis, bit for
+        bit np.fft.rfft(values, norm="forward"); written into out if given."""
+        if out is None:
+            out = np.empty(values.shape[:-1] + (self.nyquist_index + 1,), complex)
+        return _rfft(values, self._inv_n, out=out)
+
+    def irfft(self, spectrum, out=None) -> np.ndarray:
+        """Grid values of the spectrum on the last axis, bit for bit
+        np.fft.irfft(spectrum, N, norm="forward"); written into out if given.
+        Like it, drops the imaginary parts of modes 0 and N/2."""
+        if out is None:
+            out = np.empty(spectrum.shape[:-1] + (self.n,))
+        return _irfft(spectrum, 1.0, out=out)
+
     def __repr__(self):
         return f"Grid(n={self.n})"
 
@@ -110,7 +130,7 @@ class Field:
 
     Holds grid values and/or normalized spectral coefficients of the modes
     0..N/2; whichever representation is missing is computed on first access
-    (rfft/irfft) and cached.  Both arrays are read-only: a Field never
+    (Grid.rfft/irfft) and cached.  Both arrays are read-only: a Field never
     mutates after construction.
     """
 
@@ -153,7 +173,7 @@ class Field:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            v = np.fft.irfft(self._spectrum, self.grid.n, norm="forward")
+            v = self.grid.irfft(self._spectrum)
             v.flags.writeable = False
             self._values = v
         return self._values
@@ -161,7 +181,7 @@ class Field:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            s = np.fft.rfft(self._values, norm="forward")
+            s = self.grid.rfft(self._values)
             s.flags.writeable = False
             self._spectrum = s
         return self._spectrum

@@ -348,9 +348,10 @@ def test_blow_up_check_is_entrywise(monkeypatch):
 @pytest.mark.parametrize("kind", list(SchemeKind))
 def test_steady_state_step_binds_no_views(kind):
     # every row, stack and real view a step uses is bound when its workspace
-    # is built, so at a small grid ten steady-state steps peak at what numpy's
-    # rfft/irfft wrappers allocate: 1,424-1,448 bytes, against 2,224-2,848
-    # when each step sliced its views; one view sliced per step adds 96
+    # is built, so at a small grid ten steady-state steps peak at 584-944
+    # bytes (1,424-1,448 through np.fft's rfft/irfft wrappers), against
+    # 2,224-2,848 when each step sliced its views; one view sliced per step
+    # adds 96
     u = rough(n=64)
     ws = integrators._Workspace(kind, u.grid, 2.0**-6, False)
     ws.load(u.spectrum)
@@ -444,14 +445,21 @@ def test_transforms_per_step(monkeypatch, kind, rows):
     u = rough(n=64)
     u = Field.from_spectrum(u.grid, u.spectrum)
     log = []
-    for name in ("fft", "ifft", "rfft", "irfft"):
 
-        def counted(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            y = _fn(x, *args, **kwargs)
-            log.append((_name, np.shape(x), np.iscomplexobj(x), np.shape(y)))
+    def counted(name, fn, arg):  # arg: the position of the transformed array
+        def call(*args, **kwargs):
+            y = fn(*args, **kwargs)
+            x = args[arg]
+            log.append((name, np.shape(x), np.iscomplexobj(x), np.shape(y)))
             return y
 
-        monkeypatch.setattr(np.fft, name, counted)
+        return call
+
+    # the Grid pair, and any np.fft transform a step might call around it
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(Grid, name, counted(name, getattr(Grid, name), 1))
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(f"np.fft.{name}", getattr(np.fft, name), 0))
     n_steps = 3
     evolve(SolverRun(kind, 0.05, n_steps * 0.05, u))
     n, m = u.grid.n, u.grid.n // 2 + 1
@@ -469,20 +477,19 @@ def test_transforms_per_step(monkeypatch, kind, rows):
 
 @pytest.mark.parametrize("n", [16, 64, 1024, 2**14])
 def test_stacked_transform_rows_are_bitwise_separate_calls(n):
-    # the step's output bytes rest on this: each row of a stacked rfft/irfft
-    # on the last axis, with norm="forward" and out= a slice of a larger
-    # stack, is the same bits as that row transformed alone
+    # the step's output bytes rest on this: each row of a stacked Grid.rfft/
+    # irfft on the last axis, with out= a slice of a larger stack, is the
+    # same bits as that row transformed alone
+    g = Grid(n)
     rng = np.random.default_rng(n)
     m = n // 2 + 1
     for k in (1, 2, 3, 4):
         x = rng.standard_normal((k, n))
-        h = np.fft.rfft(x, norm="forward", out=np.empty((k + 1, m), complex)[1:])
-        y = np.fft.irfft(h, n, norm="forward", out=np.empty((k + 1, n))[1:])
+        h = g.rfft(x, np.empty((k + 1, m), complex)[1:])
+        y = g.irfft(h, np.empty((k + 1, n))[1:])
         for i in range(k):
-            alone = np.fft.rfft(x[i], norm="forward", out=np.empty(m, complex))
-            assert h[i].tobytes() == alone.tobytes()
-            alone = np.fft.irfft(h[i], n, norm="forward", out=np.empty(n))
-            assert y[i].tobytes() == alone.tobytes()
+            assert h[i].tobytes() == g.rfft(x[i], np.empty(m, complex)).tobytes()
+            assert y[i].tobytes() == g.irfft(h[i], np.empty(n)).tobytes()
 
 
 # a fresh interpreter: 1 warm-up elri2 step at N = 2^14, then the minor page

@@ -1,8 +1,13 @@
 """Grid and Field basics, multiplier operators, norms, serialization."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+from kdvlri import spectral
 from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import (
     MAX_GRID_N,
@@ -127,6 +132,62 @@ def test_spectrum_is_the_nonnegative_half_of_the_complex_fft():
             assert np.max(np.abs(f.spectrum - full[: n // 2 + 1])) < 1e-15
             assert np.max(np.abs(full[: n // 2 : -1] - np.conj(full[1 : n // 2]))) < 1e-15
             assert f.spectrum[0].imag == f.spectrum[-1].imag == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024, 2**14])
+def test_grid_transform_pair_is_np_fft_bit_for_bit(n):
+    # Grid.rfft/irfft call numpy's private pocketfft kernels directly; this
+    # pins them to the public np.fft.rfft/irfft with norm="forward", for one
+    # row and for stacks, into a fresh array and into a view of a larger one
+    g = Grid(n)
+    m = n // 2 + 1
+    rng = np.random.default_rng(n)
+    for rows in ((), (1,), (2,), (3,), (4,)):
+        x = rng.standard_normal(rows + (n,))
+        # nonzero imaginary parts at modes 0 and N/2, which neither inverse reads
+        h = rng.standard_normal(rows + (m,)) + 1j * rng.standard_normal(rows + (m,))
+        want_s = np.fft.rfft(x, norm="forward")
+        want_v = np.fft.irfft(h, n, norm="forward")
+        h_real_ends = h.copy()
+        h_real_ends[..., [0, -1]] = h_real_ends[..., [0, -1]].real
+        assert np.fft.irfft(h_real_ends, n, norm="forward").tobytes() == want_v.tobytes()
+        for into in (False, True):
+            out_s = np.empty((2,) + want_s.shape, complex)[1] if into else None
+            out_v = np.empty((2,) + want_v.shape)[1] if into else None
+            got_s, got_v = g.rfft(x, out_s), g.irfft(h, out_v)
+            if into:
+                assert got_s is out_s and got_v is out_v
+            assert got_s.shape == want_s.shape and got_s.dtype == want_s.dtype
+            assert got_v.shape == want_v.shape and got_v.dtype == want_v.dtype
+            assert got_s.tobytes() == want_s.tobytes()
+            assert got_v.tobytes() == want_v.tobytes()
+            assert g.irfft(h_real_ends, out_v).tobytes() == want_v.tobytes()
+
+
+def test_only_spectral_reaches_the_fft_kernels():
+    # Grid.rfft/irfft are the package's one transform pair: no module calls an
+    # np.fft transform, and no module but spectral names the kernels it calls
+    transforms = {"fft", "ifft", "rfft", "irfft"}
+    src = pathlib.Path(spectral.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert "spectral.py" in {p.name for p in modules} and len(modules) > 1
+    for path in modules:
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr in transforms:
+                assert not (
+                    isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+                ), f"{path.name}:{node.lineno} calls an np.fft transform"
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "numpy.fft"
+            ):
+                names = {a.name for a in node.names}
+                assert path.name == "spectral.py" or not names & transforms, (
+                    f"{path.name}:{node.lineno} imports {names & transforms}"
+                )
+        if path.name != "spectral.py":
+            found = re.findall(r"\bfft\.i?r?fft\b|_pocketfft_umath", text)
+            assert not found, f"{path.name} names {found}"
 
 
 # ---------------------------------------------------------------------------
