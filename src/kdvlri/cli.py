@@ -247,8 +247,6 @@ def cmd_converge(args) -> int:
             # the stated 1e-4 clamped so the reference invariant holds on
             # ladders reaching below tau = 1e-3
             ref_tau = min(PAPER_SCALE_REF_TAU, min(taus) / 10.0)
-    if ref_tau is None:
-        ref_tau = min(2.0**-14, min(taus) / 16.0)
     cfg = StudyConfig(
         schemes=parse_schemes(args.scheme),
         taus=taus,
@@ -268,15 +266,10 @@ def cmd_local_error(args) -> int:
     taus = (
         parse_tau_ladder(args.tau_ladder) if args.tau_ladder else DEFAULT_LOCAL_LADDER
     )
-    cfg = StudyConfig(
-        schemes=parse_schemes(args.scheme),
-        taus=taus,
-        n_points=args.n,
-        gamma_err=args.gamma,
-        ref_tau=None,
-        dealias=args.dealias,
+    report = run_local_error_study(
+        parse_schemes(args.scheme), taus, args.n, args.gamma, args.dealias
     )
-    return _report_exit(run_local_error_study(cfg), args)
+    return _report_exit(report, args)
 
 
 def cmd_verify(args) -> int:

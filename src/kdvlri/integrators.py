@@ -154,17 +154,18 @@ def _raise_malloc_thresholds():
 class _Workspace:
     """One run's stepping state, allocated once per run.
 
-    Holds the scheme, tau, the resonant and mass coefficients, the Airy
-    symbol at tau, the grid's transform pair, the dealias mask, the one spectrum s every step updates in
-    place, the stacks _update transforms in one call each (5 spectra, 4 and 3
-    rows of grid values) and the blow-up flags.  Every row, stack and real
-    view a step reads or writes is bound here once, so a step slices nothing.
+    Holds the scheme, the resonant and mass coefficients and the Airy symbol
+    at tau, the grid's transform pair, the dealias mask, the one spectrum s
+    every step updates in place, the stacks _update transforms in one call
+    each (5 spectra, 4 and 3 rows of grid values) and the blow-up flags.
+    Every row, stack and real view a step reads or writes is bound here once,
+    so a step slices nothing.
     """
 
     def __init__(self, kind, grid, tau, dealias):
         n = grid.n
         m = n // 2 + 1
-        self.kind, self.tau, self.n = kind, tau, n
+        self.kind, self.n = kind, n
         if n >= SCRATCH_N:
             _raise_malloc_thresholds()
         k = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
@@ -211,7 +212,7 @@ class _Workspace:
 
 
 def _update(ws):
-    """Advance ws.s by one step of ws.kind at ws.tau, in place.
+    """Advance ws.s by one step of ws.kind, in place, at the tau of ws.airy.
 
     The linear part is s times the symbol, and s gains the sum of the
     correction terms.  Each cancelling pair is one difference, so every

@@ -128,17 +128,17 @@ class Grid:
 class Field:
     """Real periodic field on a Grid, or a stack of them (leading axis).
 
-    Holds grid values and/or normalized spectral coefficients of the modes
-    0..N/2; whichever representation is missing is computed on first access
-    (Grid.rfft/irfft) and cached.  Both arrays are read-only: a Field never
-    mutates after construction.
+    Built from grid values or from normalized spectral coefficients of the
+    modes 0..N/2, not both; the other representation is computed on first
+    access (Grid.rfft/irfft) and cached.  Both arrays are read-only: a Field
+    never mutates after construction.
     """
 
     __slots__ = ("grid", "_values", "_spectrum")
 
     def __init__(self, grid: Grid, values=None, spectrum=None):
-        if values is None and spectrum is None:
-            raise ValueError("Field needs values or spectrum")
+        if (values is None) == (spectrum is None):
+            raise ValueError("Field needs values or spectrum, not both")
         self.grid = grid
         self._values = None
         self._spectrum = None

@@ -51,9 +51,40 @@ class FitDataError(ValueError):
     """Not enough finite error points to fit an order."""
 
 
+def _check_study(schemes, taus, n_points, gamma_err):
+    """Schemes and taus as tuples, once the checks both studies share pass."""
+    schemes = tuple(schemes)
+    taus = tuple(float(t) for t in taus)
+    if not schemes:
+        raise ValueError("study needs at least one scheme")
+    for i, s in enumerate(schemes):
+        check_scheme(s)
+        if s in schemes[:i]:
+            raise ValueError(f"scheme {s.value} is given more than once")
+    if not taus:
+        raise ValueError("study needs at least one tau")
+    for t in taus:
+        check_positive("tau", t)
+    if any(a <= b for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"tau ladder must be strictly decreasing: {taus}")
+    if not 0 <= gamma_err < math.inf:
+        raise ValueError(f"gamma_err must be finite and >= 0, got {gamma_err}")
+    # 8 pi times the top-mode weight bounds the squared H^gamma distance of
+    # two fields with mean(u^2) <= 1, as rough data (max |u| = 1) has
+    top = np.float64(1 + (n_points // 2) ** 2)
+    with np.errstate(over="ignore"):
+        bound = 8.0 * np.pi * top**gamma_err
+    if not np.isfinite(bound):
+        raise ValueError(
+            f"gamma = {gamma_err:g} overflows the H^gamma error weight "
+            f"(1 + (N/2)^2)^gamma at N = {n_points}"
+        )
+    return schemes, taus
+
+
 @dataclass
 class StudyConfig:
-    """Parameters of one convergence or local-error study."""
+    """Parameters of one convergence study against a fine-step reference."""
 
     schemes: tuple
     taus: tuple
@@ -62,48 +93,26 @@ class StudyConfig:
     seed: int = 42
     gamma_err: float = 1.0
     t_final: float = 1.0
-    ref_tau: float | None = 2.0**-14  # None: no reference (local-error studies)
+    ref_tau: float | None = None  # None: min(2^-14, min(taus)/16)
     dealias: bool = False
     cross_check: bool = False
 
     def __post_init__(self):
-        self.schemes = tuple(self.schemes)
-        self.taus = tuple(float(t) for t in self.taus)
-        if not self.schemes:
-            raise ValueError("study needs at least one scheme")
-        for i, s in enumerate(self.schemes):
-            check_scheme(s)
-            if s in self.schemes[:i]:
-                raise ValueError(f"scheme {s.value} is given more than once")
-        if not self.taus:
-            raise ValueError("study needs at least one tau")
-        for t in self.taus:
-            check_positive("tau", t)
-        if any(a <= b for a, b in zip(self.taus, self.taus[1:])):
-            raise ValueError(f"tau ladder must be strictly decreasing: {self.taus}")
+        self.schemes, self.taus = _check_study(
+            self.schemes, self.taus, self.n_points, self.gamma_err
+        )
         check_positive("t_final", self.t_final)
-        if self.ref_tau is not None:  # a study with a reference run to t_final
-            check_positive("ref_tau", self.ref_tau)
-            if self.ref_tau > min(self.taus) / 10.0:
-                raise ValueError(
-                    f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "
-                    f"{min(self.taus) / 10.0:g}"
-                )
-            for t in self.taus[::-1]:  # smallest first: it takes the most steps
-                check_step_count("tau", t, self.t_final)
-            check_step_count("ref_tau", self.ref_tau, self.t_final)
-        if not 0 <= self.gamma_err < math.inf:
-            raise ValueError(f"gamma_err must be finite and >= 0, got {self.gamma_err}")
-        # 8 pi times the top-mode weight bounds the squared H^gamma distance of
-        # two fields with mean(u^2) <= 1, as rough data (max |u| = 1) has
-        top = np.float64(1 + (self.n_points // 2) ** 2)
-        with np.errstate(over="ignore"):
-            bound = 8.0 * np.pi * top**self.gamma_err
-        if not np.isfinite(bound):
+        for t in self.taus[::-1]:  # smallest first: it takes the most steps
+            check_step_count("tau", t, self.t_final)
+        if self.ref_tau is None:
+            self.ref_tau = min(2.0**-14, min(self.taus) / 16.0)
+        check_positive("ref_tau", self.ref_tau)
+        if self.ref_tau > min(self.taus) / 10.0:
             raise ValueError(
-                f"gamma = {self.gamma_err:g} overflows the H^gamma error weight "
-                f"(1 + (N/2)^2)^gamma at N = {self.n_points}"
+                f"ref_tau = {self.ref_tau:g} must be <= min(tau)/10 = "
+                f"{min(self.taus) / 10.0:g}"
             )
+        check_step_count("ref_tau", self.ref_tau, self.t_final)
 
 
 @dataclass
@@ -124,7 +133,9 @@ class SchemeFit:
 
 @dataclass
 class ConvergenceReport:
-    config: StudyConfig
+    """One study's rows, fits and flags, and the metadata its JSON prints."""
+
+    metadata: dict
     rows: list = _field(default_factory=list)
     fits: list = _field(default_factory=list)
     flags: list = _field(default_factory=list)
@@ -192,10 +203,10 @@ def _monotonicity_flags(rows, schemes):
     return flags
 
 
-def _report(cfg, rows, flags, kind):
+def _report(metadata, schemes, rows, flags, kind):
     rows.sort(key=lambda r: (r.scheme.value, -r.tau))
-    fits = [_fit_scheme(s, rows) for s in cfg.schemes]
-    return ConvergenceReport(config=cfg, rows=rows, fits=fits, flags=flags, kind=kind)
+    fits = [_fit_scheme(s, rows) for s in schemes]
+    return ConvergenceReport(metadata, rows, fits, flags, kind)
 
 
 def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
@@ -207,8 +218,6 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     measured in H^gamma_err against the ELRI2 reference at ref_tau,
     normalized by its norm.
     """
-    if cfg.ref_tau is None:
-        raise ValueError("a convergence study needs ref_tau")
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
     ref = reference_solution(
         u0, cfg.t_final, cfg.ref_tau, cross_check=cfg.cross_check,
@@ -234,7 +243,11 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
         return RunResult(scheme, tau, err, "ok")
 
     rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
-    return _report(cfg, rows, _monotonicity_flags(rows, cfg.schemes), "convergence")
+    metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
+                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau,
+                    dealias=cfg.dealias)
+    flags = _monotonicity_flags(rows, cfg.schemes)
+    return _report(metadata, cfg.schemes, rows, flags, "convergence")
 
 
 def smooth_test_data(grid: Grid) -> Field:
@@ -242,28 +255,30 @@ def smooth_test_data(grid: Grid) -> Field:
     return Field.from_values(grid, np.cos(grid.x) + 0.5 * np.sin(2.0 * grid.x))
 
 
-def run_local_error_study(cfg: StudyConfig) -> ConvergenceReport:
+def run_local_error_study(
+    schemes, taus, n_points=1024, gamma_err=1.0, dealias=False
+) -> ConvergenceReport:
     """One-step errors of each scheme on smooth data across the tau ladder.
 
     The one-step reference at each tau is the integrating-factor RK4 with
     64 substeps, cross-checked against an ELRI2 run with 256 substeps; a
     disagreement above 5% of the smallest scheme error is flagged.
     """
-    grid = Grid(cfg.n_points)
-    u0 = smooth_test_data(grid)
+    schemes, taus = _check_study(schemes, taus, n_points, gamma_err)
+    u0 = smooth_test_data(Grid(n_points))
     flags = []
     rows = []
 
-    for tau in cfg.taus:
-        ref = ifrk4_solve(u0, tau, tau / 64.0, dealias=cfg.dealias)
-        check = SolverRun(SchemeKind.ELRI2, tau / 256.0, tau, u0, dealias=cfg.dealias)
+    for tau in taus:
+        ref = ifrk4_solve(u0, tau, tau / 64.0, dealias=dealias)
+        check = SolverRun(SchemeKind.ELRI2, tau / 256.0, tau, u0, dealias=dealias)
         ref_check = evolve(check).final
-        ref_norm = sobolev_norm(ref, cfg.gamma_err)
-        dual_gap = sobolev_distance(ref, ref_check, cfg.gamma_err)
+        ref_norm = sobolev_norm(ref, gamma_err)
+        dual_gap = sobolev_distance(ref, ref_check, gamma_err)
         tau_errors = []
-        for scheme in cfg.schemes:
-            stepped = step(scheme, u0, tau, dealias=cfg.dealias)
-            err = sobolev_distance(stepped, ref, cfg.gamma_err) / ref_norm
+        for scheme in schemes:
+            stepped = step(scheme, u0, tau, dealias=dealias)
+            err = sobolev_distance(stepped, ref, gamma_err) / ref_norm
             tau_errors.append(err)
             rows.append(RunResult(scheme, tau, err, "ok"))
         smallest = min(tau_errors)
@@ -272,7 +287,8 @@ def run_local_error_study(cfg: StudyConfig) -> ConvergenceReport:
                 f"tau={tau:g}: one-step references disagree by "
                 f"{dual_gap / ref_norm:.3e} (>5% of smallest error {smallest:.3e})"
             )
-    return _report(cfg, rows, flags, "local_error")
+    metadata = {"n_points": n_points, "gamma": gamma_err, "dealias": dealias}
+    return _report(metadata, schemes, rows, flags, "local_error")
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +301,9 @@ def _g17(x) -> str:
 
 def _row(r: RunResult, report: ConvergenceReport) -> tuple:
     """The values of one report row, in COLUMNS order; None where unused."""
-    cfg = report.config
-    local = report.kind == "local_error"
-    data = (None,) * len(LOCAL_EMPTY) if local else (cfg.theta, cfg.seed, cfg.t_final)
-    return (r.scheme.value, r.tau, r.error_rel, cfg.gamma_err, cfg.n_points, *data,
-            r.status)
+    md = report.metadata
+    return (r.scheme.value, r.tau, r.error_rel, md["gamma"], md["n_points"],
+            *(md.get(c) for c in LOCAL_EMPTY), r.status)
 
 
 def render_report_csv(report: ConvergenceReport) -> str:
@@ -343,21 +357,9 @@ def json_text(value) -> str:
 
 
 def report_as_dict(report: ConvergenceReport) -> dict:
-    cfg = report.config
-    metadata = {
-        "n_points": cfg.n_points,
-        "theta": cfg.theta,
-        "seed": cfg.seed,
-        "gamma": cfg.gamma_err,
-        "t_final": cfg.t_final,
-        "ref_tau": cfg.ref_tau,
-        "dealias": cfg.dealias,
-    }
-    if report.kind == "local_error":  # smooth data, one step per tau
-        metadata = {k: metadata[k] for k in ("n_points", "gamma", "dealias")}
     return {
         "kind": report.kind,
-        "metadata": metadata,
+        "metadata": report.metadata,
         "rows": [dict(zip(COLUMNS, _row(r, report))) for r in report.rows],
         "fits": [
             {

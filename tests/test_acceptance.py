@@ -161,13 +161,11 @@ def test_c04_lri1_baseline_is_worse(study_t2_g1):
 
 
 def test_c05_local_error_orders():
-    cfg = StudyConfig(
+    rep = run_local_error_study(
         schemes=(SchemeKind.LRI1, SchemeKind.ELRI1, SchemeKind.ELRI2),
         taus=tuple(2.0**-k for k in range(6, 13)),
         n_points=256,
-        ref_tau=2.0**-12 / 16.0,
     )
-    rep = run_local_error_study(cfg)
     o1 = rep.fit_for(SchemeKind.ELRI1).fitted_order
     o2 = rep.fit_for(SchemeKind.ELRI2).fitted_order
     o_base = rep.fit_for(SchemeKind.LRI1).fitted_order

@@ -12,7 +12,14 @@ from kdvlri.cli import main, parse_schemes, parse_tau_ladder, parse_tau_token
 from kdvlri.integrators import SchemeKind
 from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import Field, Grid, read_field, write_field
-from kdvlri.studies import CSV_HEADER, REPORT_JSON_SCHEMA, parse_report_csv
+from kdvlri.studies import (
+    CSV_HEADER,
+    REPORT_JSON_SCHEMA,
+    StudyConfig,
+    parse_report_csv,
+    render_report,
+    run_convergence_study,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +237,19 @@ def test_converge_json_report_validates(tmp_path):
     jsonschema.validate(doc, REPORT_JSON_SCHEMA)
     assert doc["metadata"]["n_points"] == 64
     assert len(doc["rows"]) == 3
+
+
+@pytest.mark.parametrize("k, ref_k", [(10, 14), (11, 15), (12, 16)])
+def test_converge_takes_the_study_config_default_reference_step(k, ref_k, capsys):
+    # with no --ref-tau, converge and a StudyConfig with no ref_tau run the
+    # same default step, min(2^-14, min(tau)/16), and write the same report
+    cfg = StudyConfig((SchemeKind.ELRI2,), (2.0 ** (1 - k), 2.0**-k), n_points=32,
+                      t_final=0.25)
+    assert cfg.ref_tau == 2.0**-ref_k
+    argv = ["converge", "--scheme", "elri2", "--n", "32", "--t-final", "0.25",
+            "--tau-ladder", f"2^{1 - k},2^-{k}"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == render_report(run_convergence_study(cfg), "csv")
 
 
 @pytest.mark.parametrize(

@@ -83,21 +83,24 @@ def reports(draw):
         t_final=t_final,
     )
     rows = draw(st.lists(st.one_of(ok_row, diverged_row), max_size=8))
-    return ConvergenceReport(config=cfg, rows=rows)
+    metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
+                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau,
+                    dealias=cfg.dealias)
+    return ConvergenceReport(metadata=metadata, rows=rows)
 
 
 def expected_rows(rep):
-    cfg = rep.config
+    md = rep.metadata
     return [
         {
             "scheme": r.scheme.value,
             "tau": r.tau,
             "error_rel": r.error_rel,
-            "gamma": cfg.gamma_err,
-            "n_points": cfg.n_points,
-            "theta": cfg.theta,
-            "seed": cfg.seed,
-            "t_final": cfg.t_final,
+            "gamma": md["gamma"],
+            "n_points": md["n_points"],
+            "theta": md["theta"],
+            "seed": md["seed"],
+            "t_final": md["t_final"],
             "status": r.status,
         }
         for r in rep.rows

@@ -67,6 +67,9 @@ def test_field_shape_mismatch():
         Field.from_spectrum(g, np.zeros(8, dtype=complex))  # the full band
     with pytest.raises(ValueError):
         Field(g)
+    # both representations, unchecked against each other (these two disagree)
+    with pytest.raises(ValueError, match="not both"):
+        Field(g, values=np.zeros(8), spectrum=[0, 1, 0, 0, 0])
 
 
 def test_grid_size_is_capped_before_any_allocation():

@@ -47,8 +47,12 @@ def tiny_config(**kw):
     return StudyConfig(**base)
 
 
-def synthetic_report(rows, schemes=(SchemeKind.ELRI1,)):
-    return ConvergenceReport(config=tiny_config(schemes=schemes), rows=rows)
+def synthetic_report(rows):
+    cfg = tiny_config()
+    metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
+                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau,
+                    dealias=cfg.dealias)
+    return ConvergenceReport(metadata=metadata, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +119,13 @@ def test_study_config_validation():
     for bad in (float("nan"), float("inf"), -1.0, 0.0):
         with pytest.raises(ValueError, match="t_final must be positive and finite"):
             tiny_config(t_final=bad)
-    # a local-error study has no reference step, and so no run to t_final to
-    # cap; a convergence study refuses to run without one
-    cfg = tiny_config(taus=(2.0**-30,), ref_tau=None)
-    with pytest.raises(ValueError, match="needs ref_tau"):
-        run_convergence_study(cfg)
+    # no ref_tau: the default reference step min(2^-14, min(tau)/16)
+    assert tiny_config(ref_tau=None).ref_tau == 2.0**-14
+    assert tiny_config(taus=(2.0**-4, 2.0**-11), ref_tau=None).ref_tau == 2.0**-15
+    # a ladder too fine to run is refused by its own step, not by the default
+    # reference step, which underflows to 0 below tau = 2^-1070
+    with pytest.raises(ValueError, match="tau = .* MAX_STEPS"):
+        tiny_config(taus=(2.0**-1071,), ref_tau=None)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma_err"):
             tiny_config(gamma_err=bad)
@@ -236,13 +242,11 @@ def test_convergence_study_dealias_insensitive():
 
 
 def test_local_error_study_orders():
-    cfg = StudyConfig(
+    rep = run_local_error_study(
         schemes=(SchemeKind.LRI1, SchemeKind.ELRI1, SchemeKind.ELRI2),
         taus=(2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10),
         n_points=128,
-        theta=2.0,
     )
-    rep = run_local_error_study(cfg)
     assert rep.kind == "local_error"
     assert rep.flags == []  # the two one-step references agreed
     assert len(rep.rows) == 12
@@ -257,17 +261,22 @@ def test_local_error_study_leaves_reference_cache_alone():
     # convergence study's reference and never hit
     run_convergence_study(tiny_config())
     before = oracles._reference.cache_info()
-    cfg = StudyConfig(schemes=(SchemeKind.ELRI2,), taus=(2.0**-6, 2.0**-7), n_points=32)
-    run_local_error_study(cfg)
+    run_local_error_study((SchemeKind.ELRI2,), (2.0**-6, 2.0**-7), n_points=32)
     assert oracles._reference.cache_info() == before
+
+
+def test_local_error_study_runs_fine_ladders():
+    # one step per tau and per-tau references: no reference step or run to
+    # t_final to cap-check, so ladders below 1.6e-6 run
+    schemes = (SchemeKind.LRI1, SchemeKind.ELRI1, SchemeKind.ELRI2)
+    rep = run_local_error_study(schemes, (2.0**-20, 2.0**-21), n_points=16)
+    assert rep.metadata == {"n_points": 16, "gamma": 1.0, "dealias": False}
+    assert len(rep.rows) == 6 and all(r.status == "ok" for r in rep.rows)
 
 
 def test_local_error_rows_leave_unused_cells_empty():
     # smooth built-in data and one step per tau: no theta, seed or t_final
-    cfg = StudyConfig(
-        schemes=(SchemeKind.ELRI2,), taus=(2.0**-6, 2.0**-7), n_points=16, ref_tau=None
-    )
-    rep = run_local_error_study(cfg)
+    rep = run_local_error_study((SchemeKind.ELRI2,), (2.0**-6, 2.0**-7), n_points=16)
     text = render_report_csv(rep)
     for line in text.splitlines()[1:]:
         cells = dict(zip(COLUMNS, line.split(",")))
