@@ -4,8 +4,8 @@ A study takes a scheme list and a descending tau ladder, runs every
 (scheme, tau) combination against a shared high-accuracy reference, fits
 log-log slopes and emits a deterministic report: CSV rows, or JSON carrying
 the same rows plus the fitted orders.  ``COLUMNS`` is the one definition of
-a row: the CSV header, writer and parser, the JSON rows and the JSON
-schema's row keys all derive from it.  Identical configs produce
+a row: the CSV header, writer and parser, the JSON rows and the row keys of
+the tests' JSON schema all derive from it.  Identical configs produce
 byte-identical CSV and JSON files.
 """
 
@@ -376,68 +376,6 @@ def report_as_dict(report: ConvergenceReport) -> dict:
 
 def render_report_json(report: ConvergenceReport) -> str:
     return json_text(report_as_dict(report)) + "\n"
-
-
-_SCHEME_NAMES = {"enum": [k.value for k in SchemeKind]}
-#: jsonschema document the JSON report validates against
-REPORT_JSON_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "metadata", "rows", "fits", "flags"],
-    "properties": {
-        "kind": {"enum": ["convergence", "local_error"]},
-        "metadata": {
-            "type": "object",
-            "required": ["n_points", "gamma"],
-            "properties": {
-                "n_points": {"type": "integer", "minimum": 4},
-                "theta": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-                "gamma": {"type": "number", "minimum": 0},
-                "t_final": {"type": "number", "exclusiveMinimum": 0},
-                "ref_tau": {"type": "number", "exclusiveMinimum": 0},
-                "dealias": {"type": "boolean"},
-            },
-        },
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": list(COLUMNS),
-                "properties": dict(zip(COLUMNS, (
-                    _SCHEME_NAMES,
-                    {"type": "number", "exclusiveMinimum": 0},
-                    {"type": ["number", "null"], "minimum": 0},  # null: diverged
-                    {"type": "number", "minimum": 0},
-                    {"type": "integer"},
-                    {"type": ["number", "null"]},  # null: local-error row
-                    {"type": ["integer", "null"]},
-                    {"type": ["number", "null"]},
-                    {"enum": ["ok", "diverged"]},
-                ))),
-            },
-        },
-        "fits": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["scheme", "fitted_order", "fit_residual", "excluded_taus"],
-                "properties": {
-                    "scheme": _SCHEME_NAMES,
-                    "fitted_order": {"type": ["number", "null"]},
-                    "fit_residual": {"type": ["number", "null"]},
-                    "excluded_taus": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-        },
-        "flags": {"type": "array", "items": {"type": "string"}},
-    },
-    "if": {"properties": {"kind": {"const": "convergence"}}},
-    "then": {"properties": {
-        "metadata": {"required": ["theta", "seed", "t_final", "ref_tau"]},
-        "rows": {"items": {
-            "properties": dict.fromkeys(LOCAL_EMPTY, {"type": "number"})}},
-    }},
-}
 
 
 def render_report(report: ConvergenceReport, fmt: str) -> str:

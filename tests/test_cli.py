@@ -14,12 +14,13 @@ from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import Field, Grid, read_field, write_field
 from kdvlri.studies import (
     CSV_HEADER,
-    REPORT_JSON_SCHEMA,
     StudyConfig,
     parse_report_csv,
     render_report,
     run_convergence_study,
 )
+
+from report_schema import REPORT_JSON_SCHEMA
 
 
 # ---------------------------------------------------------------------------

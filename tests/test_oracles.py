@@ -1,6 +1,8 @@
 """Independent oracles: resonance algebra, Duhamel integrals, the embedded
 integral form summed per frequency triple, and the cross-checked reference."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,37 @@ def test_embedded_form_validation():
     bad = Field.from_values(g, 1.0 + np.cos(g.x))
     with pytest.raises(ValueError, match="zero-mean"):
         embedded_form_step(bad, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_shared_embedded_pass_equals_one_variant_steps(n):
+    # one shared pass gives each variant's field byte for byte as its
+    # one-variant embedded_form_step call
+    g = Grid(n)
+    v = random_band_field(g, alias_free_max_mode(n, 3), seed=90)
+    variants = ("elri1", "elri2")
+    for t_n in (0.0, 0.3):
+        for tau in (0.01, 0.05):
+            closed = fn_closed_form(v, t_n, tau).spectrum
+            both = oracles._embedded_steps(v, closed, t_n, tau, variants)
+            for variant, shared in zip(variants, both, strict=True):
+                single = embedded_form_step(v, t_n, tau, variant=variant)
+                assert shared.spectrum.tobytes() == single.spectrum.tobytes()
+
+
+def test_embedded_check_stacks_equal_single_seed_calls():
+    # at N = 32 the check's stacked seeds and the rows of its stacked
+    # closed form are the single-seed calls byte for byte
+    g = Grid(32)
+    mm = alias_free_max_mode(g.n, 3)
+    seeds = 80_000 + np.arange(10)
+    stack = random_band_field(g, mm, seed=seeds)
+    for tau in (0.01, 0.05):
+        closed = fn_closed_form(stack, 0.0, tau).spectrum
+        for seed, spec, row in zip(seeds, stack.spectrum, closed, strict=True):
+            v = random_band_field(g, mm, seed=int(seed))
+            assert spec.tobytes() == v.spectrum.tobytes()
+            assert row.tobytes() == fn_closed_form(v, 0.0, tau).spectrum.tobytes()
 
 
 def test_oracles_refuse_non_finite_times_and_bad_node_counts():
@@ -495,6 +528,26 @@ def test_verification_suite_all_pass():
     assert len(names) == len(set(names))
     failing = [r.check_name for r in results if not r.passed]
     assert failing == []
+
+
+def test_verify_check_times_add_up_to_the_check(monkeypatch):
+    # the embedded check's two results share its time: their wall times sum
+    # to the check's own, not to twice it nor to its timed parts alone
+    spans = []
+    check = oracles._check_embedded_equivalence
+
+    def timed():
+        start = time.perf_counter()
+        out = check()
+        spans.append(time.perf_counter() - start)
+        return out
+
+    monkeypatch.setattr(oracles, "_check_embedded_equivalence", timed)
+    times = {r.check_name: r.wall_s for r in verification_suite()}
+    pair = [times[f"embedded_form_matches_{v}"] for v in ("elri1", "elri2")]
+    assert all(t > 0.0 for t in pair)
+    # the suite's clock brackets the wrapper's, by microseconds
+    assert spans[0] <= sum(pair) <= spans[0] + 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -771,17 +824,37 @@ def _t_row_by_row(old):
     return call
 
 
+def _t_embedded_steps(v, closed, t_n, tau, variants):
+    # the shared embedded-form pass as one transcribed step per variant, each
+    # taking its own closed form
+    return [_t_embedded_form_step(v, t_n, tau, variant) for variant in variants]
+
+
 def test_verify_residuals_match_the_per_node_transcription(monkeypatch):
     fast = verification_suite()
+    calls = {}
+
+    def counted(name, old):
+        calls[name] = 0
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return old(*args, **kwargs)
+
+        return call
+
     for name, old in (
-        ("fn_quadrature", _t_fn_quadrature),
-        ("check_ibp_identity_i", _t_check_ibp_identity_i),
-        ("check_ibp_identity_ii", _t_check_ibp_identity_ii),
-        ("an_time_integral", _t_an_time_integral),
-        ("embedded_form_step", _t_embedded_form_step),
+        ("fn_quadrature", _t_row_by_row(_t_fn_quadrature)),
+        ("check_ibp_identity_i", _t_row_by_row(_t_check_ibp_identity_i)),
+        ("check_ibp_identity_ii", _t_row_by_row(_t_check_ibp_identity_ii)),
+        ("an_time_integral", _t_row_by_row(_t_an_time_integral)),
+        ("_embedded_steps", _t_embedded_steps),
     ):
-        monkeypatch.setattr(oracles, name, _t_row_by_row(old))
+        monkeypatch.setattr(oracles, name, counted(name, old))
     slow = verification_suite()
+    # every substituted transcription ran, so no check compared a fast path
+    # with itself
+    assert all(calls.values()), calls
     assert [r.check_name for r in fast] == [r.check_name for r in slow]
     for a, b in zip(fast, slow):
         assert a.residual == b.residual, (a.check_name, a.residual, b.residual)

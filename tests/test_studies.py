@@ -15,7 +15,6 @@ from kdvlri.studies import (
     LOCAL_EMPTY,
     ConvergenceReport,
     FitDataError,
-    REPORT_JSON_SCHEMA,
     RunResult,
     StudyConfig,
     _monotonicity_flags,
@@ -30,6 +29,8 @@ from kdvlri.studies import (
     run_local_error_study,
     smooth_test_data,
 )
+
+from report_schema import REPORT_JSON_SCHEMA
 
 TAUS4 = (0.125, 0.0625, 0.03125, 0.015625)
 
