@@ -10,7 +10,7 @@ Run: python3 demos/convergence_mini.py
 import time
 
 from kdvlri.integrators import SchemeKind
-from kdvlri.studies import StudyConfig, render_report_csv, run_convergence_study
+from kdvlri.studies import StudyConfig, render_report, run_convergence_study
 
 cfg = StudyConfig(
     schemes=(SchemeKind.ELRI1, SchemeKind.ELRI2),
@@ -25,7 +25,7 @@ start = time.perf_counter()
 report = run_convergence_study(cfg)
 wall = time.perf_counter() - start
 
-print(render_report_csv(report), end="")
+print(render_report(report, "csv"), end="")
 print(f"\nwall time {wall:.1f}s")
 for fit in report.fits:
     note = f" (dropped {len(fit.excluded_taus)} pre-asymptotic points)" if fit.excluded_taus else ""

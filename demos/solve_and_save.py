@@ -25,7 +25,7 @@ traj = evolve(run)
 print(f"{run.n_steps} steps of {run.scheme.name} at tau=2^-8")
 print(f"max mode-0 drift: {traj.max_mean_drift:.3e}")
 print("snapshots:")
-for t, f in traj:
+for t, f in traj.samples:
     print(f"  t={t:5.2f}  L2={sobolev_norm(f, 0.0):.10f}  H1={sobolev_norm(f, 1.0):.6f}")
 
 # L2 norm is conserved by the equation; the table above shows how well the

@@ -157,7 +157,7 @@ class _Workspace:
     Holds the scheme, the resonant and mass coefficients and the Airy symbol
     at tau, the grid's transform pair, the dealias mask, the one spectrum s
     every step updates in place, the stacks _update transforms in one call
-    each (5 spectra, 4 and 3 rows of grid values) and the blow-up flags.
+    each (5 spectra, 4 and 3 rows of grid values).
     Every row, stack and real view a step reads or writes is bound here once,
     so a step slices nothing.
     """
@@ -178,7 +178,6 @@ class _Workspace:
         self.spec = spec = np.empty((5, m), complex)
         self.vals = vals = np.empty((4, n))
         self.prod = prod = np.empty((3, n))
-        self.finite = np.empty(m, bool)
         # spec rows: 0 the correction sum; from 1 the rows of the first irfft,
         # e^{-tau dx^3} dxinv u, dxinv u, then e^{-tau dx^3} u (ELRI2) and -u
         # (ELRI1, ELRI2); the first rfft writes d and h to rows 2..3, the last
@@ -323,15 +322,6 @@ class Trajectory:
     def final(self) -> Field:
         return self.samples[-1][1]
 
-    def __len__(self):
-        return len(self.samples)
-
-    def __getitem__(self, i):
-        return self.samples[i]
-
-    def __iter__(self):
-        return iter(self.samples)
-
 
 def evolve(run: SolverRun) -> Trajectory:
     """Apply the scheme t_final/tau times from the initial field.
@@ -350,7 +340,6 @@ def evolve(run: SolverRun) -> Trajectory:
         require_zero_mean(u0, "SolverRun")
     ws = _Workspace(run.scheme, u0.grid, tau, run.dealias)
     s = ws.load(u0.spectrum)
-    s_f, finite = ws.s_f, ws.finite
     mean0 = complex(s[0])
     samples = [(0.0, u0)]
     drift = 0.0
@@ -361,8 +350,7 @@ def evolve(run: SolverRun) -> Trajectory:
             _update(ws)
             # a finite sum proves every entry finite; a non-finite one, which
             # finite entries also reach by overflow, is checked entry by entry
-            sum_ok = math.isfinite(np.add.reduce(s_f))
-            if not (sum_ok or np.isfinite(s, out=finite).all()):
+            if not (math.isfinite(np.add.reduce(ws.s_f)) or np.isfinite(s).all()):
                 raise BlowUpError(
                     f"non-finite field after step {n} of {n_steps} "
                     f"(t = {n * tau:.6g}, scheme {run.scheme.name})",

@@ -70,9 +70,8 @@ def generate_rough(spec: RoughSpec) -> Field:
     grid = Grid(spec.n_points)
     noise = splitmix64_uniform(spec.seed, spec.n_points)
     noise_hat = Field.from_values(grid, noise).spectrum
-    k = grid.wavenumbers.astype(np.float64)
-    mult = np.zeros(k.size)
-    mult[1:] = k[1:] ** (-spec.theta)
+    mult = np.zeros(grid.wavenumbers.size)
+    mult[1:] = grid.wavenumbers[1:] ** (-spec.theta)
     shaped = noise_hat * mult
     values = Field.from_spectrum(grid, shaped).values
     peak = np.max(np.abs(values))

@@ -10,11 +10,12 @@ Conventions shared by every module in this package:
   N/2, Nyquist last (numpy's rfft layout, norm="forward"); each mode
   0 < xi < N/2 stands for its conjugate partner -xi too, so every spectrum
   is that of a real field.
-* The Nyquist mode N/2 has no partner on the grid.  Odd-order multipliers
-  (dx with odd order, inv_dx) zero it, and the phase symbols of exp_airy and
-  translate drop their phase there (symbol 1).  This makes exp_airy an exact
-  isometry of every H^gamma norm and preserves the group law
-  exp_airy(f, s + t) = exp_airy(exp_airy(f, s), t).
+* The Nyquist mode N/2 has no partner on the grid.  Every odd-order
+  multiplier (dx with odd order, inv_dx) and phase symbol (exp_airy,
+  translate) is built from Grid's one copy of the wavenumbers with that entry
+  set to 0, so the first vanish there and the second carry no phase (symbol
+  1).  This makes exp_airy an exact isometry of every H^gamma norm and
+  preserves the group law exp_airy(f, s + t) = exp_airy(exp_airy(f, s), t).
 * inv_dx is the mean-free antiderivative: multiplier 1/(i xi) for xi != 0
   and 0 at xi = 0, so inv_dx(dx(f, 1)) == project_zero_mean(f).
 
@@ -65,37 +66,33 @@ def check_grid_size(n) -> int:
 class Grid:
     """Uniform N-point grid on (0, 2*pi), N even and at least 4.
 
-    Caches the wavenumbers 0..N/2 of a spectrum and the multiplier arrays
-    shared by the spectral operators: ik is the derivative multiplier i xi
-    (0 at Nyquist), inv_ik the mean-free antiderivative multiplier 1/(i xi),
-    keep_two_thirds marks the modes 3 xi < N that the 2/3 rule keeps, and
-    airy(t) builds the Airy symbol; rfft/irfft are the package's one transform
-    pair.  Cached arrays are read-only, so a Grid can be used concurrently.
+    Caches the float wavenumbers 0..N/2 of a spectrum and the multipliers
+    the operators share, and holds the one Nyquist rule: _paired_k is the
+    wavenumbers with the unpaired N/2 entry 0, and ik (i xi), inv_ik (the
+    mean-free 1/(i xi)), airy(t) and every odd multiplier and phase symbol
+    come from it.  keep_two_thirds marks the modes 3 xi < N the 2/3 rule
+    keeps; rfft/irfft are the package's one transform pair.  Cached arrays
+    are read-only, so a Grid can be used concurrently.
     """
 
     def __init__(self, n: int):
         self.n = n = check_grid_size(n)
         self.x = TWO_PI * np.arange(n) / n
-        self.wavenumbers = np.arange(n // 2 + 1)
+        self.wavenumbers = k = np.arange(n // 2 + 1, dtype=np.float64)
         self.nyquist_index = n // 2
         self._inv_n = 1.0 / n  # the norm="forward" factor of rfft
 
-        k = self.wavenumbers.astype(np.float64)
-        ik = 1j * k
-        ik[-1] = 0.0  # unpaired mode: odd multiplier vanishes
+        self._paired_k = paired = k.copy()
+        paired[-1] = 0.0  # unpaired mode: no odd multiplier, no phase
+        self.ik = ik = 1j * paired
         inv_ik = np.zeros_like(ik)
         inv_ik[1:-1] = 1.0 / ik[1:-1]
-        k3 = k**3
-        k3[-1] = 0.0  # phase symbols carry no Nyquist phase
         # modes 1..N/2-1 count for their conjugate partners in norms
         pairs = np.full(k.size, 2.0)
         pairs[[0, -1]] = 1.0
-        self.ik, self.inv_ik, self._k3, self._pairs = ik, inv_ik, k3, pairs
-        self.keep_two_thirds = 3 * self.wavenumbers < n
-        for arr in (
-            self.x, self.wavenumbers, self.ik, self.inv_ik, self._k3,
-            self._pairs, self.keep_two_thirds,
-        ):
+        self.inv_ik, self._k3, self._pairs = inv_ik, paired**3, pairs
+        self.keep_two_thirds = keep = 3 * k < n
+        for arr in (self.x, k, paired, ik, inv_ik, self._k3, pairs, keep):
             arr.flags.writeable = False
 
     def airy(self, t) -> np.ndarray:
@@ -140,27 +137,15 @@ class Field:
         if (values is None) == (spectrum is None):
             raise ValueError("Field needs values or spectrum, not both")
         self.grid = grid
-        self._values = None
-        self._spectrum = None
+        self._values = self._spectrum = None
         if values is not None:
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape[-1:] != (grid.n,):
-                raise ValueError(
-                    f"values shape {values.shape} does not match grid n={grid.n}"
-                )
-            values = values.copy()
-            values.flags.writeable = False
-            self._values = values
-        if spectrum is not None:
-            spectrum = np.asarray(spectrum, dtype=np.complex128)
-            if spectrum.shape[-1:] != grid.wavenumbers.shape:
-                raise ValueError(
-                    f"spectrum shape {spectrum.shape} does not match grid n={grid.n} "
-                    f"(modes 0..{grid.n // 2})"
-                )
-            spectrum = spectrum.copy()
-            spectrum.flags.writeable = False
-            self._spectrum = spectrum
+            values = np.asarray(values)
+            if values.dtype.kind == "c":  # a cast would drop the imaginary part
+                raise ValueError(f"values must be real, got dtype {values.dtype}")
+            self._values = _frozen_copy(values, np.float64, grid.n, grid, "values")
+        else:
+            spectrum, m = np.asarray(spectrum), grid.nyquist_index + 1
+            self._spectrum = _frozen_copy(spectrum, np.complex128, m, grid, "spectrum")
 
     @classmethod
     def from_values(cls, grid: Grid, values) -> "Field":
@@ -190,6 +175,18 @@ class Field:
         return f"Field(n={self.grid.n})"
 
 
+def _frozen_copy(a, dtype, size, grid, name):
+    """A read-only dtype copy of the array a; refuse a last axis not size long."""
+    if a.shape[-1:] != (size,):
+        modes = f" (modes 0..{grid.n // 2})" if name == "spectrum" else ""
+        raise ValueError(
+            f"{name} shape {a.shape} does not match grid n={grid.n}{modes}"
+        )
+    a = a.astype(dtype)
+    a.flags.writeable = False
+    return a
+
+
 def require_single(f: Field, where: str) -> None:
     """Refuse a stack where one field is needed, naming its shape of values."""
     shape = (f._spectrum if f._values is None else f._values).shape[:-1] + (f.grid.n,)
@@ -209,15 +206,12 @@ def dx(f: Field, order: int = 1) -> Field:
     """Spectral derivative d^order/dx^order; Nyquist zeroed for odd order."""
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
-    g = f.grid
     if order == 0:
         return f
     if order == 1:
-        return _apply_symbol(f, g.ik)
-    sym = (1j * g.wavenumbers.astype(np.float64)) ** order
-    if order % 2:
-        sym[g.nyquist_index] = 0.0
-    return _apply_symbol(f, sym)
+        return _apply_symbol(f, f.grid.ik)
+    k = f.grid._paired_k if order % 2 else f.grid.wavenumbers
+    return _apply_symbol(f, (1j * k) ** order)
 
 
 def inv_dx(f: Field) -> Field:
@@ -236,11 +230,7 @@ def exp_airy(f: Field, t: float) -> Field:
 
 def translate(f: Field, a: float) -> Field:
     """f(x + a) via the phase symbol e^{i xi a} (exact for band-limited f)."""
-    k = f.grid.wavenumbers.astype(np.float64)
-    phase = k * a
-    sym = np.exp(1j * phase)
-    sym[f.grid.nyquist_index] = 1.0  # no Nyquist phase: it has no sine on the grid
-    return _apply_symbol(f, sym)
+    return _apply_symbol(f, np.exp(1j * (f.grid._paired_k * a)))
 
 
 def project_zero_mean(f: Field) -> Field:
@@ -257,7 +247,7 @@ def sobolev_norm(f: Field, gamma: float = 0.0) -> float:
     mode 0 < xi < N/2 counted twice for its partner -xi; gamma = 0 gives the
     L^2 norm.
     """
-    k = f.grid.wavenumbers.astype(np.float64)
+    k = f.grid.wavenumbers
     s = f.spectrum
     weighted = f.grid._pairs * (1.0 + k * k) ** gamma * (s.real**2 + s.imag**2)
     return _per_field(np.sqrt(TWO_PI * np.sum(weighted, axis=-1)))

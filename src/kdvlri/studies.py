@@ -306,7 +306,7 @@ def _row(r: RunResult, report: ConvergenceReport) -> tuple:
             *(md.get(c) for c in LOCAL_EMPTY), r.status)
 
 
-def render_report_csv(report: ConvergenceReport) -> str:
+def _csv_text(report: ConvergenceReport) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
         cells = zip(_TYPES, _row(r, report))
@@ -316,7 +316,7 @@ def render_report_csv(report: ConvergenceReport) -> str:
 
 
 def parse_report_csv(text: str):
-    """Rows of a render_report_csv document as dicts (inverse of the writer)."""
+    """Rows of a render_report(., "csv") document as dicts (its inverse)."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad report header: {lines[:1]!r}")
@@ -374,16 +374,12 @@ def report_as_dict(report: ConvergenceReport) -> dict:
     }
 
 
-def render_report_json(report: ConvergenceReport) -> str:
-    return json_text(report_as_dict(report)) + "\n"
-
-
 def render_report(report: ConvergenceReport, fmt: str) -> str:
     """The report as CSV or JSON text, ending with a newline."""
     if fmt == "csv":
-        return render_report_csv(report)
+        return _csv_text(report)
     if fmt == "json":
-        return render_report_json(report)
+        return json_text(report_as_dict(report)) + "\n"
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 

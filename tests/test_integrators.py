@@ -327,7 +327,7 @@ def test_workspace_steps_are_bitwise_the_allocating_update():
                     if tau:
                         run = SolverRun(kind, tau, 3 * tau, u0, record_every=1,
                                         dealias=dealias)
-                        got = [f.spectrum.tobytes() for _, f in evolve(run)][1:]
+                        got = [f.spectrum.tobytes() for _, f in evolve(run).samples][1:]
                         assert got == want
 
 
@@ -611,12 +611,13 @@ def test_evolve_recording_pattern():
     tau = 0.125
     run = SolverRun(SchemeKind.ELRI1, tau, 1.0, u, record_every=3)
     traj = evolve(run)
-    assert [t for t, _ in traj] == [0.0, 3 * tau, 6 * tau, 8 * tau]
-    assert len(traj) == 4
-    assert traj[0][1] is u
+    assert [t for t, _ in traj.samples] == [0.0, 3 * tau, 6 * tau, 8 * tau]
+    assert len(traj.samples) == 4
+    assert traj.samples[0][1] is u
     # record_every = 0: endpoints only, and the final step is never duplicated
-    assert len(evolve(SolverRun(SchemeKind.ELRI1, tau, 1.0, u))) == 2
-    assert len(evolve(SolverRun(SchemeKind.ELRI1, tau, 1.0, u, record_every=4))) == 3
+    assert len(evolve(SolverRun(SchemeKind.ELRI1, tau, 1.0, u)).samples) == 2
+    run = SolverRun(SchemeKind.ELRI1, tau, 1.0, u, record_every=4)
+    assert len(evolve(run).samples) == 3
 
 
 def test_evolve_mean_drift_stays_tiny():
@@ -670,10 +671,10 @@ def test_mean_shift_is_bitwise_shift_evolve_shift_back(n, mean):
                 inner = evolve(replace(run, initial=Field.from_spectrum(u.grid, s0),
                                        mean_shift=False))
                 want = [(t, integrators._add_constant(translate(w, c * t), c))
-                        for t, w in inner]
+                        for t, w in inner.samples]
                 got = evolve(run)
-                assert [t for t, _ in got] == [t for t, _ in want]
-                assert [f.spectrum.tobytes() for _, f in got] == [
+                assert [t for t, _ in got.samples] == [t for t, _ in want]
+                assert [f.spectrum.tobytes() for _, f in got.samples] == [
                     f.spectrum.tobytes() for _, f in want
                 ]
                 assert got.max_mean_drift == inner.max_mean_drift

@@ -35,8 +35,7 @@ from kdvlri.studies import (
     RunResult,
     StudyConfig,
     parse_report_csv,
-    render_report_csv,
-    render_report_json,
+    render_report,
     run_convergence_study,
 )
 
@@ -115,17 +114,17 @@ def bits(row):
 @FAST
 @given(reports())
 def test_csv_round_trip_is_bit_exact(rep):
-    parsed = parse_report_csv(render_report_csv(rep))
+    parsed = parse_report_csv(render_report(rep, "csv"))
     assert [bits(r) for r in parsed] == [bits(r) for r in expected_rows(rep)]
 
 
 @FAST
 @given(reports())
 def test_json_rows_equal_csv_rows(rep):
-    from_json = json.loads(render_report_json(rep))["rows"]
+    from_json = json.loads(render_report(rep, "json"))["rows"]
     from_csv = [
         {k: None if isinstance(v, float) and math.isinf(v) else v for k, v in r.items()}
-        for r in parse_report_csv(render_report_csv(rep))
+        for r in parse_report_csv(render_report(rep, "csv"))
     ]
     assert from_json == from_csv
 

@@ -70,6 +70,9 @@ def test_field_shape_mismatch():
     # both representations, unchecked against each other (these two disagree)
     with pytest.raises(ValueError, match="not both"):
         Field(g, values=np.zeros(8), spectrum=[0, 1, 0, 0, 0])
+    # complex values are refused, not cast to their real part
+    with pytest.raises(ValueError, match="values must be real, got dtype complex128"):
+        Field.from_values(g, np.ones(8) + 1j)
 
 
 def test_grid_size_is_capped_before_any_allocation():
@@ -285,6 +288,44 @@ def test_translate_shifts_left_argument():
     out = translate(Field.from_values(g, np.cos(g.x) + 0.2 * np.sin(3 * g.x)), a)
     expected = np.cos(g.x + a) + 0.2 * np.sin(3 * (g.x + a))
     assert np.max(np.abs(out.values - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_multipliers_are_bitwise_the_explicit_nyquist_formulas(n):
+    # each multiplier written out with its own Nyquist patch, as the operators
+    # built them before Grid held the one zeroed copy of the wavenumbers
+    g = Grid(n)
+    k = np.arange(n // 2 + 1).astype(np.float64)
+    ik = 1j * k
+    ik[-1] = 0.0
+    inv_ik = np.zeros_like(ik)
+    inv_ik[1:-1] = 1.0 / ik[1:-1]
+    k3 = k**3
+    k3[-1] = 0.0
+    assert g.ik.tobytes() == ik.tobytes()
+    assert g.inv_ik.tobytes() == inv_ik.tobytes()
+    for t in (0.3, -1.7, 0.0, [0.1, -2.5]):
+        airy = np.exp(1j * np.asarray(t)[..., None] * k3)
+        assert g.airy(t).tobytes() == airy.tobytes()
+    f = random_field(g, n)
+    for a in (0.3, -1.7, 0.0, TWO_PI / n):
+        sym = np.exp(1j * (k * a))
+        sym[n // 2] = 1.0
+        assert translate(f, a).spectrum.tobytes() == (f.spectrum * sym).tobytes()
+    for order in range(2, 6):
+        sym = (1j * k) ** order
+        if order % 2:
+            sym[n // 2] = 0.0
+        assert dx(f, order).spectrum.tobytes() == (f.spectrum * sym).tobytes()
+
+
+def test_translate_keeps_the_nyquist_coefficient():
+    g = Grid(16)
+    spec = random_field(g, 5).spectrum.copy()
+    spec[g.nyquist_index] = 0.7 - 0.2j
+    f = Field.from_spectrum(g, spec)
+    for a in (-0.3, -1.7, -TWO_PI / g.n, -100.0, 0.3):
+        assert translate(f, a).spectrum[g.nyquist_index] == spec[g.nyquist_index]
 
 
 def test_translate_by_grid_spacing_rolls_values():

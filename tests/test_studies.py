@@ -22,8 +22,7 @@ from kdvlri.studies import (
     estimate_order,
     json_text,
     parse_report_csv,
-    render_report_csv,
-    render_report_json,
+    render_report,
     report_as_dict,
     run_convergence_study,
     run_local_error_study,
@@ -186,8 +185,8 @@ def test_convergence_study_structure_and_exclusion():
 def test_convergence_study_is_deterministic():
     a = run_convergence_study(tiny_config())
     b = run_convergence_study(tiny_config())
-    assert render_report_csv(a) == render_report_csv(b)
-    assert render_report_json(a) == render_report_json(b)
+    assert render_report(a, "csv") == render_report(b, "csv")
+    assert render_report(a, "json") == render_report(b, "json")
 
 
 def test_two_studies_on_the_same_data_build_one_reference(monkeypatch):
@@ -201,7 +200,7 @@ def test_two_studies_on_the_same_data_build_one_reference(monkeypatch):
     pair = (tiny_config(), tiny_config(schemes=(SchemeKind.ELRI2,), gamma_err=0.0))
 
     def texts(rep):
-        return [render_report_csv(rep), render_report_json(rep)]
+        return [render_report(rep, "csv"), render_report(rep, "json")]
 
     oracles._reference.cache_clear()
     shared = [t for cfg in pair for t in texts(run_convergence_study(cfg))]
@@ -278,7 +277,7 @@ def test_local_error_study_runs_fine_ladders():
 def test_local_error_rows_leave_unused_cells_empty():
     # smooth built-in data and one step per tau: no theta, seed or t_final
     rep = run_local_error_study((SchemeKind.ELRI2,), (2.0**-6, 2.0**-7), n_points=16)
-    text = render_report_csv(rep)
+    text = render_report(rep, "csv")
     for line in text.splitlines()[1:]:
         cells = dict(zip(COLUMNS, line.split(",")))
         assert [cells[c] for c in LOCAL_EMPTY] == ["", "", ""]
@@ -286,7 +285,7 @@ def test_local_error_rows_leave_unused_cells_empty():
     parsed = parse_report_csv(text)
     assert len(parsed) == 2
     assert all(row[c] is None for row in parsed for c in LOCAL_EMPTY)
-    doc = json.loads(render_report_json(rep))
+    doc = json.loads(render_report(rep, "json"))
     jsonschema.validate(doc, REPORT_JSON_SCHEMA)
     assert [{c: row[c] for c in LOCAL_EMPTY} for row in doc["rows"]] == [
         dict.fromkeys(LOCAL_EMPTY)
@@ -316,7 +315,7 @@ def test_csv_round_trip_preserves_rows():
         RunResult(SchemeKind.ELRI1, 0.125, 1.234567890123456e-3, "ok"),
         RunResult(SchemeKind.ELRI1, 0.0625, float("inf"), "diverged"),
     ]
-    text = render_report_csv(synthetic_report(rows))
+    text = render_report(synthetic_report(rows), "csv")
     parsed = parse_report_csv(text)
     assert len(parsed) == 2
     assert parsed[0]["scheme"] == "elri1"
@@ -328,7 +327,7 @@ def test_csv_round_trip_preserves_rows():
 
 
 def test_empty_report_renders_header_only():
-    assert render_report_csv(synthetic_report([])) == CSV_HEADER + "\n"
+    assert render_report(synthetic_report([]), "csv") == CSV_HEADER + "\n"
 
 
 def test_parse_report_csv_rejects_garbage():
@@ -341,7 +340,7 @@ def test_parse_report_csv_rejects_garbage():
 def test_json_report_validates_against_schema():
     cfg = tiny_config()
     rep = run_convergence_study(cfg)
-    doc = json.loads(render_report_json(rep))
+    doc = json.loads(render_report(rep, "json"))
     jsonschema.validate(doc, REPORT_JSON_SCHEMA)
     assert doc["kind"] == "convergence"
     assert doc["metadata"]["n_points"] == 64
@@ -377,7 +376,7 @@ def test_emit_report_writes_files(tmp_path):
     rep = synthetic_report([RunResult(SchemeKind.ELRI1, 0.125, 1e-3, "ok")])
     csv_path = tmp_path / "r.csv"
     emit_report(rep, "csv", csv_path)
-    assert csv_path.read_text() == render_report_csv(rep)
+    assert csv_path.read_text() == render_report(rep, "csv")
     json_path = tmp_path / "r.json"
     emit_report(rep, "json", json_path)
     assert json_path.read_text().endswith("\n")
