@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument(
         "--cross-check",
         action="store_true",
-        help="validate the reference against the independent RK4 route",
+        help="check the reference by RK4; for smooth data (rough data exits 1)",
     )
 
     loc = sub.add_parser("local-error", help="one-step errors on smooth data")

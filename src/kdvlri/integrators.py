@@ -15,11 +15,13 @@ one update body (_update) builds all three:
              H^(gamma+3) data.
 
 The update writes only into a workspace allocated once per run (by evolve)
-or per call (by step).  It holds the scheme, tau, the Airy symbol, the one
+or per call (by step).  It holds B members, each with its own tau and one
 spectrum (modes 0..N/2) every step updates in place, the temporaries and
 every view of them a step uses, so a step in steady state allocates no array
-and slices no view.  A Field is built only for recorded samples and the final
-state.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
+and slices no view.  Members share every call, each bit for bit a run of its
+own; evolve is the one-member case of the one stepping loop (_march).  A
+Field is built only for samples.  The linear part e^{-tau dx^3} u is the
+spectrum times the symbol.
 The correction terms are formed with Grid.rfft/irfft (normalized like the
 spectrum, so no separate 1/N scaling), summed, and added to the spectrum.
 Terms that share a multiplier share a transform: the 1/18 pair is one
@@ -152,32 +154,41 @@ def _raise_malloc_thresholds():
 
 
 class _Workspace:
-    """One run's stepping state, allocated once per run.
+    """The stepping state of B members, allocated once per run.
 
-    Holds the scheme, the resonant and mass coefficients and the Airy symbol
-    at tau, the grid's transform pair, the dealias mask, the one spectrum s
-    every step updates in place, the stacks _update transforms in one call
-    each (5 spectra, 4 and 3 rows of grid values).
-    Every row, stack and real view a step reads or writes is bound here once,
-    so a step slices nothing.
+    Holds the scheme, the grid's transform pair, the dealias mask, each
+    member's Airy symbol and coefficients at its own tau, the members' spectra
+    (B, N/2+1) and the stacks _update transforms in one call each (5 spectra,
+    4 and 3 rows of grid values, shaped (rows, B, .)).  No product broadcasts
+    (numpy's iterator costs ~0.5 us, 3-4 KB): for B > 1 the coefficients have
+    their operands' shapes, and B = 1 steps on views without the member axis.
+    Every row, stack and view a step uses is bound here: a step slices nothing.
     """
 
-    def __init__(self, kind, grid, tau, dealias):
+    def __init__(self, kind, grid, taus, dealias):
         n = grid.n
         m = n // 2 + 1
+        tau = np.reshape(taus, (-1, 1))  # a column, one row per member
+        b = tau.shape[0]
         self.kind, self.n = kind, n
         if n >= SCRATCH_N:
             _raise_malloc_thresholds()
         k = {SchemeKind.LRI1: 2, SchemeKind.ELRI1: 3, SchemeKind.ELRI2: 4}[kind]
-        self.resonant = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
-        self.mass = tau / (12.0 * np.pi)
-        self.airy, self.inv_ik = grid.airy(tau), grid.inv_ik
+        s, a = np.empty((b, m), complex), grid.airy(tau[:, 0])
+        spec = np.empty((5, b, m), complex)
+        vals, prod = np.empty((4, b, n)), np.empty((3, b, n))
+        self.members, self.buffers = s, (a, spec, vals, prod)  # behind the views
+        res = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
+        if b == 1:  # a single run: no member axis, scalar coefficients
+            s, a, spec, vals, prod = s[0], a[0], spec[:, 0], vals[:, 0], prod[:, 0]
+            inv_ik, res, tau = grid.inv_ik, res[0, 0], tau[0, 0]
+        else:  # operands of equal shapes, so that no product broadcasts
+            inv_ik, tau = np.tile(grid.inv_ik, (b, 1)), tau[:, 0]
+            res = np.broadcast_to(res, (k - 2, b, n)).copy()
+        self.s, self.airy, self.inv_ik, self.prod = s, a, inv_ik, prod
+        self.resonant, self.mass = res, tau / (12.0 * np.pi)
         self.rfft, self.irfft = grid.rfft, grid.irfft
         self.drop = ~grid.keep_two_thirds if dealias else None
-        self.s = s = np.empty(m, complex)
-        self.spec = spec = np.empty((5, m), complex)
-        self.vals = vals = np.empty((4, n))
-        self.prod = prod = np.empty((3, n))
         # spec rows: 0 the correction sum; from 1 the rows of the first irfft,
         # e^{-tau dx^3} dxinv u, dxinv u, then e^{-tau dx^3} u (ELRI2) and -u
         # (ELRI1, ELRI2); the first rfft writes d and h to rows 2..3, the last
@@ -201,13 +212,14 @@ class _Workspace:
         self.s_f, self.neg_u_f, self.d_f, self.q_f, self.ep_f, self.corr_f = (
             x.view(float) for x in real
         )
+        self.q0, self.ep_rows = self.q[..., :1], tuple(self.ep_f.reshape(b, -1))
 
     def load(self, spectrum):
-        """Copy spectrum into s, 2/3-truncated when dealiasing; return s."""
-        np.copyto(self.s, spectrum)
+        """Copy spectrum into members, 2/3-truncated when dealiasing; return it."""
+        np.copyto(self.members, spectrum)
         if self.drop is not None:
-            np.copyto(self.s, 0.0, where=self.drop)
-        return self.s
+            np.copyto(self.members, 0.0, where=self.drop)
+        return self.members
 
 
 def _update(ws):
@@ -250,19 +262,23 @@ def _update(ws):
         np.divide(np.multiply(pair_v, squares, out=squares), 54.0, out=squares)
         cube_v, cube_sq = ws.cube_v, ws.cube_sq
         np.multiply(cube_v, cube_v, out=cube_sq)
-        mass = ws.mass * (TWO_PI * (np.add.reduce(ws.v2) / n))
+        mass = ws.mass * (TWO_PI * (np.add.reduce(ws.v2, -1) / n))  # one per member
         np.multiply(np.multiply(cube_sq, cube_v, out=cube_v), ws.resonant, out=cube_v)
         np.add(ws.cube_to, cube_v, out=ws.cube_to)
         # rows ep_v g, cubic_ep, cubic_p
         q, cubic = ws.q, ws.cubic
         ws.rfft(ws.prod, ws.out3)
-        q[0] = 0.0  # zero-mean projection
+        ws.q0.fill(0.0)  # zero-mean projection
         np.multiply(ws.q_f, EIGHTEENTH, out=ws.q_f)
         np.add(corr, q, out=corr)
         np.subtract(np.multiply(cubic, a, out=cubic), ws.cubic_ep, out=cubic)
         np.add(corr, np.multiply(cubic, inv_ik, out=cubic), out=corr)
         # mass term: (tau / 12 pi) e^{-tau dx^3} dxinv u * integral(u^2)
-        np.multiply(ws.ep_f, mass, out=ws.ep_f)
+        if s.ndim == 1:
+            np.multiply(ws.ep_f, mass, out=ws.ep_f)
+        else:  # row by row: a product with a column of masses would broadcast
+            for row, c in zip(ws.ep_rows, mass):
+                np.multiply(row, c, out=row)
         np.add(corr, ws.ep, out=corr)
     np.add(s, corr, out=s)
     if ws.drop is not None:
@@ -338,31 +354,54 @@ def evolve(run: SolverRun) -> Trajectory:
         c = float(u0.spectrum[0].real)
         u0 = _add_constant(u0, -c)
         require_zero_mean(u0, "SolverRun")
-    ws = _Workspace(run.scheme, u0.grid, tau, run.dealias)
-    s = ws.load(u0.spectrum)
-    mean0 = complex(s[0])
-    samples = [(0.0, u0)]
-    drift = 0.0
-    # a diverging iterate overflows before the isfinite check catches it;
-    # the warnings would only duplicate the BlowUpError diagnostic
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            _update(ws)
-            # a finite sum proves every entry finite; a non-finite one, which
-            # finite entries also reach by overflow, is checked entry by entry
-            if not (math.isfinite(np.add.reduce(ws.s_f)) or np.isfinite(s).all()):
-                raise BlowUpError(
-                    f"non-finite field after step {n} of {n_steps} "
-                    f"(t = {n * tau:.6g}, scheme {run.scheme.name})",
-                    step=n,
-                )
-            drift = max(drift, abs(complex(s[0]) - mean0))
-            if run.record_every and n % run.record_every == 0 and n != n_steps:
-                samples.append((n * tau, Field.from_spectrum(u0.grid, s)))
-    samples.append((n_steps * tau, Field.from_spectrum(u0.grid, s)))
+    (samples,), (drift,) = _march(run.scheme, u0.grid, [tau], [n_steps], u0.spectrum,
+                                  run.dealias, run.record_every)
+    samples.insert(0, (0.0, u0))
     if run.mean_shift:
         samples = [(t, _add_constant(translate(f, c * t), c)) for t, f in samples]
     return Trajectory(samples=samples, n_steps=n_steps, max_mean_drift=drift)
+
+
+def _march(kind, grid, taus, counts, spectra, dealias, record_every=0):
+    """Step row b of spectra counts[b] times by taus[b], all rows in lockstep;
+    return per member its samples [(t, Field)] (every record_every-th step and
+    its last) and its largest mode-0 drift.  A member leaves at its count, the
+    rest go on in a smaller workspace; a non-finite one raises BlowUpError."""
+    live, ends = list(range(len(taus))), set(counts)
+    samples, drift = [[] for _ in live], [0.0 for _ in live]
+    ws = _Workspace(kind, grid, taus, dealias)
+    s = ws.load(spectra)
+    mode0 = s[:, 0]
+    mean0 = mode0.tolist()
+    # a diverging iterate overflows before the isfinite check catches it;
+    # the warnings would only duplicate the BlowUpError diagnostic
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, max(counts) + 1):
+            _update(ws)
+            # a finite sum proves every entry finite; a non-finite one, which
+            # finite entries also reach by overflow, is checked entry by entry
+            if not (math.isfinite(np.add.reduce(ws.s_f, None)) or np.isfinite(s).all()):
+                b = live[np.flatnonzero(~np.isfinite(s).all(axis=-1))[0]]
+                raise BlowUpError(
+                    f"non-finite field after step {n} of {counts[b]} "
+                    f"(t = {n * taus[b]:.6g}, scheme {kind.name})",
+                    step=n,
+                )
+            for b, z in zip(live, mode0.tolist()):
+                drift[b] = max(drift[b], abs(z - mean0[b]))
+            record = record_every and n % record_every == 0
+            if not (record or n in ends):
+                continue
+            for j, b in enumerate(live):
+                if record or n == counts[b]:
+                    samples[b].append((n * taus[b], Field.from_spectrum(grid, s[j])))
+            stay = [j for j, b in enumerate(live) if n < counts[b]]
+            if 0 < len(stay) < len(live):
+                live = [live[j] for j in stay]
+                ws = _Workspace(kind, grid, [taus[b] for b in live], dealias)
+                s = ws.load(s[stay])
+                mode0 = s[:, 0]
+    return samples, drift
 
 
 def _add_constant(f, c):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrators import SchemeKind, SolverRun, check_positive, check_step_count
-from .integrators import evolve, require_zero_mean, step
+from .integrators import _march, evolve, require_zero_mean
 from .rough_data import splitmix64_uniform
 from .spectral import (
     Field,
@@ -479,9 +479,8 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
         u0 = truncate_two_thirds(u0)
 
     def rhs(t, w_spec):
-        uw = exp_airy(Field.from_spectrum(g, w_spec), t)  # e^{-t dx^3} w
-        sq = Field.from_values(g, uw.values * uw.values)
-        out = 0.5 * exp_airy(dx(sq, 1), -t).spectrum
+        uw = g.irfft(w_spec * g.airy(t))  # e^{-t dx^3} w, on the grid
+        out = 0.5 * (g.rfft(uw * uw) * g.ik * g.airy(-t))
         return np.where(g.keep_two_thirds, out, 0.0) if dealias else out
 
     w = u0.spectrum.copy()
@@ -501,16 +500,14 @@ def ifrk4_solve(u0: Field, t_final: float, tau: float, dealias: bool = False) ->
 REFERENCE_CACHE_SIZE = 4
 
 
-def _elri2_final(u0, t_final, tau, dealias):
-    """Field at t_final of the production ELRI2 scheme with step tau."""
-    return evolve(SolverRun(SchemeKind.ELRI2, tau, t_final, u0, dealias=dealias)).final
-
-
 def _reference_pair(u0, t_final, tau_ref, dealias=False):
     """Fine ELRI2 field, its L2 distance to the RK4 field, and the allowed one."""
-    cross_tau = t_final / -(-check_step_count("ref_tau", tau_ref, t_final) // 10)
-    fine = _elri2_final(u0, t_final, tau_ref, dealias)
-    coarse = _elri2_final(u0, t_final, 2 * tau_ref, dealias)
+    steps = check_step_count("ref_tau", tau_ref, t_final)
+    cross_tau = t_final / -(-steps // 10)
+    counts = [steps, check_step_count("tau", 2 * tau_ref, t_final)]
+    runs, _ = _march(SchemeKind.ELRI2, u0.grid, [tau_ref, 2 * tau_ref], counts,
+                     u0.spectrum, dealias)
+    fine, coarse = (samples[-1][1] for samples in runs)
     est = sobolev_distance(fine, coarse) / 3.0
     other = ifrk4_solve(u0, t_final, cross_tau, dealias=dealias)
     disagreement = sobolev_distance(fine, other)
@@ -552,7 +549,8 @@ def reference_solution(
 def _reference(n, spectrum, t_final, tau_ref, cross_check, dealias):
     u0 = Field.from_spectrum(Grid(n), np.frombuffer(spectrum, dtype=np.complex128))
     if not cross_check:
-        return _elri2_final(u0, t_final, tau_ref, dealias)
+        run = SolverRun(SchemeKind.ELRI2, tau_ref, t_final, u0, dealias=dealias)
+        return evolve(run).final
     fine, disagreement, bound = _reference_pair(u0, t_final, tau_ref, dealias)
     if disagreement > bound:
         raise ReferenceMismatchError(
@@ -713,28 +711,31 @@ def _check_an_difference():
 
 
 def _check_embedded_equivalence():
-    # one oracle pass per seed serves both variants; tau stays outermost, as
-    # with N outside it both taus' N = 32 kernels stay cached (peak RSS +0.6 MB)
+    # one oracle pass per seed serves both variants, one _march the ten seeds;
+    # tau stays outermost, as with N outside it both taus' N = 32 kernels stay
+    # cached (peak RSS +0.6 MB)
     kinds = (SchemeKind.ELRI1, SchemeKind.ELRI2)
-    results = [
-        CheckResult(f"embedded_form_matches_{k.value}", 0.0, 1e-10) for k in kinds
-    ]
+    names = [k.value for k in kinds]
+    results = [CheckResult(f"embedded_form_matches_{k}", 0.0, 1e-10) for k in names]
     for tau in (0.01, 0.05):
         for n in (8, 16, 32):
             grid = Grid(n)
             mm = alias_free_max_mode(n, 3)
             vs = random_band_field(grid, mm, seed=80_000 + np.arange(10))
             closed = fn_closed_form(vs, 0.0, tau).spectrum
-            for spec, row in zip(vs.spectrum, closed):
-                v = Field.from_spectrum(grid, spec)
-                both = _embedded_steps(v, row, 0.0, tau, [k.value for k in kinds])
-                # each result times its own part; verification_suite splits the rest
-                for r, kind, oracle in zip(results, kinds, both):
-                    start = time.perf_counter()
-                    direct = step(kind, v, tau)
-                    num = sobolev_distance(direct, oracle)
-                    r.residual = max(r.residual, num / sobolev_norm(direct, 0.0))
-                    r.wall_s += time.perf_counter() - start
+            oracles = zip(*(
+                _embedded_steps(Field.from_spectrum(grid, v), c, 0.0, tau, names)
+                for v, c in zip(vs.spectrum, closed)
+            ))
+            # each result times its own part; verification_suite splits the rest
+            for r, kind, oracle in zip(results, kinds, oracles):
+                start = time.perf_counter()
+                runs, _ = _march(kind, grid, [tau] * 10, [1] * 10, vs.spectrum, False)
+                direct = Field.from_spectrum(grid, [x[-1][1].spectrum for x in runs])
+                oracle = Field.from_spectrum(grid, [o.spectrum for o in oracle])
+                num = sobolev_distance(direct, oracle)
+                r.residual = max(r.residual, float(np.max(num / sobolev_norm(direct))))
+                r.wall_s += time.perf_counter() - start
     return results
 
 

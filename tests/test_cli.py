@@ -268,6 +268,15 @@ def test_converge_cross_check_at_a_dyadic_reference_step(theta, code, said, caps
     assert said in err and "configuration error" not in err
 
 
+def test_cross_check_help_says_it_is_for_smooth_data(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["converge", "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    said = text.rsplit("--cross-check", 1)[1]  # its help, the last option's
+    assert "smooth data" in said and "rough data exits 1" in said
+
+
 def test_converge_bad_ladder_is_config_error(capsys, monkeypatch):
     rc = main(["converge", "--tau-ladder", "2^-5,2^-4", "--n", "64"])
     assert rc == 2

@@ -345,16 +345,30 @@ def test_blow_up_check_is_entrywise(monkeypatch):
     assert err.value.step == 2
 
 
-@pytest.mark.parametrize("kind", list(SchemeKind))
-def test_steady_state_step_binds_no_views(kind):
+def members(n, count, theta=2.0):
+    """count rough fields on one grid as one stack, and their step sizes."""
+    us = [rough(n=n, theta=theta, seed=4 + j) for j in range(count)]
+    spectra = np.array([u.spectrum for u in us])
+    return us, spectra, [2.0**-6, 2.0**-7, 3 * 2.0**-8][:count]
+
+
+# one run (the case ids of the single-run tests), and B = 3 members
+KIND_COUNTS = [pytest.param(k, 1, id=str(k)) for k in SchemeKind] + [
+    pytest.param(k, 3, id=f"{k}-B3") for k in SchemeKind
+]
+
+
+@pytest.mark.parametrize("kind, count", KIND_COUNTS)
+def test_steady_state_step_binds_no_views(kind, count):
     # every row, stack and real view a step uses is bound when its workspace
     # is built, so at a small grid ten steady-state steps peak at 584-944
     # bytes (1,424-1,448 through np.fft's rfft/irfft wrappers), against
     # 2,224-2,848 when each step sliced its views; one view sliced per step
-    # adds 96
-    u = rough(n=64)
-    ws = integrators._Workspace(kind, u.grid, 2.0**-6, False)
-    ws.load(u.spectrum)
+    # adds 96.  Three members peak at 632-1,000 bytes; a product that
+    # broadcast a per-member column would add numpy's iterator, 2.8-4.4 KB
+    us, spectra, taus = members(64, count)
+    ws = integrators._Workspace(kind, us[0].grid, taus, False)
+    ws.load(spectra)
     integrators._update(ws)
     tracemalloc.start()
     try:
@@ -381,13 +395,13 @@ def test_complex_division_is_the_real_view_reciprocal_product(c):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", list(SchemeKind))
-def test_steady_state_steps_allocate_nothing(monkeypatch, kind):
+@pytest.mark.parametrize("kind, count", KIND_COUNTS)
+def test_steady_state_steps_allocate_nothing(monkeypatch, kind, count):
     # the traced peak over steps 2..9 of a run at the paper's grid, measured
     # from inside the step loop: the workspace exists by then, so the peak
     # counts only what a step itself allocates (a few KB of Python objects;
     # an N = 2^14 grid array alone is 128 KB)
-    u = rough(n=2**14, theta=3.0)
+    us, spectra, taus = members(2**14, count, theta=3.0)
     update = integrators._update
     marks = []
 
@@ -400,7 +414,10 @@ def test_steady_state_steps_allocate_nothing(monkeypatch, kind):
     monkeypatch.setattr(integrators, "_update", traced_update)
     tracemalloc.start()
     try:
-        evolve(SolverRun(kind, 2.0**-10, 10 * 2.0**-10, u))
+        if count == 1:
+            evolve(SolverRun(kind, 2.0**-10, 10 * 2.0**-10, us[0]))
+        else:
+            integrators._march(kind, us[0].grid, taus, [10] * count, spectra, False)
     finally:
         tracemalloc.stop()
     (base, _), (_, peak) = marks[1], marks[9]
@@ -433,17 +450,23 @@ def test_workspace_owns_one_spectrum_stepped_in_place(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, rows",
-    [(SchemeKind.LRI1, 4), (SchemeKind.ELRI1, 9), (SchemeKind.ELRI2, 10)],
+    "kind, rows, count",
+    [
+        pytest.param(k, rows, count, id=f"{k}-{rows}" + ("-B3" if count > 1 else ""))
+        for count in (1, 3)
+        for k, rows in ((SchemeKind.LRI1, 4), (SchemeKind.ELRI1, 9), (SchemeKind.ELRI2, 10))
+    ],
 )
-def test_transforms_per_step(monkeypatch, kind, rows):
+def test_transforms_per_step(monkeypatch, kind, rows, count):
     # a step whose input already holds a spectrum makes only half-length
     # real transforms, each set of independent ones stacked into one call on
     # the last axis: rfft of k rows of N grid values, irfft of k rows of
     # N/2 + 1 modes, with k = 2 / 3 / 4 in the first irfft, 2 in the rfft of
-    # the squares, 1 in the 1/18 projection and 3 in the last rfft
-    u = rough(n=64)
-    u = Field.from_spectrum(u.grid, u.spectrum)
+    # the squares, 1 in the 1/18 projection and 3 in the last rfft.  B
+    # members share each call: every stack gains a member axis of length B
+    # (a single run steps without one), so the rows per step are B times
+    us, spectra, _ = members(64, count)
+    u = us[0]
     log = []
 
     def counted(name, fn, arg):  # arg: the position of the transformed array
@@ -461,18 +484,21 @@ def test_transforms_per_step(monkeypatch, kind, rows):
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(f"np.fft.{name}", getattr(np.fft, name), 0))
     n_steps = 3
-    evolve(SolverRun(kind, 0.05, n_steps * 0.05, u))
-    n, m = u.grid.n, u.grid.n // 2 + 1
+    if count == 1:
+        evolve(SolverRun(kind, 0.05, n_steps * 0.05, Field.from_spectrum(u.grid, spectra[0])))
+    else:
+        integrators._march(kind, u.grid, [0.05] * count, [n_steps] * count, spectra, False)
+    n, m, b = u.grid.n, u.grid.n // 2 + 1, () if count == 1 else (count,)
     # (rows of the first irfft, calls per step)
     k, calls = {
         SchemeKind.LRI1: (2, 2), SchemeKind.ELRI1: (3, 4), SchemeKind.ELRI2: (4, 4)
     }[kind]
-    step = [("irfft", (k, m), True, (k, n)), ("rfft", (2, n), False, (2, m))]
+    step = [("irfft", (k, *b, m), True, (k, *b, n)), ("rfft", (2, *b, n), False, (2, *b, m))]
     if kind is not SchemeKind.LRI1:
-        step += [("irfft", (m,), True, (n,)), ("rfft", (3, n), False, (3, m))]
+        step += [("irfft", (*b, m), True, (*b, n)), ("rfft", (3, *b, n), False, (3, *b, m))]
     assert log == n_steps * step
     assert len(step) == calls
-    assert sum(int(np.prod(shape[:-1])) for _, shape, _, _ in step) == rows
+    assert sum(int(np.prod(shape[:-1])) for _, shape, _, _ in step) == rows * count
 
 
 @pytest.mark.parametrize("n", [16, 64, 1024, 2**14])
@@ -490,6 +516,44 @@ def test_stacked_transform_rows_are_bitwise_separate_calls(n):
         for i in range(k):
             assert h[i].tobytes() == g.rfft(x[i], np.empty(m, complex)).tobytes()
             assert y[i].tobytes() == g.irfft(h[i], np.empty(n)).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_member_runs_are_bitwise_separate_runs(n):
+    # three members of different step size and step count in one _march:
+    # each member's samples (every 2nd step and its last) and mode-0 drift
+    # are, bit for bit, those of its own evolve run
+    us, spectra, taus = members(n, 3, theta=3.0)
+    counts = [5, 8, 3]
+    for kind in SchemeKind:
+        for dealias in (False, True):
+            got, drift = integrators._march(
+                kind, us[0].grid, taus, counts, spectra, dealias, record_every=2
+            )
+            for u, tau, count, samples, d in zip(us, taus, counts, got, drift):
+                run = SolverRun(kind, tau, count * tau, u, record_every=2, dealias=dealias)
+                want = evolve(run)
+                assert [t for t, _ in samples] == [t for t, _ in want.samples[1:]]
+                assert [f.spectrum.tobytes() for _, f in samples] == [
+                    f.spectrum.tobytes() for _, f in want.samples[1:]
+                ]
+                assert np.float64(d).tobytes() == np.float64(want.max_mean_drift).tobytes()
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_diverging_member_raises_with_its_own_step(first):
+    # the large-amplitude data of test_blow_up_raises_with_step_index turns
+    # non-finite at its step 6 while a small-step member beside it stays
+    # finite: the error names the diverging member's step, count and time
+    base = generate_rough(RoughSpec(64, 1.0, seed=3))
+    calm, wild = 0.1 * base.spectrum, 50.0 * base.spectrum
+    taus, counts, spectra = [0.01, 0.5], [40, 10], [calm, wild]
+    if not first:
+        taus, counts, spectra = taus[::-1], counts[::-1], spectra[::-1]
+    with pytest.raises(BlowUpError) as info:
+        integrators._march(SchemeKind.ELRI1, base.grid, taus, counts, np.array(spectra), False)
+    assert info.value.step == 6
+    assert "after step 6 of 10 (t = 3, scheme ELRI1)" in str(info.value)
 
 
 # a fresh interpreter: 1 warm-up elri2 step at N = 2^14, then the minor page
