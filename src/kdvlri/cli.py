@@ -8,8 +8,9 @@ Subcommands:
     gen-data     generate and store rough initial data
 
 Exit codes: 0 when all requested work succeeded (for verify: every check
-passed), 1 when a run diverged, references disagreed or a check failed,
-2 on configuration errors.  Step sizes accept plain floats and dyadic
+passed), 1 when a run diverged (main alone maps every BlowUpError to
+"<command> diverged at step N: <message>"), references disagreed or a check
+failed, 2 on configuration errors.  Step sizes accept plain floats and dyadic
 tokens like 2^-8; scheme lists are comma-separated.
 """
 
@@ -22,7 +23,6 @@ import argparse
 
 from .integrators import (
     BlowUpError,
-    SchemeConfigError,
     SchemeKind,
     SolverRun,
     check_scheme,
@@ -189,11 +189,7 @@ def cmd_solve(args) -> int:
         mean_shift=args.mean_shift,
         dealias=args.dealias,
     )
-    try:
-        traj = evolve(run)
-    except BlowUpError as exc:
-        print(f"solve diverged at step {exc.step}", file=sys.stderr)
-        return 1
+    traj = evolve(run)
     final = traj.final
     if args.output:
         write_field(final, args.output, fmt=args.format)
@@ -321,9 +317,12 @@ def main(argv=None) -> int:
         if args.output and os.path.isdir(args.output):
             raise IsADirectoryError(f"--output {args.output}: is a directory")
         return _HANDLERS[args.command](args)
-    except (SchemeConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except BlowUpError as exc:
+        print(f"{args.command} diverged at step {exc.step}: {exc}", file=sys.stderr)
+        return 1
     except ReferenceMismatchError as exc:
         print(f"reference check failed: {exc}", file=sys.stderr)
         return 1

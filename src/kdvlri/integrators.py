@@ -14,14 +14,14 @@ one update body (_update) builds all three:
 * ELRI2  -- ELRI1 plus two tau/36 correction terms; second order for
              H^(gamma+3) data.
 
-The update writes only into a workspace allocated once per run (by evolve)
-or per call (by step).  It holds B members, each with its own tau and one
-spectrum (modes 0..N/2) every step updates in place, the temporaries and
-every view of them a step uses, so a step in steady state allocates no array
-and slices no view.  Members share every call, each bit for bit a run of its
-own; evolve is the one-member case of the one stepping loop (_march).  A
-Field is built only for samples.  The linear part e^{-tau dx^3} u is the
-spectrum times the symbol.
+The update writes only into a workspace allocated once per run.  It holds
+B members, each with its own tau and one spectrum (modes 0..N/2) every step
+updates in place, the temporaries and every view of them a step uses, so a
+step in steady state allocates no array and slices no view.  Members share
+every call, each bit for bit a run of its own.  The one stepping loop
+(_march) alone builds workspaces and raises BlowUpError; evolve is its
+one-member case, step its one-step case.  A Field is built only for
+samples.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
 The correction terms are formed with Grid.rfft/irfft (normalized like the
 spectrum, so no separate 1/N scaling), summed, and added to the spectrum.
 Terms that share a multiplier share a transform: the 1/18 pair is one
@@ -177,7 +177,7 @@ class _Workspace:
         s, a = np.empty((b, m), complex), grid.airy(tau[:, 0])
         spec = np.empty((5, b, m), complex)
         vals, prod = np.empty((4, b, n)), np.empty((3, b, n))
-        self.members, self.buffers = s, (a, spec, vals, prod)  # behind the views
+        self.members = s
         res = tau / 18.0 if kind is SchemeKind.ELRI1 else tau / 36.0
         if b == 1:  # a single run: no member axis, scalar coefficients
             s, a, spec, vals, prod = s[0], a[0], spec[:, 0], vals[:, 0], prod[:, 0]
@@ -286,13 +286,12 @@ def _update(ws):
 
 
 def step(kind: SchemeKind, u: Field, tau: float, dealias: bool = False) -> Field:
-    """One step of kind from zero-mean u; tau = 0 without dealias returns u exactly."""
+    """One step of kind from zero-mean u; tau = 0 without dealias returns u
+    exactly, and a non-finite result raises BlowUpError."""
     check_scheme(kind)
     require_zero_mean(u, f"{kind.value}_step", shift_hint=True)
-    ws = _Workspace(kind, u.grid, tau, dealias)
-    ws.load(u.spectrum)
-    _update(ws)
-    return Field.from_spectrum(u.grid, ws.s)
+    (samples,), _ = _march(kind, u.grid, [tau], [1], u.spectrum, dealias)
+    return samples[-1][1]
 
 
 @dataclass
@@ -369,13 +368,13 @@ def _march(kind, grid, taus, counts, spectra, dealias, record_every=0):
     rest go on in a smaller workspace; a non-finite one raises BlowUpError."""
     live, ends = list(range(len(taus))), set(counts)
     samples, drift = [[] for _ in live], [0.0 for _ in live]
-    ws = _Workspace(kind, grid, taus, dealias)
-    s = ws.load(spectra)
-    mode0 = s[:, 0]
-    mean0 = mode0.tolist()
-    # a diverging iterate overflows before the isfinite check catches it;
-    # the warnings would only duplicate the BlowUpError diagnostic
+    # a diverging iterate overflows (an infinite tau's symbol is NaN) before
+    # the isfinite check; the warnings would only duplicate BlowUpError's
     with np.errstate(over="ignore", invalid="ignore"):
+        ws = _Workspace(kind, grid, taus, dealias)
+        s = ws.load(spectra)
+        mode0 = s[:, 0]
+        mean0 = mode0.tolist()
         for n in range(1, max(counts) + 1):
             _update(ws)
             # a finite sum proves every entry finite; a non-finite one, which

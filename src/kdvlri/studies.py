@@ -203,6 +203,18 @@ def _monotonicity_flags(rows, schemes):
     return flags
 
 
+def _run_row(scheme, tau, solve, ref, gamma_err, ref_norm):
+    """Row of the run solve() by its H^gamma_err error relative to ref: a
+    BlowUpError or an error that is not finite (finite values too large to
+    measure) is 'diverged' with error inf, so 'ok' rows carry finite errors."""
+    try:
+        err = sobolev_distance(solve(), ref, gamma_err) / ref_norm
+    except BlowUpError:
+        err = math.inf
+    ok = math.isfinite(err)
+    return RunResult(scheme, tau, err if ok else math.inf, "ok" if ok else "diverged")
+
+
 def _report(metadata, schemes, rows, flags, kind):
     rows.sort(key=lambda r: (r.scheme.value, -r.tau))
     fits = [_fit_scheme(s, rows) for s in schemes]
@@ -212,11 +224,9 @@ def _report(metadata, schemes, rows, flags, kind):
 def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     """Rough data once, reference once, then every (scheme, tau) run.
 
-    Diverged runs keep a row (status 'diverged', infinite error) but are
-    excluded from slope fits; a run whose error overflows counts as diverged,
-    so an 'ok' row always carries a finite error.  Relative errors are
-    measured in H^gamma_err against the ELRI2 reference at ref_tau,
-    normalized by its norm.
+    Diverged runs keep a row (_run_row) but are excluded from slope fits.
+    Relative errors are measured in H^gamma_err against the ELRI2 reference
+    at ref_tau, normalized by its norm.
     """
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
     ref = reference_solution(
@@ -226,21 +236,9 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     ref_norm = sobolev_norm(ref, cfg.gamma_err)
 
     def one(scheme, tau):
-        run = SolverRun(
-            scheme=scheme,
-            tau=tau,
-            t_final=cfg.t_final,
-            initial=u0,
-            dealias=cfg.dealias,
-        )
-        try:
-            final = evolve(run).final
-        except BlowUpError:
-            return RunResult(scheme, tau, float("inf"), "diverged")
-        err = sobolev_distance(final, ref, cfg.gamma_err) / ref_norm
-        if not math.isfinite(err):  # finite values, but too large to measure
-            return RunResult(scheme, tau, float("inf"), "diverged")
-        return RunResult(scheme, tau, err, "ok")
+        run = SolverRun(scheme, tau, cfg.t_final, u0, dealias=cfg.dealias)
+        return _run_row(scheme, tau, lambda: evolve(run).final, ref, cfg.gamma_err,
+                        ref_norm)
 
     rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
     metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
@@ -262,7 +260,8 @@ def run_local_error_study(
 
     The one-step reference at each tau is the integrating-factor RK4 with
     64 substeps, cross-checked against an ELRI2 run with 256 substeps; a
-    disagreement above 5% of the smallest scheme error is flagged.
+    disagreement above 5% of the smallest scheme error is flagged.  A step
+    that blows up keeps a 'diverged' row, as in a convergence study.
     """
     schemes, taus = _check_study(schemes, taus, n_points, gamma_err)
     u0 = smooth_test_data(Grid(n_points))
@@ -277,10 +276,10 @@ def run_local_error_study(
         dual_gap = sobolev_distance(ref, ref_check, gamma_err)
         tau_errors = []
         for scheme in schemes:
-            stepped = step(scheme, u0, tau, dealias=dealias)
-            err = sobolev_distance(stepped, ref, gamma_err) / ref_norm
-            tau_errors.append(err)
-            rows.append(RunResult(scheme, tau, err, "ok"))
+            row = _run_row(scheme, tau, lambda: step(scheme, u0, tau, dealias=dealias),
+                           ref, gamma_err, ref_norm)
+            tau_errors.append(row.error_rel)
+            rows.append(row)
         smallest = min(tau_errors)
         if dual_gap / ref_norm > 0.05 * smallest:
             flags.append(

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import jsonschema
 import numpy as np
@@ -266,6 +267,34 @@ def test_converge_cross_check_at_a_dyadic_reference_step(theta, code, said, caps
     assert main(argv) == code
     err = capsys.readouterr().err
     assert said in err and "configuration error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local-error", "--n", "64", "--tau-ladder", "2^2,2^1", "--scheme", "elri2"],
+        ["converge", "--n", "256", "--theta", "3", "--scheme", "elri2",
+         "--tau-ladder", "2^-4,2^-5", "--ref-tau", "2^-9", "--cross-check"],
+    ],
+    ids=["local-error", "rough-cross-check"],
+)
+def test_a_diverging_reference_exits_1_without_warnings(argv, capsys):
+    # the RK4 reference blows up: a diverged run, not a configuration error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{argv[0]} diverged at step " in err and "ifrk4_solve" in err
+    assert "configuration error" not in err
+
+
+def test_cross_check_names_the_coarse_richardson_step(capsys):
+    # a 25-step reference has no whole run at twice its step
+    argv = ["converge", "--n", "16", "--theta", "10", "--tau-ladder", "1,0.5",
+            "--ref-tau", "0.04", "--cross-check"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: 2*ref_tau = 0.08 does not divide t_final = 1" in err
 
 
 def test_cross_check_help_says_it_is_for_smooth_data(capsys):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -703,6 +704,18 @@ def test_blow_up_raises_with_step_index():
         evolve(run)
     assert info.value.step == 6
     assert "step 6" in str(info.value)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_step_with_a_non_finite_tau_raises_blow_up(kind, tau):
+    # step is the one-step case of the stepping loop, so it checks as evolve
+    # does, and quietly: the NaN symbol warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=f"after step 1 of 1 .*{kind.name}") as info:
+            step(kind, rough(n=32), tau)
+    assert info.value.step == 1
 
 
 # ---------------------------------------------------------------------------

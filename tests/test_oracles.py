@@ -2,12 +2,13 @@
 integral form summed per frequency triple, and the cross-checked reference."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from kdvlri import oracles
-from kdvlri.integrators import SchemeKind, evolve, step
+from kdvlri.integrators import BlowUpError, SchemeKind, evolve, step
 from kdvlri.oracles import (
     MAX_ORACLE_N,
     CheckResult,
@@ -432,6 +433,18 @@ def test_oracle_zero_mean_refusal_has_no_solver_hint():
     assert "ifrk4_solve requires zero-mean data" in msg
     assert "mean value 1.000000e+00" in msg
     assert "mean_shift" not in msg
+
+
+def test_ifrk4_blow_up_is_a_blow_up_error_without_warnings():
+    # smooth data at a 1/16 step to t = 4 overflows at step 57 of 64: the
+    # divergence signal every stepping loop raises, not a warning or ValueError
+    g = Grid(64)
+    u0 = Field.from_values(g, np.cos(g.x) + 0.5 * np.sin(2.0 * g.x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match="ifrk4_solve blew up at step 57 of 64") as info:
+            ifrk4_solve(u0, 4.0, 1.0 / 16.0)
+    assert info.value.step == 57
 
 
 def test_ifrk4_refuses_bad_step_and_horizon():

@@ -6,8 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kdvlri import oracles
-from kdvlri.integrators import SchemeKind, evolve
+from kdvlri import integrators, oracles
+from kdvlri.integrators import BlowUpError, SchemeKind, evolve
 from kdvlri.spectral import Grid, mean_value
 from kdvlri.studies import (
     COLUMNS,
@@ -272,6 +272,23 @@ def test_local_error_study_runs_fine_ladders():
     rep = run_local_error_study(schemes, (2.0**-20, 2.0**-21), n_points=16)
     assert rep.metadata == {"n_points": 16, "gamma": 1.0, "dealias": False}
     assert len(rep.rows) == 6 and all(r.status == "ok" for r in rep.rows)
+
+
+def test_local_error_step_that_blows_up_is_a_diverged_row(monkeypatch):
+    taus = (2.0**-6, 2.0**-7, 2.0**-8)
+
+    def step(kind, u, tau, dealias=False):
+        if tau == taus[0]:
+            raise BlowUpError("non-finite field after step 1 of 1", step=1)
+        return integrators.step(kind, u, tau, dealias)
+
+    monkeypatch.setattr("kdvlri.studies.step", step)
+    rep = run_local_error_study((SchemeKind.ELRI1,), taus, n_points=32)
+    assert (rep.rows[0].status, rep.rows[0].error_rel) == ("diverged", np.inf)
+    assert all(r.status == "ok" for r in rep.rows[1:])
+    monkeypatch.undo()
+    rest = run_local_error_study((SchemeKind.ELRI1,), taus[1:], n_points=32)
+    assert rep.rows[1:] == rest.rows and rep.fits == rest.fits  # the fit skips it
 
 
 def test_local_error_rows_leave_unused_cells_empty():
