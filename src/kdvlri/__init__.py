@@ -22,7 +22,6 @@ from .spectral import (
     read_field,
     sobolev_norm,
     translate,
-    truncate_two_thirds,
     write_field,
 )
 from .rough_data import RoughSpec, generate_rough, splitmix64_uniform
@@ -38,7 +37,6 @@ from .integrators import (
 from .oracles import (
     CheckResult,
     CostGuardError,
-    ReferenceMismatchError,
     an_time_integral,
     embedded_form_step,
     fn_closed_form,

@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 when all requested work succeeded (for verify: every check
 passed), 1 when a run diverged (main alone maps every BlowUpError to
-"<command> diverged at step N: <message>"), references disagreed or a check
-failed, 2 on configuration errors.  Step sizes accept plain floats and dyadic
-tokens like 2^-8; scheme lists are comma-separated.
+"<command> diverged at step N: <message>") or a check failed, 2 on
+configuration errors.  Step sizes accept plain floats and dyadic tokens like
+2^-8; scheme lists are comma-separated.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .integrators import (
     check_scheme,
     evolve,
 )
-from .oracles import ReferenceMismatchError, verification_suite
+from .oracles import verification_suite
 from .rough_data import RoughSpec, generate_rough
 from .spectral import mean_value, read_field, sobolev_norm, write_field
 from .studies import (
@@ -108,7 +108,6 @@ def _add_study_flags(p, default_schemes):
     )
     p.add_argument("--output", default=None, help="report file (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--dealias", action="store_true", help="2/3-rule truncation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--output", default=None, help="final field file")
     solve.add_argument("--format", choices=("csv", "bin"), default="csv")
-    solve.add_argument("--dealias", action="store_true")
     solve.add_argument(
         "--mean-shift",
         action="store_true",
@@ -143,17 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--ref-tau",
         type=parse_tau_token,
         default=None,
-        help="reference step (default min(2^-14, min(tau)/16))",
+        help="step of the elri2 reference (default min(2^-14, min(tau)/16))",
     )
     conv.add_argument(
         "--paper-scale",
         action="store_true",
         help=f"N={PAPER_SCALE_N}, T={PAPER_SCALE_T_FINAL:g}, fine reference step",
-    )
-    conv.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="check the reference by RK4; for smooth data (rough data exits 1)",
     )
 
     loc = sub.add_parser("local-error", help="one-step errors on smooth data")
@@ -187,7 +180,6 @@ def cmd_solve(args) -> int:
         t_final=args.t_final,
         initial=_initial_field(args),
         mean_shift=args.mean_shift,
-        dealias=args.dealias,
     )
     traj = evolve(run)
     final = traj.final
@@ -252,8 +244,6 @@ def cmd_converge(args) -> int:
         gamma_err=args.gamma,
         t_final=1.0 if t_final is None else t_final,
         ref_tau=ref_tau,
-        dealias=args.dealias,
-        cross_check=args.cross_check,
     )
     return _report_exit(run_convergence_study(cfg), args)
 
@@ -262,9 +252,7 @@ def cmd_local_error(args) -> int:
     taus = (
         parse_tau_ladder(args.tau_ladder) if args.tau_ladder else DEFAULT_LOCAL_LADDER
     )
-    report = run_local_error_study(
-        parse_schemes(args.scheme), taus, args.n, args.gamma, args.dealias
-    )
+    report = run_local_error_study(parse_schemes(args.scheme), taus, args.n, args.gamma)
     return _report_exit(report, args)
 
 
@@ -322,9 +310,6 @@ def main(argv=None) -> int:
         return 2
     except BlowUpError as exc:
         print(f"{args.command} diverged at step {exc.step}: {exc}", file=sys.stderr)
-        return 1
-    except ReferenceMismatchError as exc:
-        print(f"reference check failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

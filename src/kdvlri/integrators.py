@@ -156,16 +156,16 @@ def _raise_malloc_thresholds():
 class _Workspace:
     """The stepping state of B members, allocated once per run.
 
-    Holds the scheme, the grid's transform pair, the dealias mask, each
-    member's Airy symbol and coefficients at its own tau, the members' spectra
-    (B, N/2+1) and the stacks _update transforms in one call each (5 spectra,
-    4 and 3 rows of grid values, shaped (rows, B, .)).  No product broadcasts
+    Holds the scheme, the grid's transform pair, each member's Airy symbol
+    and coefficients at its own tau, the members' spectra (B, N/2+1) and the
+    stacks _update transforms in one call each (5 spectra, 4 and 3 rows of
+    grid values, shaped (rows, B, .)).  No product broadcasts
     (numpy's iterator costs ~0.5 us, 3-4 KB): for B > 1 the coefficients have
     their operands' shapes, and B = 1 steps on views without the member axis.
     Every row, stack and view a step uses is bound here: a step slices nothing.
     """
 
-    def __init__(self, kind, grid, taus, dealias):
+    def __init__(self, kind, grid, taus):
         n = grid.n
         m = n // 2 + 1
         tau = np.reshape(taus, (-1, 1))  # a column, one row per member
@@ -188,7 +188,6 @@ class _Workspace:
         self.s, self.airy, self.inv_ik, self.prod = s, a, inv_ik, prod
         self.resonant, self.mass = res, tau / (12.0 * np.pi)
         self.rfft, self.irfft = grid.rfft, grid.irfft
-        self.drop = ~grid.keep_two_thirds if dealias else None
         # spec rows: 0 the correction sum; from 1 the rows of the first irfft,
         # e^{-tau dx^3} dxinv u, dxinv u, then e^{-tau dx^3} u (ELRI2) and -u
         # (ELRI1, ELRI2); the first rfft writes d and h to rows 2..3, the last
@@ -215,10 +214,8 @@ class _Workspace:
         self.q0, self.ep_rows = self.q[..., :1], tuple(self.ep_f.reshape(b, -1))
 
     def load(self, spectrum):
-        """Copy spectrum into members, 2/3-truncated when dealiasing; return it."""
+        """Copy spectrum into members; return it."""
         np.copyto(self.members, spectrum)
-        if self.drop is not None:
-            np.copyto(self.members, 0.0, where=self.drop)
         return self.members
 
 
@@ -243,7 +240,7 @@ def _update(ws):
     if kind is SchemeKind.ELRI2:
         np.copyto(ws.w, s)  # e^{-tau dx^3} u
     ws.irfft(ws.rows, ws.rows_v)
-    # pseudo-spectral products, no dealiasing
+    # pseudo-spectral products on the full band (aliased by design)
     pair_v, squares, d, h, corr = ws.pair_v, ws.squares, ws.d, ws.h, ws.corr
     np.multiply(pair_v, pair_v, out=squares)
     # d = rfft(ep_v^2) - rfft(p_v^2) a
@@ -281,16 +278,14 @@ def _update(ws):
                 np.multiply(row, c, out=row)
         np.add(corr, ws.ep, out=corr)
     np.add(s, corr, out=s)
-    if ws.drop is not None:
-        np.copyto(s, 0.0, where=ws.drop)
 
 
-def step(kind: SchemeKind, u: Field, tau: float, dealias: bool = False) -> Field:
-    """One step of kind from zero-mean u; tau = 0 without dealias returns u
-    exactly, and a non-finite result raises BlowUpError."""
+def step(kind: SchemeKind, u: Field, tau: float) -> Field:
+    """One step of kind from zero-mean u; tau = 0 returns u exactly, and a
+    non-finite result raises BlowUpError."""
     check_scheme(kind)
     require_zero_mean(u, f"{kind.value}_step", shift_hint=True)
-    (samples,), _ = _march(kind, u.grid, [tau], [1], u.spectrum, dealias)
+    (samples,), _ = _march(kind, u.grid, [tau], [1], u.spectrum)
     return samples[-1][1]
 
 
@@ -309,7 +304,6 @@ class SolverRun:
     initial: Field
     record_every: int = 0
     mean_shift: bool = False
-    dealias: bool = False
 
     def __post_init__(self):
         check_scheme(self.scheme)
@@ -354,14 +348,14 @@ def evolve(run: SolverRun) -> Trajectory:
         u0 = _add_constant(u0, -c)
         require_zero_mean(u0, "SolverRun")
     (samples,), (drift,) = _march(run.scheme, u0.grid, [tau], [n_steps], u0.spectrum,
-                                  run.dealias, run.record_every)
+                                  run.record_every)
     samples.insert(0, (0.0, u0))
     if run.mean_shift:
         samples = [(t, _add_constant(translate(f, c * t), c)) for t, f in samples]
     return Trajectory(samples=samples, n_steps=n_steps, max_mean_drift=drift)
 
 
-def _march(kind, grid, taus, counts, spectra, dealias, record_every=0):
+def _march(kind, grid, taus, counts, spectra, record_every=0):
     """Step row b of spectra counts[b] times by taus[b], all rows in lockstep;
     return per member its samples [(t, Field)] (every record_every-th step and
     its last) and its largest mode-0 drift.  A member leaves at its count, the
@@ -371,7 +365,7 @@ def _march(kind, grid, taus, counts, spectra, dealias, record_every=0):
     # a diverging iterate overflows (an infinite tau's symbol is NaN) before
     # the isfinite check; the warnings would only duplicate BlowUpError's
     with np.errstate(over="ignore", invalid="ignore"):
-        ws = _Workspace(kind, grid, taus, dealias)
+        ws = _Workspace(kind, grid, taus)
         s = ws.load(spectra)
         mode0 = s[:, 0]
         mean0 = mode0.tolist()
@@ -397,7 +391,7 @@ def _march(kind, grid, taus, counts, spectra, dealias, record_every=0):
             stay = [j for j, b in enumerate(live) if n < counts[b]]
             if 0 < len(stay) < len(live):
                 live = [live[j] for j in stay]
-                ws = _Workspace(kind, grid, [taus[b] for b in live], dealias)
+                ws = _Workspace(kind, grid, [taus[b] for b in live])
                 s = ws.load(s[stay])
                 mode0 = s[:, 0]
     return samples, drift

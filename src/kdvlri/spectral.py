@@ -70,9 +70,8 @@ class Grid:
     the operators share, and holds the one Nyquist rule: _paired_k is the
     wavenumbers with the unpaired N/2 entry 0, and ik (i xi), inv_ik (the
     mean-free 1/(i xi)), airy(t) and every odd multiplier and phase symbol
-    come from it.  keep_two_thirds marks the modes 3 xi < N the 2/3 rule
-    keeps; rfft/irfft are the package's one transform pair.  Cached arrays
-    are read-only, so a Grid can be used concurrently.
+    come from it.  rfft/irfft are the package's one transform pair.  Cached
+    arrays are read-only, so a Grid can be used concurrently.
     """
 
     def __init__(self, n: int):
@@ -91,8 +90,7 @@ class Grid:
         pairs = np.full(k.size, 2.0)
         pairs[[0, -1]] = 1.0
         self.inv_ik, self._k3, self._pairs = inv_ik, paired**3, pairs
-        self.keep_two_thirds = keep = 3 * k < n
-        for arr in (self.x, k, paired, ik, inv_ik, self._k3, pairs, keep):
+        for arr in (self.x, k, paired, ik, inv_ik, self._k3, pairs):
             arr.flags.writeable = False
 
     def airy(self, t) -> np.ndarray:
@@ -271,12 +269,6 @@ def integral(f: Field) -> float:
 def mean_value(f: Field) -> float:
     """Mean (1/2pi) * integral(f), i.e. the mode-0 coefficient."""
     return integral(f) / TWO_PI
-
-
-def truncate_two_thirds(f: Field) -> Field:
-    """2/3-rule dealiasing: zero every mode with 3 xi >= N."""
-    keep = f.grid.keep_two_thirds
-    return Field.from_spectrum(f.grid, np.where(keep, f.spectrum, 0.0))
 
 
 # ---------------------------------------------------------------------------

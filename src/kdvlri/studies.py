@@ -94,8 +94,6 @@ class StudyConfig:
     gamma_err: float = 1.0
     t_final: float = 1.0
     ref_tau: float | None = None  # None: min(2^-14, min(taus)/16)
-    dealias: bool = False
-    cross_check: bool = False
 
     def __post_init__(self):
         self.schemes, self.taus = _check_study(
@@ -229,21 +227,17 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     at ref_tau, normalized by its norm.
     """
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
-    ref = reference_solution(
-        u0, cfg.t_final, cfg.ref_tau, cross_check=cfg.cross_check,
-        dealias=cfg.dealias,
-    )
+    ref = reference_solution(u0, cfg.t_final, cfg.ref_tau)
     ref_norm = sobolev_norm(ref, cfg.gamma_err)
 
     def one(scheme, tau):
-        run = SolverRun(scheme, tau, cfg.t_final, u0, dealias=cfg.dealias)
+        run = SolverRun(scheme, tau, cfg.t_final, u0)
         return _run_row(scheme, tau, lambda: evolve(run).final, ref, cfg.gamma_err,
                         ref_norm)
 
     rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
     metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
-                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau,
-                    dealias=cfg.dealias)
+                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau)
     flags = _monotonicity_flags(rows, cfg.schemes)
     return _report(metadata, cfg.schemes, rows, flags, "convergence")
 
@@ -254,7 +248,7 @@ def smooth_test_data(grid: Grid) -> Field:
 
 
 def run_local_error_study(
-    schemes, taus, n_points=1024, gamma_err=1.0, dealias=False
+    schemes, taus, n_points=1024, gamma_err=1.0
 ) -> ConvergenceReport:
     """One-step errors of each scheme on smooth data across the tau ladder.
 
@@ -269,15 +263,14 @@ def run_local_error_study(
     rows = []
 
     for tau in taus:
-        ref = ifrk4_solve(u0, tau, tau / 64.0, dealias=dealias)
-        check = SolverRun(SchemeKind.ELRI2, tau / 256.0, tau, u0, dealias=dealias)
-        ref_check = evolve(check).final
+        ref = ifrk4_solve(u0, tau, tau / 64.0)
+        ref_check = evolve(SolverRun(SchemeKind.ELRI2, tau / 256.0, tau, u0)).final
         ref_norm = sobolev_norm(ref, gamma_err)
         dual_gap = sobolev_distance(ref, ref_check, gamma_err)
         tau_errors = []
         for scheme in schemes:
-            row = _run_row(scheme, tau, lambda: step(scheme, u0, tau, dealias=dealias),
-                           ref, gamma_err, ref_norm)
+            row = _run_row(scheme, tau, lambda: step(scheme, u0, tau), ref, gamma_err,
+                           ref_norm)
             tau_errors.append(row.error_rel)
             rows.append(row)
         smallest = min(tau_errors)
@@ -286,7 +279,7 @@ def run_local_error_study(
                 f"tau={tau:g}: one-step references disagree by "
                 f"{dual_gap / ref_norm:.3e} (>5% of smallest error {smallest:.3e})"
             )
-    metadata = {"n_points": n_points, "gamma": gamma_err, "dealias": dealias}
+    metadata = {"n_points": n_points, "gamma": gamma_err}
     return _report(metadata, schemes, rows, flags, "local_error")
 
 

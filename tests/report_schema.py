@@ -23,7 +23,6 @@ REPORT_JSON_SCHEMA = {
                 "gamma": {"type": "number", "minimum": 0},
                 "t_final": {"type": "number", "exclusiveMinimum": 0},
                 "ref_tau": {"type": "number", "exclusiveMinimum": 0},
-                "dealias": {"type": "boolean"},
             },
         },
         "rows": {

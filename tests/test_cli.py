@@ -255,28 +255,11 @@ def test_converge_takes_the_study_config_default_reference_step(k, ref_k, capsys
 
 
 @pytest.mark.parametrize(
-    "theta, code, said",
-    [("10", 0, "elri2: fitted order"), ("2", 1, "reference check failed")],
-)
-def test_converge_cross_check_at_a_dyadic_reference_step(theta, code, said, capsys):
-    # the RK4 takes a tenth of the 2^11 reference steps, a step dividing
-    # t_final where 10 * 2^-11 does not; its check holds on smooth data and
-    # refuses rough data
-    argv = ["converge", "--n", "64", "--theta", theta, "--tau-ladder", "2^-6,2^-7",
-            "--ref-tau", "2^-11", "--scheme", "elri2", "--cross-check"]
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    assert said in err and "configuration error" not in err
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["local-error", "--n", "64", "--tau-ladder", "2^2,2^1", "--scheme", "elri2"],
-        ["converge", "--n", "256", "--theta", "3", "--scheme", "elri2",
-         "--tau-ladder", "2^-4,2^-5", "--ref-tau", "2^-9", "--cross-check"],
     ],
-    ids=["local-error", "rough-cross-check"],
+    ids=["local-error"],
 )
 def test_a_diverging_reference_exits_1_without_warnings(argv, capsys):
     # the RK4 reference blows up: a diverged run, not a configuration error
@@ -288,22 +271,24 @@ def test_a_diverging_reference_exits_1_without_warnings(argv, capsys):
     assert "configuration error" not in err
 
 
-def test_cross_check_names_the_coarse_richardson_step(capsys):
-    # a 25-step reference has no whole run at twice its step
-    argv = ["converge", "--n", "16", "--theta", "10", "--tau-ladder", "1,0.5",
-            "--ref-tau", "0.04", "--cross-check"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "configuration error: 2*ref_tau = 0.08 does not divide t_final = 1" in err
-
-
-def test_cross_check_help_says_it_is_for_smooth_data(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--scheme", "elri2", "--tau", "2^-4", "--n", "16", "--dealias"],
+        ["converge", "--n", "16", "--tau-ladder", "2^-3,2^-4", "--dealias"],
+        ["converge", "--n", "16", "--tau-ladder", "2^-3,2^-4", "--cross-check"],
+        ["local-error", "--n", "16", "--tau-ladder", "2^-3", "--dealias"],
+    ],
+    ids=["solve-dealias", "converge-dealias", "converge-cross-check",
+         "local-error-dealias"],
+)
+def test_removed_options_exit_2_naming_the_option(argv, capsys):
+    # one discretization (aliased products) and one reference (ELRI2 at
+    # ref_tau): the 2/3-rule and RK4 cross-check options are refused
     with pytest.raises(SystemExit) as info:
-        main(["converge", "--help"])
-    assert info.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    said = text.rsplit("--cross-check", 1)[1]  # its help, the last option's
-    assert "smooth data" in said and "rough data exits 1" in said
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 def test_converge_bad_ladder_is_config_error(capsys, monkeypatch):
@@ -492,7 +477,7 @@ def test_local_error_runs_fine_ladders(capsys):
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, REPORT_JSON_SCHEMA)
-    assert set(doc["metadata"]) == {"n_points", "gamma", "dealias"}
+    assert set(doc["metadata"]) == {"n_points", "gamma"}
     assert len(doc["rows"]) == 6
 
 

@@ -33,7 +33,6 @@ from kdvlri.spectral import (
     mean_value,
     sobolev_norm,
     translate,
-    truncate_two_thirds,
 )
 from kdvlri.studies import StudyConfig
 
@@ -199,13 +198,6 @@ def test_positive_checks_share_one_refusal(name, make, value):
     assert str(err.value) == f"{name} must be positive and finite, got {value}"
 
 
-def test_dealias_keyword_truncates_output():
-    u = rough(n=32, theta=2.0, seed=6)
-    out = step(SchemeKind.ELRI1, u, 0.1, dealias=True)
-    k = np.abs(out.grid.wavenumbers)
-    assert np.all(out.spectrum[3 * k >= out.grid.n] == 0.0)
-
-
 def full_complex_update(kind, u, tau):
     """The update on full-length complex FFTs, transcribed term by term.
 
@@ -258,16 +250,9 @@ def test_steps_agree_with_full_complex_update():
             u = rough(n=n, theta=theta, seed=17)
             for kind, step in zip(SchemeKind, ALL_STEPS):
                 for tau in (2.0**-10, 2.0**-6, 0.1, 0.5):
-                    for dealias in (False, True):
-                        w = truncate_two_thirds(u) if dealias else u
-                        ref = Field.from_spectrum(
-                            w.grid, full_complex_update(kind, w, tau)
-                        )
-                        if dealias:
-                            ref = truncate_two_thirds(ref)
-                        got = step(u, tau, dealias=dealias).spectrum
-                        err = np.max(np.abs(got - ref.spectrum))
-                        worst = max(worst, err / np.max(np.abs(ref.spectrum)))
+                    ref = full_complex_update(kind, u, tau)
+                    err = np.max(np.abs(step(u, tau).spectrum - ref))
+                    worst = max(worst, err / np.max(np.abs(ref)))
     assert worst <= 1e-13
 
 
@@ -313,21 +298,18 @@ def allocating_update(kind, u, tau):
 
 def test_workspace_steps_are_bitwise_the_allocating_update():
     for n in (16, 1024):
-        for theta, dealias in ((0.5, False), (3.0, False), (3.0, True)):
+        for theta in (0.5, 3.0):
             u0 = rough(n=n, theta=theta, seed=23)
             for kind in SchemeKind:
                 for tau in (0.0, 2.0**-10, 0.3):
                     u, want = u0, []
                     for _ in range(3):
-                        w = truncate_two_thirds(u) if dealias else u
-                        u = Field.from_spectrum(w.grid, allocating_update(kind, w, tau))
-                        u = truncate_two_thirds(u) if dealias else u
+                        u = Field.from_spectrum(u.grid, allocating_update(kind, u, tau))
                         want.append(u.spectrum.tobytes())
-                    one = step(kind, u0, tau, dealias=dealias)
+                    one = step(kind, u0, tau)
                     assert one.spectrum.tobytes() == want[0]
                     if tau:
-                        run = SolverRun(kind, tau, 3 * tau, u0, record_every=1,
-                                        dealias=dealias)
+                        run = SolverRun(kind, tau, 3 * tau, u0, record_every=1)
                         got = [f.spectrum.tobytes() for _, f in evolve(run).samples][1:]
                         assert got == want
 
@@ -368,7 +350,7 @@ def test_steady_state_step_binds_no_views(kind, count):
     # adds 96.  Three members peak at 632-1,000 bytes; a product that
     # broadcast a per-member column would add numpy's iterator, 2.8-4.4 KB
     us, spectra, taus = members(64, count)
-    ws = integrators._Workspace(kind, us[0].grid, taus, False)
+    ws = integrators._Workspace(kind, us[0].grid, taus)
     ws.load(spectra)
     integrators._update(ws)
     tracemalloc.start()
@@ -418,7 +400,7 @@ def test_steady_state_steps_allocate_nothing(monkeypatch, kind, count):
         if count == 1:
             evolve(SolverRun(kind, 2.0**-10, 10 * 2.0**-10, us[0]))
         else:
-            integrators._march(kind, us[0].grid, taus, [10] * count, spectra, False)
+            integrators._march(kind, us[0].grid, taus, [10] * count, spectra)
     finally:
         tracemalloc.stop()
     (base, _), (_, peak) = marks[1], marks[9]
@@ -431,7 +413,7 @@ def test_workspace_owns_one_spectrum_stepped_in_place(monkeypatch):
     # more spectra, the correction sum, 4 + 3 rows of grid values and the
     # blow-up flags
     u = rough(n=2**14, theta=3.0)
-    ws = integrators._Workspace(SchemeKind.ELRI2, u.grid, 2.0**-10, False)
+    ws = integrators._Workspace(SchemeKind.ELRI2, u.grid, 2.0**-10)
     attrs = [x if isinstance(x, tuple) else (x,) for x in vars(ws).values()]
     arrays = [x for xs in attrs for x in xs if isinstance(x, np.ndarray)]
     owned = [x for x in arrays if x.base is None]
@@ -488,7 +470,7 @@ def test_transforms_per_step(monkeypatch, kind, rows, count):
     if count == 1:
         evolve(SolverRun(kind, 0.05, n_steps * 0.05, Field.from_spectrum(u.grid, spectra[0])))
     else:
-        integrators._march(kind, u.grid, [0.05] * count, [n_steps] * count, spectra, False)
+        integrators._march(kind, u.grid, [0.05] * count, [n_steps] * count, spectra)
     n, m, b = u.grid.n, u.grid.n // 2 + 1, () if count == 1 else (count,)
     # (rows of the first irfft, calls per step)
     k, calls = {
@@ -527,18 +509,15 @@ def test_member_runs_are_bitwise_separate_runs(n):
     us, spectra, taus = members(n, 3, theta=3.0)
     counts = [5, 8, 3]
     for kind in SchemeKind:
-        for dealias in (False, True):
-            got, drift = integrators._march(
-                kind, us[0].grid, taus, counts, spectra, dealias, record_every=2
-            )
-            for u, tau, count, samples, d in zip(us, taus, counts, got, drift):
-                run = SolverRun(kind, tau, count * tau, u, record_every=2, dealias=dealias)
-                want = evolve(run)
-                assert [t for t, _ in samples] == [t for t, _ in want.samples[1:]]
-                assert [f.spectrum.tobytes() for _, f in samples] == [
-                    f.spectrum.tobytes() for _, f in want.samples[1:]
-                ]
-                assert np.float64(d).tobytes() == np.float64(want.max_mean_drift).tobytes()
+        got, drift = integrators._march(kind, us[0].grid, taus, counts, spectra,
+                                        record_every=2)
+        for u, tau, count, samples, d in zip(us, taus, counts, got, drift):
+            want = evolve(SolverRun(kind, tau, count * tau, u, record_every=2))
+            assert [t for t, _ in samples] == [t for t, _ in want.samples[1:]]
+            assert [f.spectrum.tobytes() for _, f in samples] == [
+                f.spectrum.tobytes() for _, f in want.samples[1:]
+            ]
+            assert np.float64(d).tobytes() == np.float64(want.max_mean_drift).tobytes()
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -552,7 +531,7 @@ def test_diverging_member_raises_with_its_own_step(first):
     if not first:
         taus, counts, spectra = taus[::-1], counts[::-1], spectra[::-1]
     with pytest.raises(BlowUpError) as info:
-        integrators._march(SchemeKind.ELRI1, base.grid, taus, counts, np.array(spectra), False)
+        integrators._march(SchemeKind.ELRI1, base.grid, taus, counts, np.array(spectra))
     assert info.value.step == 6
     assert "after step 6 of 10 (t = 3, scheme ELRI1)" in str(info.value)
 
@@ -564,7 +543,7 @@ import resource
 from kdvlri import integrators as I
 from kdvlri.rough_data import RoughSpec, generate_rough
 u = generate_rough(RoughSpec(2**14, 3.0, 42))
-ws = I._Workspace(I.SchemeKind.ELRI2, u.grid, 2.0**-10, False)
+ws = I._Workspace(I.SchemeKind.ELRI2, u.grid, 2.0**-10)
 ws.load(u.spectrum)
 I._update(ws)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -660,15 +639,13 @@ def test_evolve_single_step_matches_public_step():
     ):
         for u in initials:
             for n_steps in (1, 3):
-                for dealias in (False, True):
-                    run = SolverRun(kind, tau, n_steps * tau, u, dealias=dealias)
-                    traj = evolve(run)
-                    direct = u
-                    for _ in range(n_steps):
-                        direct = step(direct, tau, dealias=dealias)
-                    assert traj.n_steps == n_steps
-                    assert np.array_equal(traj.final.values, direct.values)
-                    assert np.array_equal(traj.final.spectrum, direct.spectrum)
+                traj = evolve(SolverRun(kind, tau, n_steps * tau, u))
+                direct = u
+                for _ in range(n_steps):
+                    direct = step(direct, tau)
+                assert traj.n_steps == n_steps
+                assert np.array_equal(traj.final.values, direct.values)
+                assert np.array_equal(traj.final.spectrum, direct.spectrum)
 
 
 def test_evolve_recording_pattern():
@@ -738,23 +715,22 @@ def test_mean_shift_is_bitwise_shift_evolve_shift_back(n, mean):
     base = rough(n=n, theta=2.0, seed=5)
     u = Field.from_values(base.grid, base.values + mean)
     for kind in SchemeKind:
-        for dealias in (False, True):
-            for record_every in (0, 3):
-                run = SolverRun(kind, 0.05, 0.4, u, record_every=record_every,
-                                mean_shift=True, dealias=dealias)
-                c = float(u.spectrum[0].real)
-                s0 = u.spectrum.copy()
-                s0[0] -= c
-                inner = evolve(replace(run, initial=Field.from_spectrum(u.grid, s0),
-                                       mean_shift=False))
-                want = [(t, integrators._add_constant(translate(w, c * t), c))
-                        for t, w in inner.samples]
-                got = evolve(run)
-                assert [t for t, _ in got.samples] == [t for t, _ in want]
-                assert [f.spectrum.tobytes() for _, f in got.samples] == [
-                    f.spectrum.tobytes() for _, f in want
-                ]
-                assert got.max_mean_drift == inner.max_mean_drift
+        for record_every in (0, 3):
+            run = SolverRun(kind, 0.05, 0.4, u, record_every=record_every,
+                            mean_shift=True)
+            c = float(u.spectrum[0].real)
+            s0 = u.spectrum.copy()
+            s0[0] -= c
+            inner = evolve(replace(run, initial=Field.from_spectrum(u.grid, s0),
+                                   mean_shift=False))
+            want = [(t, integrators._add_constant(translate(w, c * t), c))
+                    for t, w in inner.samples]
+            got = evolve(run)
+            assert [t for t, _ in got.samples] == [t for t, _ in want]
+            assert [f.spectrum.tobytes() for _, f in got.samples] == [
+                f.spectrum.tobytes() for _, f in want
+            ]
+            assert got.max_mean_drift == inner.max_mean_drift
 
 
 def test_mean_shift_constant_state_is_steady():

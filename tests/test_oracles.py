@@ -1,5 +1,5 @@
 """Independent oracles: resonance algebra, Duhamel integrals, the embedded
-integral form summed per frequency triple, and the cross-checked reference."""
+integral form summed per frequency triple, the reference and its RK4 check."""
 
 import time
 import warnings
@@ -13,7 +13,6 @@ from kdvlri.oracles import (
     MAX_ORACLE_N,
     CheckResult,
     CostGuardError,
-    ReferenceMismatchError,
     TimeField,
     alias_free_max_mode,
     alpha3,
@@ -463,26 +462,16 @@ def test_ifrk4_refuses_bad_step_and_horizon():
             ifrk4_solve(u0, t_final, tau)
 
 
-def test_reference_solution_cross_check_passes_on_smooth_data():
-    g = Grid(64)
-    u0 = Field.from_values(g, np.cos(g.x))
-    plain = reference_solution(u0, 0.25, 5e-4)
-    crossed = reference_solution(u0, 0.25, 5e-4, cross_check=True)
-    assert np.array_equal(plain.values, crossed.values)
-
-
-def test_reference_solution_detects_bad_cross_solver(monkeypatch):
+def test_reference_cross_check_reports_a_mismatch(monkeypatch):
     # a 2-step RK4 run cannot match the fine reference; the mismatch must be
-    # reported instead of silently returned
-    oracles._reference.cache_clear()
+    # reported as a failing check instead of silently passed
     rk4 = oracles.ifrk4_solve
     monkeypatch.setattr(
-        oracles, "ifrk4_solve", lambda u0, t_final, tau, dealias: rk4(u0, t_final, 0.125)
+        oracles, "ifrk4_solve", lambda u0, t_final, tau: rk4(u0, t_final, 0.125)
     )
-    g = Grid(64)
-    u0 = Field.from_values(g, np.cos(g.x))
-    with pytest.raises(ReferenceMismatchError, match="disagree"):
-        reference_solution(u0, 0.25, 5e-4, cross_check=True)
+    result = oracles._check_reference_cross()
+    assert result.check_name == "reference_cross_check_smooth"
+    assert not result.passed and result.residual > result.tolerance
 
 
 def test_reference_solution_is_built_once_per_key(monkeypatch):
@@ -493,19 +482,10 @@ def test_reference_solution_is_built_once_per_key(monkeypatch):
         calls.append(run.tau)
         return evolve(run)
 
-    # the cross-checked reference steps its fine and coarse runs as the two
-    # members of one _march, which counts as one build too
-    march = oracles._march
-
-    def counted_pair(kind, grid, taus, *args):
-        calls.append(tuple(taus))
-        return march(kind, grid, taus, *args)
-
     monkeypatch.setattr(oracles, "evolve", counted)
-    monkeypatch.setattr(oracles, "_march", counted_pair)
     g = Grid(64)
     u0 = Field.from_values(g, np.cos(g.x))
-    base = dict(t_final=0.25, tau_ref=5e-4, cross_check=False, dealias=False)
+    base = dict(t_final=0.25, tau_ref=5e-4)
     first = reference_solution(u0, **base)
     assert reference_solution(u0, **base) is first
     assert len(calls) == 1
@@ -515,8 +495,8 @@ def test_reference_solution_is_built_once_per_key(monkeypatch):
         (other, {}),
         (u0, {"t_final": 0.125}),
         (u0, {"tau_ref": 2.5e-4}),
-        (u0, {"cross_check": True}),
-        (u0, {"dealias": True}),
+        (u0, {"t_final": 0.125, "tau_ref": 2.5e-4}),
+        (u0, {"tau_ref": 1.25e-4}),
     ]
     for data, change in misses:
         before = len(calls)
@@ -525,7 +505,7 @@ def test_reference_solution_is_built_once_per_key(monkeypatch):
     # the cache is bounded: the oldest entries are gone, the newest are not
     assert oracles._reference.cache_info().currsize == oracles.REFERENCE_CACHE_SIZE
     before = len(calls)
-    reference_solution(u0, **{**base, "dealias": True})
+    reference_solution(u0, **{**base, "tau_ref": 1.25e-4})
     assert len(calls) == before
     reference_solution(u0, **base)
     assert len(calls) == before + 1

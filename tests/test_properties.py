@@ -27,7 +27,6 @@ from kdvlri.spectral import (
     sobolev_distance,
     sobolev_norm,
     translate,
-    truncate_two_thirds,
     write_field,
 )
 from kdvlri.studies import (
@@ -83,8 +82,7 @@ def reports(draw):
     )
     rows = draw(st.lists(st.one_of(ok_row, diverged_row), max_size=8))
     metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
-                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau,
-                    dealias=cfg.dealias)
+                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau)
     return ConvergenceReport(metadata=metadata, rows=rows)
 
 
@@ -288,7 +286,6 @@ def test_stack_operators_equal_their_rows(case, a, gamma):
     assert rows_equal(exp_airy(stack, times[0]), [exp_airy(r, times[0]) for r in rows])
     assert rows_equal(translate(stack, a), [translate(r, a) for r in rows])
     assert rows_equal(project_zero_mean(stack), [project_zero_mean(r) for r in rows])
-    assert rows_equal(truncate_two_thirds(stack), [truncate_two_thirds(r) for r in rows])
     for reduce in (integral, mean_value):
         assert same_bits(reduce(stack), [reduce(r) for r in rows])
     assert same_bits(sobolev_norm(stack, gamma), [sobolev_norm(r, gamma) for r in rows])

@@ -23,7 +23,6 @@ from kdvlri.spectral import (
     sobolev_distance,
     sobolev_norm,
     translate,
-    truncate_two_thirds,
     write_field,
 )
 
@@ -53,7 +52,7 @@ def test_grid_wavenumbers_are_modes_zero_to_nyquist():
     g = Grid(8)
     assert list(g.wavenumbers) == [0, 1, 2, 3, 4]
     assert g.nyquist_index == 4
-    for arr in (g.ik, g.inv_ik, g.keep_two_thirds, g.airy(0.3), g.airy([0.1, 0.2])[1]):
+    for arr in (g.ik, g.inv_ik, g.airy(0.3), g.airy([0.1, 0.2])[1]):
         assert arr.shape == (5,)
     assert g.x[0] == 0.0
     assert np.allclose(np.diff(g.x), TWO_PI / 8)
@@ -345,20 +344,6 @@ def test_project_zero_mean():
     p = project_zero_mean(f)
     assert abs(mean_value(p)) < 1e-15
     assert np.max(np.abs(p.values - np.cos(g.x))) < 1e-13
-
-
-def test_truncate_two_thirds_band():
-    g = Grid(12)  # keep 3|xi| < 12, i.e. |xi| <= 3
-    spec = np.ones(7, dtype=complex)
-    out = truncate_two_thirds(Field.from_spectrum(g, spec))
-    kept = np.arange(7) <= 3
-    assert np.array_equal(out.spectrum != 0, kept)
-    assert np.array_equal(g.keep_two_thirds, kept)
-    assert not g.keep_two_thirds.flags.writeable
-    # kept modes keep their bits, signed zeros included
-    spec[:] = complex(-0.0, -0.0)
-    out = truncate_two_thirds(Field.from_spectrum(g, spec))
-    assert np.array_equal(np.signbit(out.spectrum.real), kept)
 
 
 # ---------------------------------------------------------------------------

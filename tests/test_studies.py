@@ -50,8 +50,7 @@ def tiny_config(**kw):
 def synthetic_report(rows):
     cfg = tiny_config()
     metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
-                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau,
-                    dealias=cfg.dealias)
+                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau)
     return ConvergenceReport(metadata=metadata, rows=rows)
 
 
@@ -223,24 +222,6 @@ def test_convergence_study_insensitive_to_reference_refinement():
     assert abs(oa - ob) / abs(oa) < 0.01
 
 
-def test_convergence_study_dealias_insensitive():
-    # 2/3-truncated and plain runs agree on the fitted order when the
-    # reference is truncated consistently (measured gap here: 9e-5)
-    def order(dealias):
-        cfg = StudyConfig(
-            schemes=(SchemeKind.ELRI1,),
-            taus=TAUS4[1:],
-            n_points=256,
-            theta=3.0,
-            t_final=0.5,
-            ref_tau=2.0**-11,
-            dealias=dealias,
-        )
-        return run_convergence_study(cfg).fit_for(SchemeKind.ELRI1).fitted_order
-
-    assert abs(order(False) - order(True)) < 0.1
-
-
 def test_local_error_study_orders():
     rep = run_local_error_study(
         schemes=(SchemeKind.LRI1, SchemeKind.ELRI1, SchemeKind.ELRI2),
@@ -270,17 +251,17 @@ def test_local_error_study_runs_fine_ladders():
     # t_final to cap-check, so ladders below 1.6e-6 run
     schemes = (SchemeKind.LRI1, SchemeKind.ELRI1, SchemeKind.ELRI2)
     rep = run_local_error_study(schemes, (2.0**-20, 2.0**-21), n_points=16)
-    assert rep.metadata == {"n_points": 16, "gamma": 1.0, "dealias": False}
+    assert rep.metadata == {"n_points": 16, "gamma": 1.0}
     assert len(rep.rows) == 6 and all(r.status == "ok" for r in rep.rows)
 
 
 def test_local_error_step_that_blows_up_is_a_diverged_row(monkeypatch):
     taus = (2.0**-6, 2.0**-7, 2.0**-8)
 
-    def step(kind, u, tau, dealias=False):
+    def step(kind, u, tau):
         if tau == taus[0]:
             raise BlowUpError("non-finite field after step 1 of 1", step=1)
-        return integrators.step(kind, u, tau, dealias)
+        return integrators.step(kind, u, tau)
 
     monkeypatch.setattr("kdvlri.studies.step", step)
     rep = run_local_error_study((SchemeKind.ELRI1,), taus, n_points=32)
