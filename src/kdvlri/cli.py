@@ -123,15 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--t-final", type=float, default=1.0)
     _add_data_flags(solve)
     solve.add_argument(
-        "--input", default=None, help="initial field file; default is rough data"
+        "--input",
+        default=None,
+        help="initial field file (a real mean is shifted out exactly); "
+        "default is rough data",
     )
     solve.add_argument("--output", default=None, help="final field file")
     solve.add_argument("--format", choices=("csv", "bin"), default="csv")
-    solve.add_argument(
-        "--mean-shift",
-        action="store_true",
-        help="handle nonzero-mean data by the exact shift reduction",
-    )
 
     conv = sub.add_parser("converge", help="global convergence study")
     _add_study_flags(conv, "elri1,elri2")
@@ -179,7 +177,6 @@ def cmd_solve(args) -> int:
         tau=args.tau,
         t_final=args.t_final,
         initial=_initial_field(args),
-        mean_shift=args.mean_shift,
     )
     traj = evolve(run)
     final = traj.final
@@ -224,26 +221,23 @@ def cmd_converge(args) -> int:
         if args.tau_ladder
         else DEFAULT_CONVERGE_LADDER
     )
-    n, t_final, ref_tau = args.n, args.t_final, args.ref_tau
+    given = {"n_points": args.n, "t_final": args.t_final, "ref_tau": args.ref_tau}
     if args.paper_scale:
-        for flag, value in (("--n", n), ("--t-final", t_final)):
-            if value is not None:
+        for flag, key in (("--n", "n_points"), ("--t-final", "t_final")):
+            if given[key] is not None:
                 raise ValueError(f"--paper-scale sets N and T itself; drop {flag}")
-        n = PAPER_SCALE_N
-        t_final = PAPER_SCALE_T_FINAL
-        if ref_tau is None:
+        given.update(n_points=PAPER_SCALE_N, t_final=PAPER_SCALE_T_FINAL)
+        if given["ref_tau"] is None:
             # the stated 1e-4 clamped so the reference invariant holds on
             # ladders reaching below tau = 1e-3
-            ref_tau = min(PAPER_SCALE_REF_TAU, min(taus) / 10.0)
-    cfg = StudyConfig(
+            given["ref_tau"] = min(PAPER_SCALE_REF_TAU, min(taus) / 10.0)
+    cfg = StudyConfig(  # a value not given is left to StudyConfig's default
         schemes=parse_schemes(args.scheme),
         taus=taus,
-        n_points=1024 if n is None else n,
         theta=args.theta,
         seed=args.seed,
         gamma_err=args.gamma,
-        t_final=1.0 if t_final is None else t_final,
-        ref_tau=ref_tau,
+        **{k: v for k, v in given.items() if v is not None},
     )
     return _report_exit(run_convergence_study(cfg), args)
 

@@ -32,9 +32,9 @@ and one call.  A step whose input holds a spectrum transforms 4 / 9 / 10
 real rows (LRI1 / ELRI1 / ELRI2) in 2 / 4 / 4 calls.
 
 The schemes assume zero-mean data (the mode-0 coefficient of the update is
-only conserved, never evolved); with mean_shift, evolve removes a nonzero
-mean c, steps, and restores each sample via the exact Galilean-type change
-of variables u(t, x) = utilde(t, x + c t) + c.
+only conserved, never evolved).  _march removes a member's real mean c above
+MEAN_TOL at load, steps, and maps each sample back through the exact
+Galilean-type change of variables u(t, x) = utilde(t, x + c t) + c.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class SchemeKind(enum.Enum):
     ELRI2 = "elri2"
 
 
-def require_zero_mean(f, where, shift_hint=False, stack=False):
+def require_zero_mean(f, where, stack=False):
     """Refuse a mode 0, or an imaginary part of mode N/2, above MEAN_TOL
     (naming its row), and a stack unless stack."""
     if not stack:
@@ -102,13 +102,20 @@ def require_zero_mean(f, where, shift_hint=False, stack=False):
         )
     if abs(m.real) > MEAN_TOL:
         cause = f"mean value {m.real:.6e}"
-        cause += " (set mean_shift for nonzero mean)" if shift_hint else ""
     else:  # a mean shift removes only the real part
         cause = f"imaginary residue {m.imag:.6e} (the data is not a real field)"
     raise SchemeConfigError(
         f"{where} requires zero-mean data: mode 0 is {m:.6e}, magnitude "
         f"{abs(m):.6e} exceeds {MEAN_TOL:g}, from its {cause}"
     )
+
+
+def require_real_field(f, where):
+    """Refuse a stack, and an imaginary part of mode 0 or N/2 above MEAN_TOL:
+    require_zero_mean of f less the real mean _march shifts out."""
+    require_single(f, where)
+    c = f.spectrum[0].real
+    require_zero_mean(_add_constant(f, -c) if MEAN_TOL < abs(c) < np.inf else f, where)
 
 
 def check_scheme(kind):
@@ -227,8 +234,8 @@ def _update(ws):
     scheme is the exact identity at tau = 0.  Every array written is one of
     ws's, and each term keeps the operation order of its formula, so the bits
     do not depend on which buffer or stack row holds it.  No mean gate:
-    evolve checks the initial mean once, and a diverging iterate must reach
-    the non-finite check (BlowUpError), not trip the absolute mean gate.
+    the boundary checks the initial field once, and a diverging iterate must
+    reach the non-finite check (BlowUpError), not trip the absolute mean gate.
     """
     kind, n, s, a, inv_ik = ws.kind, ws.n, ws.s, ws.airy, ws.inv_ik
     p = ws.p
@@ -281,10 +288,10 @@ def _update(ws):
 
 
 def step(kind: SchemeKind, u: Field, tau: float) -> Field:
-    """One step of kind from zero-mean u; tau = 0 returns u exactly, and a
-    non-finite result raises BlowUpError."""
+    """One step of kind from the real field u (_march shifts a real mean out);
+    tau = 0 returns u exactly, and a non-finite result raises BlowUpError."""
     check_scheme(kind)
-    require_zero_mean(u, f"{kind.value}_step", shift_hint=True)
+    require_real_field(u, f"{kind.value}_step")
     (samples,), _ = _march(kind, u.grid, [tau], [1], u.spectrum)
     return samples[-1][1]
 
@@ -293,9 +300,9 @@ def step(kind: SchemeKind, u: Field, tau: float) -> Field:
 class SolverRun:
     """One time-integration job: scheme, step size, horizon, initial data.
 
-    t_final/tau must be a whole step count (check_step_count gives n_steps);
-    without mean_shift the initial mean must vanish to 1e-12.  record_every = 0
-    keeps only the endpoints, k > 0 every k-th step plus both endpoints.
+    t_final/tau must be a whole step count (check_step_count gives n_steps),
+    the initial field real, of any mean.  record_every = 0 keeps only the
+    endpoints, k > 0 every k-th step plus both endpoints.
     """
 
     scheme: SchemeKind
@@ -303,20 +310,16 @@ class SolverRun:
     t_final: float
     initial: Field
     record_every: int = 0
-    mean_shift: bool = False
 
     def __post_init__(self):
         check_scheme(self.scheme)
-        require_single(self.initial, "SolverRun")
+        require_real_field(self.initial, "SolverRun")
         check_positive("tau", self.tau)
         check_positive("t_final", self.t_final)
         self.n_steps = check_step_count("tau", self.tau, self.t_final)
-        if self.record_every < 0:
-            raise SchemeConfigError(
-                f"record_every must be >= 0, got {self.record_every}"
-            )
-        if not self.mean_shift:
-            require_zero_mean(self.initial, "SolverRun", shift_hint=True)
+        k = self.record_every
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise SchemeConfigError(f"record_every must be an integer >= 0, got {k!r}")
 
 
 @dataclass
@@ -336,30 +339,22 @@ def evolve(run: SolverRun) -> Trajectory:
     """Apply the scheme t_final/tau times from the initial field.
 
     Raises BlowUpError (with the offending step index) as soon as a
-    non-finite value appears; tracks the largest mode-0 drift seen.  With
-    run.mean_shift the initial mean c is removed first, the zero-mean data
-    utilde evolved, and each sample mapped back through
-    u(t_n) = translate(utilde^n, c t_n) + c, the exact Galilean-type change
-    of variables u(t, x) = utilde(t, x + c t) + c.
+    non-finite value appears; tracks the largest mode-0 drift seen.  The
+    first sample is run.initial itself; _march handles a real mean.
     """
-    n_steps, tau, u0 = run.n_steps, run.tau, run.initial
-    if run.mean_shift:
-        c = float(u0.spectrum[0].real)
-        u0 = _add_constant(u0, -c)
-        require_zero_mean(u0, "SolverRun")
-    (samples,), (drift,) = _march(run.scheme, u0.grid, [tau], [n_steps], u0.spectrum,
-                                  run.record_every)
-    samples.insert(0, (0.0, u0))
-    if run.mean_shift:
-        samples = [(t, _add_constant(translate(f, c * t), c)) for t, f in samples]
-    return Trajectory(samples=samples, n_steps=n_steps, max_mean_drift=drift)
+    u0 = run.initial
+    (samples,), (drift,) = _march(run.scheme, u0.grid, [run.tau], [run.n_steps],
+                                  u0.spectrum, run.record_every)
+    return Trajectory([(0.0, u0)] + samples, run.n_steps, drift)
 
 
 def _march(kind, grid, taus, counts, spectra, record_every=0):
     """Step row b of spectra counts[b] times by taus[b], all rows in lockstep;
     return per member its samples [(t, Field)] (every record_every-th step and
     its last) and its largest mode-0 drift.  A member leaves at its count, the
-    rest go on in a smaller workspace; a non-finite one raises BlowUpError."""
+    rest go on in a smaller workspace; a non-finite one raises BlowUpError.
+    A member with a real mean c above MEAN_TOL steps u - c (its drift is that
+    run's), and its samples are mapped back through translate(., c t) + c."""
     live, ends = list(range(len(taus))), set(counts)
     samples, drift = [[] for _ in live], [0.0 for _ in live]
     # a diverging iterate overflows (an infinite tau's symbol is NaN) before
@@ -368,6 +363,9 @@ def _march(kind, grid, taus, counts, spectra, record_every=0):
         ws = _Workspace(kind, grid, taus)
         s = ws.load(spectra)
         mode0 = s[:, 0]
+        shift = [m.real if abs(m.real) > MEAN_TOL else 0.0 for m in mode0.tolist()]
+        for b in np.flatnonzero(shift):
+            s[b, 0] += -shift[b]
         mean0 = mode0.tolist()
         for n in range(1, max(counts) + 1):
             _update(ws)
@@ -394,7 +392,8 @@ def _march(kind, grid, taus, counts, spectra, record_every=0):
                 ws = _Workspace(kind, grid, [taus[b] for b in live])
                 s = ws.load(s[stay])
                 mode0 = s[:, 0]
-    return samples, drift
+    return [[(t, _add_constant(translate(f, c * t), c) if c else f) for t, f in run]
+            for run, c in zip(samples, shift)], drift
 
 
 def _add_constant(f, c):

@@ -46,6 +46,8 @@ class RoughSpec:
         check_grid_size(self.n_points)
         if not 0 <= self.theta < np.inf:
             raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

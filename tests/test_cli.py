@@ -185,11 +185,36 @@ def test_solve_refuses_bad_field_file_by_name(tmp_path, capsys, recwarn, name, c
     assert not recwarn.list
 
 
-def test_solve_mean_shift_flag(capsys):
+def test_solve_mean_shift_flag(tmp_path, capsys):
+    # the mean shift is decided from the data: the flag is gone, and a file
+    # of mean 0.3 solves without it, its mean conserved
     g_args = ["solve", "--scheme", "elri1", "--tau", "2^-4", "--t-final", "0.25"]
-    # rough data already has zero mean, so the flag must not change the result
-    rc = main(g_args + ["--n", "64", "--mean-shift"])
-    assert rc == 0
+    with pytest.raises(SystemExit) as info:
+        main(g_args + ["--n", "64", "--mean-shift"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --mean-shift" in capsys.readouterr().err
+    u = generate_rough(RoughSpec(64, 2.0, seed=3))
+    write_field(Field.from_values(u.grid, u.values + 0.3), tmp_path / "m.bin", fmt="bin")
+    assert main(g_args + ["--input", str(tmp_path / "m.bin")]) == 0
+    assert "mean value     3.000e-01" in capsys.readouterr().out
+
+
+def test_converge_leaves_unset_values_to_study_config(monkeypatch):
+    # StudyConfig alone holds the defaults of --n and --t-final: converge
+    # passes only the values given
+    given = []
+
+    def config(**kwargs):
+        given.append(kwargs)
+        return StudyConfig(**kwargs)
+
+    monkeypatch.setattr("kdvlri.cli.StudyConfig", config)
+    monkeypatch.setattr("kdvlri.cli.run_convergence_study", lambda cfg: cfg)
+    monkeypatch.setattr("kdvlri.cli._report_exit", lambda cfg, args: 0)
+    main(["converge", "--tau-ladder", "2^-3,2^-4"])
+    main(["converge", "--tau-ladder", "2^-3,2^-4", "--n", "64", "--t-final", "0.5"])
+    assert "n_points" not in given[0] and "t_final" not in given[0]
+    assert (given[1]["n_points"], given[1]["t_final"]) == (64, 0.5)
 
 
 # ---------------------------------------------------------------------------

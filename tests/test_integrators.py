@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,34 +114,40 @@ def test_steps_preserve_mean_and_realness():
         assert abs(mean_value(out)) < 1e-13
 
 
-def test_public_steps_reject_nonzero_mean():
+def test_public_steps_shift_a_nonzero_mean_out():
+    # a real mean c is no refusal: one step is the step of u - c, translated
+    # by c tau, plus c
     g = Grid(32)
     u = Field.from_values(g, 0.5 + np.cos(g.x))
-    for step in ALL_STEPS:
-        with pytest.raises(SchemeConfigError, match="zero-mean"):
-            step(u, 0.1)
+    for kind, step in zip(SchemeKind, ALL_STEPS):
+        (want,) = shifted_recursion(kind, u, 0.1, 1, 0)
+        assert step(u, 0.1).spectrum.tobytes() == want[1].spectrum.tobytes()
+        assert abs(mean_value(step(u, 0.1)) - 0.5) < 1e-13
 
 
 def test_zero_mean_refusal_names_what_tripped_it():
-    # mode 0 = 0.3 + 1e-6j: the real mean trips a plain run; after the mean
-    # shift only the imaginary residue is left, and no shift removes it
+    # mode 0 = 0.3 + 1e-6j: the real mean is shifted out, the imaginary
+    # residue left over is refused, and no shift removes it; the oracles'
+    # strict gate names the real mean
     g = Grid(16)
     spec = np.zeros(g.n // 2 + 1, dtype=np.complex128)
     spec[1] = 0.25
     spec[0] = 0.3 + 1e-6j
     u = Field.from_spectrum(g, spec)
+    for where, make in (("elri1_step", lambda: step(SchemeKind.ELRI1, u, 0.1)),
+                        ("SolverRun", lambda: SolverRun(SchemeKind.ELRI1, 0.1, 0.2, u))):
+        with pytest.raises(SchemeConfigError) as err:
+            make()
+        assert str(err.value) == (
+            f"{where} requires zero-mean data: mode 0 is 0.000000e+00+1.000000e-06j, "
+            "magnitude 1.000000e-06 exceeds 1e-12, from its imaginary residue "
+            "1.000000e-06 (the data is not a real field)"
+        )
     with pytest.raises(SchemeConfigError) as err:
-        step(SchemeKind.ELRI1, u, 0.1)
+        ifrk4_solve(u, 0.2, 0.1)
     msg = str(err.value)
     assert "mode 0 is 3.000000e-01+1.000000e-06j" in msg
-    assert "mean value 3.000000e-01 (set mean_shift for nonzero mean)" in msg
-    with pytest.raises(SchemeConfigError) as err:
-        evolve(SolverRun(SchemeKind.ELRI1, 0.1, 0.2, u, mean_shift=True))
-    msg = str(err.value)
-    assert "mode 0 is 0.000000e+00+1.000000e-06j" in msg
-    assert "magnitude 1.000000e-06" in msg
-    assert "imaginary residue 1.000000e-06 (the data is not a real field)" in msg
-    assert "mean_shift" not in msg
+    assert msg.endswith("from its mean value 3.000000e-01")
 
 
 def test_imaginary_nyquist_mode_is_refused():
@@ -150,12 +155,13 @@ def test_imaginary_nyquist_mode_is_refused():
     # 0, yet its L2 norm is sqrt(2 pi); each zero-mean gate refuses it
     g = Grid(8)
     u = Field.from_spectrum(g, [0, 0, 0, 0, 1j])
+    shifted = Field.from_spectrum(g, [0.3, 0, 0, 0, 1j])  # a real mean does not hide it
     assert not np.any(u.values) and sobolev_norm(u, 0.0) > 2.5
     for where, make in (
         ("elri2_step", lambda: step(SchemeKind.ELRI2, u, 0.1)),
         ("SolverRun", lambda: SolverRun(SchemeKind.ELRI2, 0.1, 1.0, u)),
-        ("SolverRun", lambda: evolve(SolverRun(SchemeKind.ELRI2, 0.1, 1.0, u,
-                                               mean_shift=True))),
+        ("SolverRun", lambda: SolverRun(SchemeKind.ELRI2, 0.1, 1.0, shifted)),
+        ("lri1_step", lambda: step(SchemeKind.LRI1, shifted, 0.1)),
         ("fn_closed_form", lambda: fn_closed_form(u, 0.0, 0.1)),
     ):
         with pytest.raises(SchemeConfigError) as err:
@@ -586,7 +592,7 @@ def test_single_field_boundaries_refuse_a_stack(kind):
     message = rf"{boundary} needs one field of shape \(16,\), got \(2, 16\)"
     with pytest.raises(ValueError, match=message):
         if boundary == "SolverRun":
-            SolverRun(SchemeKind.ELRI2, tau=0.1, t_final=1.0, initial=stack, mean_shift=True)
+            SolverRun(SchemeKind.ELRI2, tau=0.1, t_final=1.0, initial=stack)
         else:
             step(kind, stack, 0.1)
 
@@ -608,12 +614,24 @@ def test_solver_run_validation():
     for tau, t_final in ((2.0**-24, 1.0), (1e-300, 1.0), (1e-300, 1e300)):
         with pytest.raises(SchemeConfigError, match=r"tau = .*MAX_STEPS"):
             SolverRun(SchemeKind.ELRI1, tau, t_final, u)
+    # a real mean is data, not a refusal: the stepping loop shifts it out
     g = Grid(32)
     shifted = Field.from_values(g, 1.0 + np.cos(g.x))
-    with pytest.raises(SchemeConfigError, match="zero-mean"):
-        SolverRun(SchemeKind.ELRI1, 0.1, 1.0, shifted)
-    # same data is fine when the mean shift is requested
-    SolverRun(SchemeKind.ELRI1, 0.1, 1.0, shifted, mean_shift=True)
+    assert SolverRun(SchemeKind.ELRI1, 0.1, 1.0, shifted).n_steps == 10
+    # an infinite mean is no mean to shift: it is refused by name
+    spec = np.zeros(g.n // 2 + 1, complex)
+    spec[0] = np.inf
+    with pytest.raises(SchemeConfigError, match="from its mean value inf$"):
+        SolverRun(SchemeKind.ELRI1, 0.1, 1.0, Field.from_spectrum(g, spec))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.5, 3.0, float("nan"), True, False, "2", None, -1,
+                                 np.int64(-2)])
+def test_record_every_must_be_a_non_negative_integer(bad):
+    # 0.5 would record every step, 2.5 every fifth and nan only the endpoints
+    with pytest.raises(SchemeConfigError) as err:
+        SolverRun(SchemeKind.ELRI1, 0.1, 1.0, rough(n=16), record_every=bad)
+    assert str(err.value) == f"record_every must be an integer >= 0, got {bad!r}"
 
 
 def test_solver_run_step_count():
@@ -651,9 +669,9 @@ def test_evolve_single_step_matches_public_step():
 def test_evolve_recording_pattern():
     u = rough(n=32)
     tau = 0.125
-    run = SolverRun(SchemeKind.ELRI1, tau, 1.0, u, record_every=3)
-    traj = evolve(run)
-    assert [t for t, _ in traj.samples] == [0.0, 3 * tau, 6 * tau, 8 * tau]
+    for k in (3, np.int64(3)):  # a numpy integer is an integer too
+        traj = evolve(SolverRun(SchemeKind.ELRI1, tau, 1.0, u, record_every=k))
+        assert [t for t, _ in traj.samples] == [0.0, 3 * tau, 6 * tau, 8 * tau]
     assert len(traj.samples) == 4
     assert traj.samples[0][1] is u
     # record_every = 0: endpoints only, and the final step is never duplicated
@@ -699,45 +717,101 @@ def test_step_with_a_non_finite_tau_raises_blow_up(kind, tau):
 # mean shift
 
 
+def plain_stepping(kind, u, tau, count, record_every):
+    """Spectra after steps 1..count of bare _update calls (every
+    record_every-th and the last), no mean arithmetic."""
+    ws = integrators._Workspace(kind, u.grid, [tau])
+    s, out = ws.load(u.spectrum), []
+    for n in range(1, count + 1):
+        integrators._update(ws)
+        if (record_every and n % record_every == 0) or n == count:
+            out.append((n * tau, s[0].copy()))
+    return out
+
+
+def shifted_recursion(kind, u, tau, count, record_every):
+    """The mean-shift recursion, written out: subtract the real mean c, step,
+    map every sample back through translate(., c t) + c.  A mean within
+    MEAN_TOL is stepped as it is."""
+    c = float(u.spectrum[0].real)
+    if abs(c) <= integrators.MEAN_TOL:
+        return [(t, Field.from_spectrum(u.grid, s))
+                for t, s in plain_stepping(kind, u, tau, count, record_every)]
+    s0 = u.spectrum.copy()
+    s0[0] += -c
+    inner = Field.from_spectrum(u.grid, s0)
+    out = []
+    for t, s in plain_stepping(kind, inner, tau, count, record_every):
+        back = translate(Field.from_spectrum(u.grid, s), c * t).spectrum.copy()
+        back[0] += c
+        out.append((t, Field.from_spectrum(u.grid, back)))
+    return out
+
+
 def test_mean_shift_with_zero_mean_matches_plain_evolve():
-    u = rough(n=64, theta=2.0, seed=21)
-    plain = evolve(SolverRun(SchemeKind.ELRI2, 0.05, 0.5, u))
-    shifted = evolve(SolverRun(SchemeKind.ELRI2, 0.05, 0.5, u, mean_shift=True))
-    assert l2_diff(plain.final, shifted.final) < 1e-13
+    # a mean within MEAN_TOL is stepped as it is: bare _update calls, bit for
+    # bit, and the t = 0 sample is the input object
+    base = rough(n=64, theta=2.0, seed=21)
+    for mean in (0.0, 5e-13, -9e-13):
+        u = Field.from_values(base.grid, base.values + mean)
+        for kind in SchemeKind:
+            for record_every in (0, 3):
+                got = evolve(SolverRun(kind, 0.05, 0.5, u, record_every=record_every))
+                want = plain_stepping(kind, u, 0.05, 10, record_every)
+                assert got.samples[0][1] is u
+                assert [(t, f.spectrum.tobytes()) for t, f in got.samples[1:]] == [
+                    (t, s.tobytes()) for t, s in want
+                ]
+            (_, once), = plain_stepping(kind, u, 0.05, 1, 0)
+            assert step(kind, u, 0.05).spectrum.tobytes() == once.tobytes()
 
 
 @pytest.mark.parametrize("n", [32, 256])
 @pytest.mark.parametrize("mean", [0.3, 0.0])
 def test_mean_shift_is_bitwise_shift_evolve_shift_back(n, mean):
-    # the recursion the mean shift is defined by: copy the spectrum, subtract
-    # the mean c, evolve the zero-mean data, map every sample back through
-    # translate(., c t) + c
+    # a real mean above MEAN_TOL: evolve is, bit for bit, the recursion the
+    # mean shift is defined by, and its drift is that of the shifted run; at
+    # mean 0 (mode 0 at roundoff, within MEAN_TOL) it is plain stepping
     base = rough(n=n, theta=2.0, seed=5)
     u = Field.from_values(base.grid, base.values + mean)
+    c = float(u.spectrum[0].real) if mean else 0.0
+    inner = Field.from_spectrum(u.grid, u.spectrum - np.eye(1, n // 2 + 1)[0] * c)
     for kind in SchemeKind:
         for record_every in (0, 3):
-            run = SolverRun(kind, 0.05, 0.4, u, record_every=record_every,
-                            mean_shift=True)
-            c = float(u.spectrum[0].real)
-            s0 = u.spectrum.copy()
-            s0[0] -= c
-            inner = evolve(replace(run, initial=Field.from_spectrum(u.grid, s0),
-                                   mean_shift=False))
-            want = [(t, integrators._add_constant(translate(w, c * t), c))
-                    for t, w in inner.samples]
-            got = evolve(run)
-            assert [t for t, _ in got.samples] == [t for t, _ in want]
-            assert [f.spectrum.tobytes() for _, f in got.samples] == [
+            got = evolve(SolverRun(kind, 0.05, 0.4, u, record_every=record_every))
+            want = shifted_recursion(kind, u, 0.05, 8, record_every)
+            assert got.samples[0][1] is u
+            assert [t for t, _ in got.samples[1:]] == [t for t, _ in want]
+            assert [f.spectrum.tobytes() for _, f in got.samples[1:]] == [
                 f.spectrum.tobytes() for _, f in want
             ]
-            assert got.max_mean_drift == inner.max_mean_drift
+            drift = evolve(SolverRun(kind, 0.05, 0.4, inner)).max_mean_drift
+            assert got.max_mean_drift == drift
+
+
+def test_members_of_different_means_are_their_separate_runs():
+    # one _march over members with means 0.3, 0, -2 and 1e-13: each member's
+    # samples and drift are, bit for bit, those of its own evolve run
+    base = rough(n=64, theta=3.0, seed=11)
+    means, taus, counts = [0.3, 0.0, -2.0, 1e-13], [0.05, 0.04, 0.1, 0.05], [6, 9, 4, 6]
+    us = [Field.from_values(base.grid, base.values + m) for m in means]
+    spectra = np.array([u.spectrum for u in us])
+    for kind in SchemeKind:
+        got, drift = integrators._march(kind, base.grid, taus, counts, spectra,
+                                        record_every=2)
+        for u, tau, count, samples, d in zip(us, taus, counts, got, drift):
+            want = evolve(SolverRun(kind, tau, count * tau, u, record_every=2))
+            assert [(t, f.spectrum.tobytes()) for t, f in samples] == [
+                (t, f.spectrum.tobytes()) for t, f in want.samples[1:]
+            ]
+            assert d == want.max_mean_drift
 
 
 def test_mean_shift_constant_state_is_steady():
     g = Grid(32)
     c = 1.5
     u = Field.from_values(g, np.full(g.n, c))
-    traj = evolve(SolverRun(SchemeKind.ELRI2, 0.1, 1.0, u, mean_shift=True))
+    traj = evolve(SolverRun(SchemeKind.ELRI2, 0.1, 1.0, u))
     assert np.max(np.abs(traj.final.values - c)) < 1e-13
 
 
@@ -748,8 +822,7 @@ def test_mean_shift_self_convergence_is_second_order():
     u0 = Field.from_values(g, 0.4 + np.cos(g.x))
 
     def final(tau):
-        run = SolverRun(SchemeKind.ELRI2, tau, 1.0, u0, mean_shift=True)
-        return evolve(run).final
+        return evolve(SolverRun(SchemeKind.ELRI2, tau, 1.0, u0)).final
 
     ref = final(2.0**-12)
     taus = [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8]

@@ -424,7 +424,8 @@ def test_ifrk4_step_count_validation():
 
 
 def test_oracle_zero_mean_refusal_has_no_solver_hint():
-    # the oracles take no mean_shift, so their refusal does not point to it
+    # the oracles keep the strict zero-mean gate: a real mean is refused by
+    # name, with no hint at a mean shift they do not make
     g = Grid(16)
     with pytest.raises(ValueError) as err:
         ifrk4_solve(Field.from_values(g, 1.0 + np.cos(g.x)), 1.0, 0.1)

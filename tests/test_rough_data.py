@@ -68,12 +68,23 @@ def test_rough_spec_validation():
         RoughSpec(64, 1.0, seed=-1)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True, "2", None])
+def test_rough_spec_seed_must_be_an_integer(bad):
+    # 2.5 once gave seed 2's field, bit for bit
+    with pytest.raises(ValueError) as err:
+        RoughSpec(32, 2.0, bad)
+    assert str(err.value) == f"seed must be an integer, got {bad!r}"
+
+
 def test_generate_rough_is_deterministic():
     a = generate_rough(RoughSpec(128, 2.0, seed=42))
     b = generate_rough(RoughSpec(128, 2.0, seed=42))
     assert a.values.tobytes() == b.values.tobytes()
     c = generate_rough(RoughSpec(128, 2.0, seed=43))
     assert not np.array_equal(a.values, c.values)
+    for seed in (np.int64(42), np.uint64(42), np.int32(42)):  # numpy integers too
+        same = generate_rough(RoughSpec(128, 2.0, seed))
+        assert same.values.tobytes() == a.values.tobytes()
 
 
 def test_generate_rough_invariants():
