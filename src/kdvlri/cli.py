@@ -84,12 +84,12 @@ def parse_schemes(text: str):
     return out
 
 
-def _add_data_flags(p, n_default=1024):
-    p.add_argument("--n", type=int, default=n_default, help="number of grid points")
+def _add_data_flags(p, n=1024, theta=2.0, seed=42):
+    p.add_argument("--n", type=int, default=n, help="number of grid points")
     p.add_argument(
-        "--theta", type=float, default=2.0, help="roughness exponent of the data"
+        "--theta", type=float, default=theta, help="roughness exponent of the data"
     )
-    p.add_argument("--seed", type=int, default=42, help="random stream seed")
+    p.add_argument("--seed", type=int, default=seed, help="random stream seed")
 
 
 def _add_study_flags(p, default_schemes):
@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("converge", help="global convergence study")
     _add_study_flags(conv, "elri1,elri2")
-    _add_data_flags(conv, None)  # None: not given, so --paper-scale may set it
+    # None: not given, so StudyConfig (or --paper-scale) sets the value
+    _add_data_flags(conv, None, None, None)
     conv.add_argument("--t-final", type=float, default=None)
     conv.add_argument(
         "--ref-tau",
@@ -221,7 +222,8 @@ def cmd_converge(args) -> int:
         if args.tau_ladder
         else DEFAULT_CONVERGE_LADDER
     )
-    given = {"n_points": args.n, "t_final": args.t_final, "ref_tau": args.ref_tau}
+    given = {"n_points": args.n, "t_final": args.t_final, "ref_tau": args.ref_tau,
+             "theta": args.theta, "seed": args.seed}
     if args.paper_scale:
         for flag, key in (("--n", "n_points"), ("--t-final", "t_final")):
             if given[key] is not None:
@@ -234,8 +236,6 @@ def cmd_converge(args) -> int:
     cfg = StudyConfig(  # a value not given is left to StudyConfig's default
         schemes=parse_schemes(args.scheme),
         taus=taus,
-        theta=args.theta,
-        seed=args.seed,
         gamma_err=args.gamma,
         **{k: v for k, v in given.items() if v is not None},
     )

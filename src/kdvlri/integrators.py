@@ -19,9 +19,10 @@ B members, each with its own tau and one spectrum (modes 0..N/2) every step
 updates in place, the temporaries and every view of them a step uses, so a
 step in steady state allocates no array and slices no view.  Members share
 every call, each bit for bit a run of its own.  The one stepping loop
-(_march) alone builds workspaces and raises BlowUpError; evolve is its
-one-member case, step its one-step case.  A Field is built only for
-samples.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
+(_march) alone builds workspaces and BlowUpErrors: a member that turns
+non-finite leaves the batch with its error as its result, and the others
+step on.  evolve is its one-member case and step its one-step case, and
+both raise that error.  A Field is built only for samples.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
 The correction terms are formed with Grid.rfft/irfft (normalized like the
 spectrum, so no separate 1/N scaling), summed, and added to the spectrum.
 Terms that share a multiplier share a transform: the 1/18 pair is one
@@ -83,8 +84,8 @@ class SchemeKind(enum.Enum):
 
 
 def require_zero_mean(f, where, stack=False):
-    """Refuse a mode 0, or an imaginary part of mode N/2, above MEAN_TOL
-    (naming its row), and a stack unless stack."""
+    """Refuse a mode 0, or an imaginary part of mode N/2, above MEAN_TOL or
+    not finite (naming its row), and a stack unless stack."""
     if not stack:
         require_single(f, where)
     spec = f.spectrum
@@ -95,6 +96,11 @@ def require_zero_mean(f, where, stack=False):
         return
     row, m, t = bad[0]
     where += f" (row {row})" if spec.ndim > 1 else ""
+    if not (abs(m.real) > MEAN_TOL or math.isfinite(abs(m)) and math.isfinite(t)):
+        raise SchemeConfigError(  # NaN fails every comparison below
+            f"{where} requires finite data: mode 0 is {m:.6e} and mode N/2 has "
+            f"imaginary part {t:.6e} (the data is not finite)"
+        )
     if abs(m) <= MEAN_TOL:  # irfft drops it, so the values show no trace of it
         raise SchemeConfigError(
             f"{where} requires a real field: mode N/2 has imaginary part {t:.6e}, "
@@ -292,8 +298,8 @@ def step(kind: SchemeKind, u: Field, tau: float) -> Field:
     tau = 0 returns u exactly, and a non-finite result raises BlowUpError."""
     check_scheme(kind)
     require_real_field(u, f"{kind.value}_step")
-    (samples,), _ = _march(kind, u.grid, [tau], [1], u.spectrum)
-    return samples[-1][1]
+    (result,), _ = _march(kind, u.grid, [tau], [1], u.spectrum)
+    return _samples(result)[-1][1]
 
 
 @dataclass
@@ -343,16 +349,17 @@ def evolve(run: SolverRun) -> Trajectory:
     first sample is run.initial itself; _march handles a real mean.
     """
     u0 = run.initial
-    (samples,), (drift,) = _march(run.scheme, u0.grid, [run.tau], [run.n_steps],
-                                  u0.spectrum, run.record_every)
-    return Trajectory([(0.0, u0)] + samples, run.n_steps, drift)
+    (result,), (drift,) = _march(run.scheme, u0.grid, [run.tau], [run.n_steps],
+                                 u0.spectrum, run.record_every)
+    return Trajectory([(0.0, u0)] + _samples(result), run.n_steps, drift)
 
 
 def _march(kind, grid, taus, counts, spectra, record_every=0):
     """Step row b of spectra counts[b] times by taus[b], all rows in lockstep;
-    return per member its samples [(t, Field)] (every record_every-th step and
-    its last) and its largest mode-0 drift.  A member leaves at its count, the
-    rest go on in a smaller workspace; a non-finite one raises BlowUpError.
+    return per member its result, samples [(t, Field)] (every record_every-th
+    step and its last) or the BlowUpError of its first non-finite step, and
+    its largest mode-0 drift.  A member leaves at its count or at that error,
+    and the rest go on, with their bits, in a smaller workspace.
     A member with a real mean c above MEAN_TOL steps u - c (its drift is that
     run's), and its samples are mapped back through translate(., c t) + c."""
     live, ends = list(range(len(taus))), set(counts)
@@ -371,29 +378,45 @@ def _march(kind, grid, taus, counts, spectra, record_every=0):
             _update(ws)
             # a finite sum proves every entry finite; a non-finite one, which
             # finite entries also reach by overflow, is checked entry by entry
-            if not (math.isfinite(np.add.reduce(ws.s_f, None)) or np.isfinite(s).all()):
-                b = live[np.flatnonzero(~np.isfinite(s).all(axis=-1))[0]]
-                raise BlowUpError(
-                    f"non-finite field after step {n} of {counts[b]} "
-                    f"(t = {n * taus[b]:.6g}, scheme {kind.name})",
-                    step=n,
-                )
+            blown = ()
+            if not math.isfinite(np.add.reduce(ws.s_f, None)):
+                blown = np.flatnonzero(~np.isfinite(s).all(axis=-1)).tolist()
             for b, z in zip(live, mode0.tolist()):
                 drift[b] = max(drift[b], abs(z - mean0[b]))
             record = record_every and n % record_every == 0
-            if not (record or n in ends):
+            if not (record or blown or n in ends):
                 continue
+            stay = []
             for j, b in enumerate(live):
+                if j in blown:  # it leaves with its error in place of samples
+                    samples[b] = BlowUpError(
+                        f"non-finite field after step {n} of {counts[b]} "
+                        f"(t = {n * taus[b]:.6g}, scheme {kind.name})",
+                        step=n,
+                    )
+                    continue
                 if record or n == counts[b]:
                     samples[b].append((n * taus[b], Field.from_spectrum(grid, s[j])))
-            stay = [j for j, b in enumerate(live) if n < counts[b]]
-            if 0 < len(stay) < len(live):
-                live = [live[j] for j in stay]
+                if n < counts[b]:
+                    stay.append(j)
+            if not stay:
+                break
+            if len(stay) < len(live):
+                live, kept = [live[j] for j in stay], s[stay]
+                ws = s = mode0 = None  # free the larger workspace first
                 ws = _Workspace(kind, grid, [taus[b] for b in live])
-                s = ws.load(s[stay])
+                s = ws.load(kept)
                 mode0 = s[:, 0]
-    return [[(t, _add_constant(translate(f, c * t), c) if c else f) for t, f in run]
+    return [run if isinstance(run, BlowUpError) else
+            [(t, _add_constant(translate(f, c * t), c) if c else f) for t, f in run]
             for run, c in zip(samples, shift)], drift
+
+
+def _samples(result):
+    """The samples of a _march member's result; raise it if a BlowUpError."""
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
 
 
 def _add_constant(f, c):

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrators import BlowUpError, SchemeKind, SolverRun, check_positive, evolve
-from .integrators import _march, check_step_count, require_zero_mean
+from .integrators import _march, _samples, check_step_count, require_zero_mean
 from .rough_data import splitmix64_uniform
 from .spectral import (
     Field,
@@ -684,7 +684,8 @@ def _check_embedded_equivalence():
             for r, kind, oracle in zip(results, kinds, oracles):
                 start = time.perf_counter()
                 runs, _ = _march(kind, grid, [tau] * 10, [1] * 10, vs.spectrum)
-                direct = Field.from_spectrum(grid, [x[-1][1].spectrum for x in runs])
+                finals = [_samples(x)[-1][1].spectrum for x in runs]
+                direct = Field.from_spectrum(grid, finals)
                 oracle = Field.from_spectrum(grid, [o.spectrum for o in oracle])
                 num = sobolev_distance(direct, oracle)
                 r.residual = max(r.residual, float(np.max(num / sobolev_norm(direct))))
@@ -701,7 +702,7 @@ def _check_reference_cross():
     tau_ref = t_final / steps  # 5e-4
     runs, _ = _march(SchemeKind.ELRI2, grid, [tau_ref, 2 * tau_ref],
                      [steps, steps // 2], u0.spectrum)
-    fine, coarse = (samples[-1][1] for samples in runs)
+    fine, coarse = (_samples(x)[-1][1] for x in runs)
     est = sobolev_distance(fine, coarse) / 3.0
     other = ifrk4_solve(u0, t_final, t_final / (steps // 10))  # step 5e-3
     disagreement = sobolev_distance(fine, other)

@@ -1,9 +1,12 @@
 """Convergence and local-error studies with machine-readable reports.
 
-A study takes a scheme list and a descending tau ladder, runs every
-(scheme, tau) combination against a shared high-accuracy reference, fits
-log-log slopes and emits a deterministic report: CSV rows, or JSON carrying
-the same rows plus the fitted orders.  ``COLUMNS`` is the one definition of
+A study takes a scheme list and a descending tau ladder.  A convergence
+study steps each scheme's ladder to t_final as the members of one batch
+(integrators._march; one per rung from BATCH_MAX_N points up) against a
+shared high-accuracy reference, a local-error study one step per (scheme,
+tau) against per-tau references.  Both fit log-log slopes and emit a
+deterministic report: CSV rows, or JSON carrying the same rows plus the
+fitted orders.  ``COLUMNS`` is the one definition of
 a row: the CSV header, writer and parser, the JSON rows and the row keys of
 the tests' JSON schema all derive from it.  Identical configs produce
 byte-identical CSV and JSON files.
@@ -21,6 +24,8 @@ from .integrators import (
     BlowUpError,
     SchemeKind,
     SolverRun,
+    _march,
+    _samples,
     check_positive,
     check_scheme,
     check_step_count,
@@ -30,6 +35,10 @@ from .integrators import (
 from .oracles import ifrk4_solve, reference_solution
 from .rough_data import RoughSpec, generate_rough
 from .spectral import Field, Grid, sobolev_distance, sobolev_norm
+
+#: from this grid size up, each rung of a ladder is its own _march: a batched
+#: ladder stops being faster than its rungs stepped apart (BENCH_28.json)
+BATCH_MAX_N = 4096
 
 #: one report row: column names, and the type each CSV cell parses back to
 COLUMNS = (
@@ -220,22 +229,25 @@ def _report(metadata, schemes, rows, flags, kind):
 
 
 def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
-    """Rough data once, reference once, then every (scheme, tau) run.
+    """Rough data once, reference once, then each scheme's tau ladder as the
+    members of one _march (one _march per rung from BATCH_MAX_N points up).
 
-    Diverged runs keep a row (_run_row) but are excluded from slope fits.
-    Relative errors are measured in H^gamma_err against the ELRI2 reference
-    at ref_tau, normalized by its norm.
+    A member that diverged keeps a row (_run_row) but is excluded from slope
+    fits, and the other members keep their bits.  Relative errors are
+    measured in H^gamma_err against the ELRI2 reference at ref_tau,
+    normalized by its norm.
     """
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
     ref = reference_solution(u0, cfg.t_final, cfg.ref_tau)
     ref_norm = sobolev_norm(ref, cfg.gamma_err)
-
-    def one(scheme, tau):
-        run = SolverRun(scheme, tau, cfg.t_final, u0)
-        return _run_row(scheme, tau, lambda: evolve(run).final, ref, cfg.gamma_err,
-                        ref_norm)
-
-    rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
+    ladders = [cfg.taus] if cfg.n_points < BATCH_MAX_N else [(t,) for t in cfg.taus]
+    rows = []
+    for scheme in cfg.schemes:
+        for taus in ladders:
+            counts = [check_step_count("tau", t, cfg.t_final) for t in taus]
+            results, _ = _march(scheme, u0.grid, taus, counts, u0.spectrum)
+            rows += [_run_row(scheme, t, lambda: _samples(r)[-1][1], ref, cfg.gamma_err,
+                              ref_norm) for t, r in zip(taus, results)]
     metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
                     gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau)
     flags = _monotonicity_flags(rows, cfg.schemes)

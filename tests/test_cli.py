@@ -200,8 +200,8 @@ def test_solve_mean_shift_flag(tmp_path, capsys):
 
 
 def test_converge_leaves_unset_values_to_study_config(monkeypatch):
-    # StudyConfig alone holds the defaults of --n and --t-final: converge
-    # passes only the values given
+    # StudyConfig alone holds the defaults of --n, --t-final, --theta and
+    # --seed: converge passes only the values given
     given = []
 
     def config(**kwargs):
@@ -212,9 +212,11 @@ def test_converge_leaves_unset_values_to_study_config(monkeypatch):
     monkeypatch.setattr("kdvlri.cli.run_convergence_study", lambda cfg: cfg)
     monkeypatch.setattr("kdvlri.cli._report_exit", lambda cfg, args: 0)
     main(["converge", "--tau-ladder", "2^-3,2^-4"])
-    main(["converge", "--tau-ladder", "2^-3,2^-4", "--n", "64", "--t-final", "0.5"])
-    assert "n_points" not in given[0] and "t_final" not in given[0]
-    assert (given[1]["n_points"], given[1]["t_final"]) == (64, 0.5)
+    main(["converge", "--tau-ladder", "2^-3,2^-4", "--n", "64", "--t-final", "0.5",
+          "--theta", "3", "--seed", "7"])
+    keys = ("n_points", "t_final", "theta", "seed")
+    assert not set(keys) & set(given[0])
+    assert [given[1][k] for k in keys] == [64, 0.5, 3.0, 7]
 
 
 # ---------------------------------------------------------------------------

@@ -529,17 +529,50 @@ def test_member_runs_are_bitwise_separate_runs(n):
 @pytest.mark.parametrize("first", [True, False])
 def test_diverging_member_raises_with_its_own_step(first):
     # the large-amplitude data of test_blow_up_raises_with_step_index turns
-    # non-finite at its step 6 while a small-step member beside it stays
-    # finite: the error names the diverging member's step, count and time
+    # non-finite at its step 6 while two small-step members beside it stay
+    # finite: the diverging member's result is a BlowUpError that names its
+    # step, count and time, raised when its samples are read, and the others
+    # step on, bit for bit their own runs (samples on both sides of its exit)
     base = generate_rough(RoughSpec(64, 1.0, seed=3))
-    calm, wild = 0.1 * base.spectrum, 50.0 * base.spectrum
-    taus, counts, spectra = [0.01, 0.5], [40, 10], [calm, wild]
+    spectra = [50.0 * base.spectrum, 0.1 * base.spectrum, -0.2 * base.spectrum]
+    taus, counts = [0.5, 0.01, 0.02], [10, 40, 15]
     if not first:
         taus, counts, spectra = taus[::-1], counts[::-1], spectra[::-1]
+    got, _ = integrators._march(SchemeKind.ELRI1, base.grid, taus, counts,
+                                np.array(spectra), record_every=4)
+    wild = got.pop(0 if first else -1)
+    assert isinstance(wild, BlowUpError) and wild.step == 6
+    assert "after step 6 of 10 (t = 3, scheme ELRI1)" in str(wild)
     with pytest.raises(BlowUpError) as info:
-        integrators._march(SchemeKind.ELRI1, base.grid, taus, counts, np.array(spectra))
-    assert info.value.step == 6
-    assert "after step 6 of 10 (t = 3, scheme ELRI1)" in str(info.value)
+        integrators._samples(wild)
+    assert info.value is wild
+    calm = [(t, c, s) for t, c, s in zip(taus, counts, spectra) if t < 0.5]
+    for samples, (tau, count, spectrum) in zip(got, calm):
+        u = Field.from_spectrum(base.grid, spectrum)
+        want = evolve(SolverRun(SchemeKind.ELRI1, tau, count * tau, u, record_every=4))
+        assert [(t, f.spectrum.tobytes()) for t, f in samples] == [
+            (t, f.spectrum.tobytes()) for t, f in want.samples[1:]
+        ]
+
+
+def test_members_that_all_diverge_end_the_march(monkeypatch):
+    # two large-amplitude members blow up at steps 6 and 7, of 10 and 10^4:
+    # each gets its own error, and the loop stops once no member is left
+    base = generate_rough(RoughSpec(64, 1.0, seed=3))
+    taus, counts = [0.5, 2.0**-4], [10, 10**4]
+    steps = []
+    update = integrators._update
+
+    def counted(ws):
+        steps.append(ws.s.shape)
+        update(ws)
+
+    monkeypatch.setattr(integrators, "_update", counted)
+    got, _ = integrators._march(SchemeKind.ELRI1, base.grid, taus, counts,
+                                50.0 * base.spectrum)
+    assert [e.step for e in got] == [6, 7]
+    assert "after step 7 of 10000 (t = 0.4375" in str(got[1])
+    assert len(steps) == 7 and steps[-1] == (33,)
 
 
 # a fresh interpreter: 1 warm-up elri2 step at N = 2^14, then the minor page
@@ -623,6 +656,27 @@ def test_solver_run_validation():
     spec[0] = np.inf
     with pytest.raises(SchemeConfigError, match="from its mean value inf$"):
         SolverRun(SchemeKind.ELRI1, 0.1, 1.0, Field.from_spectrum(g, spec))
+
+
+@pytest.mark.parametrize("where, call", [
+    pytest.param(where, call, id=where) for where, call in (
+        ("SolverRun", lambda u: SolverRun(SchemeKind.ELRI1, 0.1, 1.0, u)),
+        ("elri2_step", lambda u: step(SchemeKind.ELRI2, u, 0.1)),
+        ("ifrk4_solve", lambda u: ifrk4_solve(u, 1.0, 0.1)),
+    )
+])
+def test_a_nan_value_is_refused_as_data_that_is_not_finite(where, call):
+    # NaN fails every comparison of the mean gate: the refusal names the
+    # data as not finite, not as complex
+    g = Grid(16)
+    v = np.cos(g.x)
+    v[3] = np.nan
+    with pytest.raises(SchemeConfigError) as err:
+        call(Field.from_values(g, v))
+    assert str(err.value) == (
+        f"{where} requires finite data: mode 0 is nan+0.000000e+00j and mode N/2 "
+        "has imaginary part 0.000000e+00 (the data is not finite)"
+    )
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.5, 3.0, float("nan"), True, False, "2", None, -1,

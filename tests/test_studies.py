@@ -6,9 +6,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kdvlri import integrators, oracles
-from kdvlri.integrators import BlowUpError, SchemeKind, evolve
-from kdvlri.spectral import Grid, mean_value
+from kdvlri import integrators, oracles, studies
+from kdvlri.integrators import BlowUpError, SchemeKind, SolverRun, evolve
+from kdvlri.rough_data import RoughSpec
+from kdvlri.spectral import Field, Grid, mean_value, sobolev_norm
 from kdvlri.studies import (
     COLUMNS,
     CSV_HEADER,
@@ -210,6 +211,82 @@ def test_two_studies_on_the_same_data_build_one_reference(monkeypatch):
         fresh += texts(run_convergence_study(cfg))
     assert len(calls) == 3
     assert shared == fresh
+
+
+def per_rung_study(cfg):
+    """cfg's report from one evolve per (scheme, tau): the bytes a batched
+    ladder must reproduce."""
+    u0 = studies.generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
+    ref = oracles.reference_solution(u0, cfg.t_final, cfg.ref_tau)
+    ref_norm = sobolev_norm(ref, cfg.gamma_err)
+
+    def one(scheme, tau):
+        run = SolverRun(scheme, tau, cfg.t_final, u0)
+        return studies._run_row(scheme, tau, lambda: evolve(run).final, ref,
+                                cfg.gamma_err, ref_norm)
+
+    rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
+    metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
+                    gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau)
+    flags = _monotonicity_flags(rows, cfg.schemes)
+    return studies._report(metadata, cfg.schemes, rows, flags, "convergence")
+
+
+@pytest.mark.parametrize("scheme, gamma", [
+    pytest.param(SchemeKind.ELRI1, 1.0, id="C2b"),
+    pytest.param(SchemeKind.ELRI2, 0.0, id="C3a"),
+])
+def test_batched_ladder_is_bytewise_per_rung_runs(scheme, gamma):
+    # the acceptance configurations C2b and C3a (N = 1024, theta = 3, ladder
+    # 2^-4..2^-10): the report of one _march per ladder is, byte for byte,
+    # that of one evolve per rung
+    cfg = StudyConfig(schemes=(scheme,), taus=tuple(2.0**-k for k in range(4, 11)),
+                      n_points=1024, theta=3.0, gamma_err=gamma, ref_tau=2.0**-14)
+    assert cfg.n_points < studies.BATCH_MAX_N
+    got = run_convergence_study(cfg)
+    assert all(r.status == "ok" for r in got.rows)
+    for fmt in ("csv", "json"):
+        assert render_report(got, fmt) == render_report(per_rung_study(cfg), fmt)
+
+
+def test_diverged_rungs_leave_the_ladder_alone(monkeypatch):
+    # ten times the rough data: ELRI1 at 2^-5 and 2^-6 turns non-finite at
+    # steps 22 and 64, while the finer rungs and the reference stay finite.
+    # The two get diverged rows, and every row is the per-rung runs' row
+    def loud(spec):
+        u = generate(spec)
+        return Field.from_spectrum(u.grid, 10.0 * u.spectrum)
+
+    generate = studies.generate_rough
+    monkeypatch.setattr(studies, "generate_rough", loud)
+    cfg = tiny_config(taus=tuple(2.0**-k for k in range(5, 10)), t_final=1.0,
+                      seed=3, ref_tau=2.0**-13)
+    got = run_convergence_study(cfg)
+    assert [r.status for r in got.rows] == ["diverged"] * 2 + ["ok"] * 3
+    assert [r.error_rel for r in got.rows[:2]] == [np.inf, np.inf]
+    assert render_report(got, "csv") == render_report(per_rung_study(cfg), "csv")
+    fit = got.fit_for(SchemeKind.ELRI1)
+    assert fit.fitted_order is not None and fit.excluded_taus == ()
+
+
+@pytest.mark.parametrize("n_points", [studies.BATCH_MAX_N // 2, studies.BATCH_MAX_N])
+def test_ladders_batch_below_the_grid_size_cap(monkeypatch, n_points):
+    # one _march per scheme below BATCH_MAX_N points, one per rung from it up
+    calls = []
+
+    def counted(kind, grid, taus, *args):
+        calls.append((kind, tuple(taus)))
+        return march(kind, grid, taus, *args)
+
+    march = studies._march
+    monkeypatch.setattr(studies, "_march", counted)
+    taus = (2.0**-7, 2.0**-8, 2.0**-9)
+    cfg = tiny_config(schemes=(SchemeKind.LRI1, SchemeKind.ELRI2), taus=taus,
+                      n_points=n_points, t_final=2.0**-6, ref_tau=2.0**-13)
+    got = run_convergence_study(cfg)
+    ladders = [taus] if n_points < studies.BATCH_MAX_N else [(t,) for t in taus]
+    assert calls == [(s, ladder) for s in cfg.schemes for ladder in ladders]
+    assert render_report(got, "csv") == render_report(per_rung_study(cfg), "csv")
 
 
 def test_convergence_study_insensitive_to_reference_refinement():
