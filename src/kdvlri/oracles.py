@@ -12,20 +12,20 @@ data the two routes alias the product u^2 differently, so the RK4 cannot
 judge the rough-data reference: that is ELRI2 at tau_ref alone.
 
 The triple sums are cubic in N and guarded to N <= 32.  Their kernels depend
-only on (N, t_n, tau, variant) and are kept (lru_cache, ORACLE_CACHE_SIZE
-entries); each forms its mask first and runs its phase algebra on the kept
-triples only.  A call then scatters one field's triple products: a stacked
-scatter measured six times slower than a row loop at N = 32 and moved bits.
-embedded_form_step is one variant of a shared pass that forms v + F/2 and the
-cascade sum once, then each variant's A or A_tilde correction; verify runs it
-per seed for both variants, F from fn_closed_form of the seed stack.  The
-quadratures take all nodes at once (exp_airy with one time per row), sum the
-weighted rows in node order and cache Gauss-Legendre rules per node count.
-fn_closed_form, fn_quadrature, check_ibp_identity_i (TimeFields of a stack) and
+only on (N, t_n, tau) and are kept (lru_cache); each forms its mask first and
+runs its phase algebra on the kept triples only, A and A_tilde in one pass
+from one mask and one set of phase parts.  A call scatters one field's
+triple products (a stacked scatter measured six times slower than a row loop
+at N = 32 and moved bits).  embedded_form_step is one variant of a shared
+pass that forms the field's triple product, v + F/2 and the cascade sum once,
+then each variant's correction from one gather; verify runs it per seed for
+both variants, F from fn_closed_form of the seed stack.  The quadratures take
+all nodes at once (exp_airy with one time per row), sum the weighted rows in
+node order and cache Gauss-Legendre rules per node count.  fn_closed_form,
+fn_quadrature, check_ibp_identity_i (TimeFields of a stack) and
 check_ibp_identity_ii also take a stack of fields and give one value per row,
 each bit for bit its single-field call; random_band_field takes an array of
-seeds, so verify's operator checks make one call per (t_n, s), not one per
-seed.
+seeds, so verify's operator checks make one call per (t_n, s), not one per seed.
 
 Per-tuple identities hold on the grid only when products stay inside the
 resolved band, so the random test fields produced here are band-limited
@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrators import BlowUpError, SchemeKind, SolverRun, check_positive, evolve
-from .integrators import _march, _samples, check_step_count, require_zero_mean
+from .integrators import _march, _raise_malloc_thresholds, _samples, check_step_count
+from .integrators import require_zero_mean
 from .rough_data import splitmix64_uniform
 from .spectral import (
     Field,
@@ -59,7 +60,9 @@ from .spectral import (
 
 MAX_ORACLE_N = 32
 
-#: how many entries each oracle cache (triple kernels, quadrature rules) keeps
+#: how many entries each oracle cache (triple kernels, quadrature rules) keeps;
+#: an (A, A_tilde) pair holds two coefficient arrays, so the pair cache keeps
+#: half as many, no more bytes than this many single kernels
 ORACLE_CACHE_SIZE = 4
 
 
@@ -327,18 +330,15 @@ def _phase_J(phi_int, t_n, tau):
     return np.where(phi_int == 0, tau * base, base * osc)
 
 
-def _an_kernel_integral(alpha_int, t_n, tau, variant):
-    # time integral over [0, tau] of the two correction kernels:
+def _an_kernel_integrals(alpha_int, t_n, tau):
+    # time integrals over [0, tau] of the two correction kernels, from one
+    # pair of phase parts:
     #   A:       e^{-i(t_n+t) a} - e^{-i t_n a}
     #   A_tilde: (e^{-i t a} - 1 + (i tau a / 2) e^{-i t a}) e^{-i t_n a}
     base, osc = _phase_parts(alpha_int, t_n, tau)
-    if variant == "A":
-        out = base * (osc - tau)
-    elif variant == "A_tilde":
-        out = base * ((1.0 + 0.5j * tau * alpha_int) * osc - tau)
-    else:
-        raise ValueError(f"variant must be 'A' or 'A_tilde', got {variant!r}")
-    return np.where(alpha_int == 0, 0.0 + 0.0j, out)
+    a = np.where(alpha_int == 0, 0.0 + 0.0j, base * (osc - tau))
+    osc = (1.0 + 0.5j * tau * alpha_int) * osc
+    return a, np.where(alpha_int == 0, 0.0 + 0.0j, base * (osc - tau))
 
 
 def an_time_integral(
@@ -357,8 +357,12 @@ def an_time_integral(
     _guard_small(grid)
     for f in (f1, f2, f3):
         require_zero_mean(f, "an_time_integral")
-    kernel = _an_kernel(grid.n, _finite("t_n", t_n), _finite("tau", tau), variant)
-    return Field.from_spectrum(grid, _contract(kernel, f1, f2, f3))
+    if variant not in ("A", "A_tilde"):
+        raise ValueError(f"variant must be 'A' or 'A_tilde', got {variant!r}")
+    t_n, tau = _finite("t_n", t_n), _finite("tau", tau)
+    mask, coeff, target = _an_kernel(grid.n, t_n, tau, variant)
+    w = _triple_product(f1, f2, f3)[mask]
+    return Field.from_spectrum(grid, _scatter(grid.n, target, coeff * w))
 
 
 def _triples(n):
@@ -371,22 +375,28 @@ def _full_spectrum(f):
     return np.concatenate([f.spectrum, np.conj(f.spectrum[-2:0:-1])])
 
 
-def _contract(kernel, f1, f2, f3):
-    """Scatter kernel * f1hat(xi1) f2hat(xi2) f3hat(xi3) onto xi1 + xi2 + xi3.
-
-    The sum runs over the full band; the result is modes 0..N/2.
-    """
-    mask, coeff, target = kernel
+def _triple_product(f1, f2, f3):
+    """f1hat(xi1) f2hat(xi2) f3hat(xi3) over the full band, shape (N, N, N)."""
     s1, s2, s3 = (_full_spectrum(f) for f in (f1, f2, f3))
-    w = s1[:, None, None] * s2[None, :, None] * s3[None, None, :]
-    out = np.zeros(f1.grid.n, dtype=np.complex128)
-    np.add.at(out, target, coeff * w[mask])
-    return out[: f1.grid.n // 2 + 1]
+    return s1[:, None, None] * s2[None, :, None] * s3[None, None, :]
 
 
-@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _scatter(n, target, terms):
+    """Add each kept triple's term onto its mode xi1 + xi2 + xi3; modes 0..N/2."""
+    out = np.zeros(n, dtype=np.complex128)
+    np.add.at(out, target, terms)
+    return out[: n // 2 + 1]
+
+
 def _an_kernel(n, t_n, tau, variant):
     """(mask, coefficients, target modes) of an_time_integral, read-only."""
+    mask, coeff_a, coeff_a_tilde, target = _an_kernels(n, t_n, tau)
+    return mask, coeff_a if variant == "A" else coeff_a_tilde, target
+
+
+@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE // 2)
+def _an_kernels(n, t_n, tau):
+    """(mask, A and A_tilde coefficients, target modes), built in one pass."""
     k1, k2, k3 = _triples(n)
     xi = k1 + k2 + k3
     mask = _band_mask(xi, n) & (xi != 0)
@@ -394,9 +404,10 @@ def _an_kernel(n, t_n, tau, variant):
     k1, k2, k3 = (np.broadcast_to(k, mask.shape)[mask] for k in (k1, k2, k3))
     xi = k1 + k2 + k3
     alpha = xi**3 - k1**3 - k2**3 - k3**3
-    kernel = _an_kernel_integral(alpha, t_n, tau, variant)
+    del k1, k2, k3
+    pair = _an_kernel_integrals(alpha, t_n, tau)
     inv_ixi = 1.0 / (1j * xi.astype(np.float64))
-    return _frozen(mask, inv_ixi * kernel, xi % n)
+    return _frozen(mask, *(np.multiply(inv_ixi, k, out=k) for k in pair), xi % n)
 
 
 def embedded_form_step(v: Field, t_n: float, tau: float, variant: str = "elri1") -> Field:
@@ -424,13 +435,16 @@ def embedded_form_step(v: Field, t_n: float, tau: float, variant: str = "elri1")
 
 def _embedded_steps(v, closed, t_n, tau, variants):
     """embedded_form_step per variant, given fn_closed_form(v, t_n, tau).spectrum."""
-    grid = v.grid
-    cascade = _contract(_cascade_kernel(grid.n, t_n, tau), v, v, v)
-    shared = v.spectrum + 0.5 * closed + cascade
+    grid, n = v.grid, v.grid.n
+    c_mask, c_coeff, c_target = _cascade_kernel(n, t_n, tau)  # no build beside w
+    mask, coeff_a, coeff_a_tilde, target = _an_kernels(n, t_n, tau)
+    w = _triple_product(v, v, v)  # the cascade and both corrections share it
+    shared = v.spectrum + 0.5 * closed + _scatter(n, c_target, c_coeff * w[c_mask])
+    w = w[mask]  # A and A_tilde keep the same triples
     steps = []
     for variant in variants:
-        kernel = _an_kernel(grid.n, t_n, tau, "A" if variant == "elri1" else "A_tilde")
-        v_next = shared + _contract(kernel, v, v, v) / 18.0
+        coeff = coeff_a if variant == "elri1" else coeff_a_tilde
+        v_next = shared + _scatter(n, target, coeff * w) / 18.0
         steps.append(exp_airy(Field.from_spectrum(grid, v_next), t_n + tau))
     return steps
 
@@ -665,8 +679,8 @@ def _check_an_difference():
 
 def _check_embedded_equivalence():
     # one oracle pass per seed serves both variants, one _march the ten seeds;
-    # tau stays outermost, as with N outside it both taus' N = 32 kernels stay
-    # cached (peak RSS +0.6 MB)
+    # tau stays outermost (N outside it would keep both taus' N = 32 kernels,
+    # +0.6 MB peak RSS); the peak is the N = 32 cascade build, with no w alive
     kinds = (SchemeKind.ELRI1, SchemeKind.ELRI2)
     names = [k.value for k in kinds]
     results = [CheckResult(f"embedded_form_matches_{k}", 0.0, 1e-10) for k in names]
@@ -712,6 +726,7 @@ def _check_reference_cross():
 
 def verification_suite():
     """Run every oracle/identity check; CheckResults with their wall times."""
+    _raise_malloc_thresholds()  # the IBP node stacks then reuse heap pages
     results = []
     for check in (
         _check_projection_identity,

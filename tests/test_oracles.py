@@ -1,6 +1,11 @@
 """Independent oracles: resonance algebra, Duhamel integrals, the embedded
 integral form summed per frequency triple, the reference and its RK4 check."""
 
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 import time
 import warnings
 
@@ -297,7 +302,11 @@ def test_oracles_refuse_non_finite_times_and_bad_node_counts():
             ("nodes", lambda k=bad: check_ibp_identity_i(tf, tf, 0.0, 0.1, nodes=k)),
             ("nodes", lambda k=bad: check_ibp_identity_ii(v, v, v, 0.0, 0.1, nodes=k)),
         ]
-    caches = (oracles._cascade_kernel, oracles._an_kernel, oracles._legendre_rule)
+    refusals += [
+        ("variant", lambda: an_time_integral(v, v, v, 0.0, 0.1, variant="B")),
+        ("variant", lambda: embedded_form_step(v, 0.0, 0.1, variant="elri3")),
+    ]
+    caches = (oracles._cascade_kernel, oracles._an_kernels, oracles._legendre_rule)
     for cache in caches:
         cache.cache_clear()
     for name, call in refusals:
@@ -374,8 +383,8 @@ def test_triple_kernel_caches_are_safe():
     mm = alias_free_max_mode(g.n, 3)
     u, v = random_band_field(g, mm, seed=82), random_band_field(g, mm, seed=83)
     oracles._cascade_kernel.cache_clear()
-    oracles._an_kernel.cache_clear()
-    # two fields on one (N, t_n, tau, variant) key each get their own answer
+    oracles._an_kernels.cache_clear()
+    # two fields on one (N, t_n, tau) key each get their own answer
     for variant in ("elri1", "elri2"):
         first = embedded_form_step(u, 0.3, 0.05, variant=variant)
         second = embedded_form_step(v, 0.3, 0.05, variant=variant)
@@ -386,7 +395,7 @@ def test_triple_kernel_caches_are_safe():
     # cached arrays cannot be written through
     kernels = (
         oracles._cascade_kernel(g.n, 0.3, 0.05),
-        oracles._an_kernel(g.n, 0.3, 0.05, "A_tilde"),
+        oracles._an_kernels(g.n, 0.3, 0.05),
     )
     for arr in (a for kernel in kernels for a in kernel):
         assert not arr.flags.writeable
@@ -395,9 +404,82 @@ def test_triple_kernel_caches_are_safe():
     # a sweep over many start times stays within the documented size
     for t_n in np.linspace(0.0, 1.9, 20):
         embedded_form_step(u, t_n, 0.05, variant="elri2")
-    for cache in (oracles._cascade_kernel, oracles._an_kernel, oracles._legendre_rule):
-        assert cache.cache_info().currsize <= oracles.ORACLE_CACHE_SIZE
-        assert cache.cache_info().maxsize == oracles.ORACLE_CACHE_SIZE
+    sizes = {
+        oracles._cascade_kernel: oracles.ORACLE_CACHE_SIZE,
+        oracles._an_kernels: oracles.ORACLE_CACHE_SIZE // 2,
+        oracles._legendre_rule: oracles.ORACLE_CACHE_SIZE,
+    }
+    for cache, size in sizes.items():
+        assert cache.cache_info().currsize <= size
+        assert cache.cache_info().maxsize == size
+    # a full pair cache holds no more bytes than ORACLE_CACHE_SIZE single
+    # (mask, coefficients, target modes) kernels would
+    pair = oracles._an_kernels(MAX_ORACLE_N, 0.3, 0.05)
+    single = oracles._an_kernel(MAX_ORACLE_N, 0.3, 0.05, "A")
+    pair_bytes = sum(a.nbytes for a in pair)
+    single_bytes = sum(a.nbytes for a in single)
+    pairs_kept = sizes[oracles._an_kernels]
+    assert pairs_kept * pair_bytes <= oracles.ORACLE_CACHE_SIZE * single_bytes
+
+
+def test_verify_builds_each_correction_kernel_pair_once():
+    # one pass builds A and A_tilde for an (N, t_n, tau): 2 keys in the
+    # A_tilde - A check and 6 in the embedded check, where one build per
+    # variant made 16
+    for cache in (oracles._cascade_kernel, oracles._an_kernels, oracles._legendre_rule):
+        cache.cache_clear()
+    verification_suite()
+    assert oracles._an_kernels.cache_info().misses == 8
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_correction_kernels_do_not_depend_on_the_variant_asked_first(n):
+    g = Grid(n)
+    mm = alias_free_max_mode(n, 3)
+    v = random_band_field(g, mm, seed=84)
+    fs = [random_band_field(g, mm, seed=85 + j) for j in range(3)]
+    answers = []
+    for order in ((0, 1), (1, 0)):
+        oracles._an_kernels.cache_clear()
+        oracles._cascade_kernel.cache_clear()
+        got = {}
+        for i in order:
+            kernel, variant = ("A", "A_tilde")[i], ("elri1", "elri2")[i]
+            got[kernel] = an_time_integral(*fs, 0.3, 0.05, variant=kernel)
+            got[variant] = embedded_form_step(v, 0.3, 0.05, variant=variant)
+        answers.append({k: f.spectrum.tobytes() for k, f in got.items()})
+    assert answers[0] == answers[1]
+    assert answers[0]["A"] != answers[0]["A_tilde"]
+    assert answers[0]["elri1"] != answers[0]["elri2"]
+
+
+# a fresh interpreter: the minor page faults of one verification_suite()
+_SUITE_FAULT_PROBE = """
+import resource
+from kdvlri.oracles import verification_suite
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+verification_suite()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="pins glibc malloc behaviour"
+)
+def test_verification_suite_reuses_heap_pages():
+    # with glibc's default thresholds the IBP-i checks' 0.3-0.7 MB node
+    # stacks were mapped fresh on every call: about 4,100 faults per suite,
+    # against about 1,100 once the suite raises the thresholds
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SUITE_FAULT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2500
 
 
 # ---------------------------------------------------------------------------
