@@ -14,18 +14,22 @@ judge the rough-data reference: that is ELRI2 at tau_ref alone.
 The triple sums are cubic in N and guarded to N <= 32.  Their kernels depend
 only on (N, t_n, tau) and are kept (lru_cache); each forms its mask first and
 runs its phase algebra on the kept triples only, A and A_tilde in one pass
-from one mask and one set of phase parts.  A call scatters one field's
+from one mask and one set of phase parts; at t_n = 0 the phase e^{-i t_n phi}
+is exactly 1 and is neither formed nor multiplied.  A call scatters one field's
 triple products (a stacked scatter measured six times slower than a row loop
 at N = 32 and moved bits).  embedded_form_step is one variant of a shared
 pass that forms the field's triple product, v + F/2 and the cascade sum once,
 then each variant's correction from one gather; verify runs it per seed for
 both variants, F from fn_closed_form of the seed stack.  The quadratures take
 all nodes at once (exp_airy with one time per row), sum the weighted rows in
-node order and cache Gauss-Legendre rules per node count.  fn_closed_form,
-fn_quadrature, check_ibp_identity_i (TimeFields of a stack) and
-check_ibp_identity_ii also take a stack of fields and give one value per row,
-each bit for bit its single-field call; random_band_field takes an array of
-seeds, so verify's operator checks make one call per (t_n, s), not one per seed.
+node order and cache Gauss-Legendre rules per node count, at most
+MAX_QUADRATURE_NODES; the 64- and 128-node rules verify uses are leggauss's
+bits stored in _gauss_legendre.bin, so verify imports no numpy.polynomial and
+makes no LAPACK call.  fn_closed_form, fn_quadrature, check_ibp_identity_i
+(TimeFields of a stack) and check_ibp_identity_ii also take a stack of fields
+and give one value per row, each bit for bit its single-field call;
+random_band_field takes an array of seeds, so verify's operator checks make
+one call per (t_n, s), not one per seed.
 
 Per-tuple identities hold on the grid only when products stay inside the
 resolved band, so the random test fields produced here are band-limited
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pathlib
 import time
 from dataclasses import dataclass, field
 
@@ -59,6 +64,10 @@ from .spectral import (
 )
 
 MAX_ORACLE_N = 32
+
+#: largest Gauss-Legendre rule the quadratures build; leggauss forms a dense
+#: nodes x nodes companion matrix, 8 MB at this count
+MAX_QUADRATURE_NODES = 1024
 
 #: how many entries each oracle cache (triple kernels, quadrature rules) keeps;
 #: an (A, A_tilde) pair holds two coefficient arrays, so the pair cache keeps
@@ -147,15 +156,36 @@ def random_band_field(grid: Grid, max_mode: int, seed) -> Field:
 
 def gauss_legendre_nodes(a: float, b: float, nodes: int):
     """Gauss-Legendre points and weights on [a, b]."""
-    if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool) or nodes < 1:
-        raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
+    if (not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool)
+            or not 1 <= nodes <= MAX_QUADRATURE_NODES):
+        raise ValueError(
+            f"nodes must be an integer in [1, {MAX_QUADRATURE_NODES}], got {nodes!r}"
+        )
     x, w = _legendre_rule(int(nodes))
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
 
 
+#: node counts whose rules _gauss_legendre.bin holds, in file order
+_STORED_NODES = (64, 128)
+
+
 @functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def _legendre_rule(nodes):
-    return _frozen(*np.polynomial.legendre.leggauss(nodes))
+    """Read-only Gauss-Legendre points and weights on [-1, 1].
+
+    _gauss_legendre.bin holds leggauss's points then weights for each count of
+    _STORED_NODES, as little-endian float64.  Regenerate it from the repository root:
+      python -c "import numpy as np; np.concatenate([np.ravel(
+        np.polynomial.legendre.leggauss(n)) for n in (64, 128)]).astype('<f8').tofile(
+        'src/kdvlri/_gauss_legendre.bin')"
+    """
+    if nodes not in _STORED_NODES:
+        return _frozen(*np.polynomial.legendre.leggauss(nodes))
+    data = pathlib.Path(__file__).with_name("_gauss_legendre.bin").read_bytes()
+    start = 2 * sum(_STORED_NODES[: _STORED_NODES.index(nodes)])
+    rule = np.frombuffer(data, dtype="<f8", count=2 * nodes, offset=8 * start)
+    x, w = rule.reshape(2, nodes)  # views of bytes: read-only
+    return x, w
 
 
 def _product(g, *fields):
@@ -318,15 +348,23 @@ def _band_mask(xi, n):
 
 def _phase_parts(phi_int, t_n, tau):
     # e^{-i t_n phi} and (1 - e^{-i tau phi}) / (i phi), the latter with phi = 1
-    # in the denominator where phi = 0 (each caller takes its own branch there)
+    # in the denominator where phi = 0 (each caller takes its own branch there);
+    # at t_n = 0 the first is exactly 1, so it is None and no caller multiplies it
     phi = phi_int.astype(np.float64)
     osc = (1.0 - np.exp(-1j * tau * phi)) / (1j * np.where(phi_int == 0, 1.0, phi))
-    return np.exp(-1j * t_n * phi), osc
+    return (None if t_n == 0.0 else np.exp(-1j * t_n * phi)), osc
+
+
+# Each "base * (osc - tau)" below stays one expression: numpy reuses a large
+# temporary as the output, which swaps the operands, and numpy's complex
+# product gives different bits for the two orders.
 
 
 def _phase_J(phi_int, t_n, tau):
     # int_0^tau e^{-i (t_n + s) phi} ds, exact branch at phi = 0
     base, osc = _phase_parts(phi_int, t_n, tau)
+    if base is None:
+        return np.where(phi_int == 0, tau, osc)
     return np.where(phi_int == 0, tau * base, base * osc)
 
 
@@ -336,9 +374,11 @@ def _an_kernel_integrals(alpha_int, t_n, tau):
     #   A:       e^{-i(t_n+t) a} - e^{-i t_n a}
     #   A_tilde: (e^{-i t a} - 1 + (i tau a / 2) e^{-i t a}) e^{-i t_n a}
     base, osc = _phase_parts(alpha_int, t_n, tau)
-    a = np.where(alpha_int == 0, 0.0 + 0.0j, base * (osc - tau))
+    a = osc - tau if base is None else base * (osc - tau)
+    a = np.where(alpha_int == 0, 0.0 + 0.0j, a)
     osc = (1.0 + 0.5j * tau * alpha_int) * osc
-    return a, np.where(alpha_int == 0, 0.0 + 0.0j, base * (osc - tau))
+    a_tilde = osc - tau if base is None else base * (osc - tau)
+    return a, np.where(alpha_int == 0, 0.0 + 0.0j, a_tilde)
 
 
 def an_time_integral(
@@ -462,7 +502,9 @@ def _cascade_kernel(n, t_n, tau):
     mu = xi**3 - k1**3 - eta**3  # = 3 xi xi1 eta
     j_alpha = _phase_J(mu + beta, t_n, tau)
     j_mu = _phase_J(mu, t_n, tau)
-    bracket = j_alpha - np.exp(-1j * t_n * beta.astype(np.float64)) * j_mu
+    if t_n != 0.0:  # at t_n = 0, e^{-i t_n beta} is exactly 1
+        j_mu = np.exp(-1j * t_n * beta.astype(np.float64)) * j_mu
+    bracket = j_alpha - j_mu
     k2f, k3f = k2.astype(np.float64), k3.astype(np.float64)
     factor = (0.5j * xi.astype(np.float64)) / ((1j * k2f) * (1j * k3f) * 3.0)
     return _frozen(mask, factor * bracket, xi % n)

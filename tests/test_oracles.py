@@ -96,6 +96,42 @@ def test_gauss_legendre_exact_for_polynomials():
     assert abs(np.sum(wts) - 5.0) < 1e-13
 
 
+def test_stored_legendre_rules_are_leggauss_bits():
+    # 64 and 128 nodes come from the package's data file, any other count
+    # from leggauss; both give leggauss's bits, read-only
+    oracles._legendre_rule.cache_clear()
+    for nodes in (3, 4, 7, 64, 128):
+        rule = oracles._legendre_rule(nodes)
+        for got, want in zip(rule, np.polynomial.legendre.leggauss(nodes), strict=True):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), nodes
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = got[0]
+
+
+def test_node_counts_above_the_cap_are_refused_before_leggauss(monkeypatch):
+    # leggauss(n) forms a dense n x n matrix, 7.2 GB at n = 30,000
+    built = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", built.append)
+    oracles._legendre_rule.cache_clear()
+    g = Grid(16)
+    v = random_band_field(g, 2, seed=81)
+    tf = TimeField.constant(v)
+    for k in (oracles.MAX_QUADRATURE_NODES + 1, 30_000):
+        for call in (
+            lambda: gauss_legendre_nodes(0.0, 1.0, k),
+            lambda: fn_quadrature(v, 0.0, 0.1, nodes=k),
+            lambda: check_ibp_identity_i(tf, tf, 0.0, 0.1, nodes=k),
+            lambda: check_ibp_identity_ii(v, v, v, 0.0, 0.1, nodes=k),
+        ):
+            with pytest.raises(ValueError, match=r"^nodes must be an integer in \[1, 1024\]"):
+                call()
+    assert built == []
+    info = oracles._legendre_rule.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # quadratic Duhamel integral
 
@@ -461,6 +497,32 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 verification_suite()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+_SUITE_WITHOUT_LAPACK = """
+import sys
+import numpy as np
+def refuse(*args, **kwargs):
+    raise AssertionError("verify called LAPACK")
+np.linalg.eigvalsh = refuse
+from kdvlri.oracles import verification_suite
+assert all(r.passed for r in verification_suite())
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_fresh_suite_makes_no_lapack_call_and_skips_numpy_polynomial():
+    # its two Gauss-Legendre rules are read from the stored leggauss bits
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SUITE_WITHOUT_LAPACK],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(
@@ -869,7 +931,11 @@ def _t_an_kernel(n, t_n, tau, variant):
 def test_triple_kernels_match_the_full_array_construction(n):
     # built on the kept triples only, each kernel's mask, coefficients and
     # target modes are bitwise those of the full-array construction
-    for t_n in (0.0, 0.3):
+    # (-0.0 == 0.0 takes the path that skips the unit phase)
+    for t_n in (0.0, -0.0, 0.3):
+        # -0.0 is an equal key: build afresh, not from the 0.0 entries
+        oracles._cascade_kernel.cache_clear()
+        oracles._an_kernels.cache_clear()
         for tau in (0.01, 0.05):
             pairs = [(oracles._cascade_kernel(n, t_n, tau), _t_cascade_kernel(n, t_n, tau))]
             for variant in ("A", "A_tilde"):
