@@ -4,8 +4,9 @@ A study takes a scheme list and a descending tau ladder.  A convergence
 study steps each scheme's ladder to t_final as the members of one batch
 (integrators._march; one per rung from BATCH_MAX_N points up) against a
 shared high-accuracy reference, a local-error study one step per (scheme,
-tau) against per-tau references.  Both fit log-log slopes and emit a
-deterministic report: CSV rows, or JSON carrying the same rows plus the
+tau) against per-tau references.  Both fit log-log slopes, by the closed-form
+least-squares line on centered log tau (estimate_order; no LAPACK call), and
+emit a deterministic report: CSV rows, or JSON carrying the same rows plus the
 fitted orders.  ``COLUMNS`` is the one definition of
 a row: the CSV header, writer and parser, the JSON rows and the row keys of
 the tests' JSON schema all derive from it.  Identical configs produce
@@ -167,12 +168,15 @@ def estimate_order(pairs):
         raise FitDataError(
             f"order fit needs >= 2 finite error points, got {len(usable)}"
         )
+    # the normal equations on centered log tau, in elementwise sums: a fit of
+    # a few points needs no LAPACK solve, whose first call adds ~1.1 MB of RSS
     lt = np.log([t for t, _ in usable])
     le = np.log([e for _, e in usable])
-    coeffs = np.polyfit(lt, le, 1)
-    fitted = np.polyval(coeffs, lt)
-    residual = float(np.sqrt(np.mean((le - fitted) ** 2)))
-    return float(coeffs[0]), residual
+    x = lt - np.mean(lt)
+    mean_le = np.mean(le)
+    slope = np.sum(x * (le - mean_le)) / np.sum(x * x)
+    residual = float(np.sqrt(np.mean((le - (mean_le + slope * x)) ** 2)))
+    return float(slope), residual
 
 
 def _fit_scheme(scheme, rows):

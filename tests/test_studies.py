@@ -1,6 +1,8 @@
 """Order fitting, study drivers, and deterministic report serialization."""
 
+import ast
 import json
+import pathlib
 
 import jsonschema
 import numpy as np
@@ -59,12 +61,32 @@ def synthetic_report(rows):
 # order fitting
 
 
+def _polyfit_order(pairs):
+    """np.polyfit's slope and RMS log residual: the reference for estimate_order."""
+    lt, le = np.log(np.array(pairs, dtype=float)).T
+    coeffs = np.polyfit(lt, le, 1)
+    return coeffs[0], np.sqrt(np.mean((le - np.polyval(coeffs, lt)) ** 2))
+
+
+def _assert_fit_matches_polyfit(pairs):
+    slope, residual = estimate_order(pairs)
+    ref_slope, ref_residual = _polyfit_order(pairs)
+    assert abs(slope - ref_slope) <= 1e-12 * abs(ref_slope)
+    assert abs(residual - ref_residual) <= 1e-12
+
+
 def test_estimate_order_recovers_exact_powers():
-    taus = [0.1, 0.05, 0.025, 0.0125]
-    for p in (1.0, 2.0):
-        slope, residual = estimate_order([(t, 3.0 * t**p) for t in taus])
-        assert abs(slope - p) < 1e-12
-        assert residual < 1e-12
+    # ladders of 2, 4, 7 and 12 halvings from 0.1, and the refit slice [2:]
+    for n in (2, 4, 7, 12):
+        taus = 0.1 * 2.0 ** -np.arange(n)
+        for p in (1.0, 2.0):
+            pairs = [(t, 3.0 * t**p) for t in taus]
+            slope, residual = estimate_order(pairs)
+            assert abs(slope - p) < 1e-12
+            assert residual < 1e-12
+            _assert_fit_matches_polyfit(pairs)
+            if n >= 4:
+                _assert_fit_matches_polyfit(pairs[2:])
 
 
 def test_estimate_order_with_noise():
@@ -73,6 +95,16 @@ def test_estimate_order_with_noise():
     errs = 2.0 * taus**1.5 * np.exp(0.01 * rng.standard_normal(12))
     slope, _ = estimate_order(list(zip(taus, errs)))
     assert abs(slope - 1.5) < 0.05
+    # the closed-form line against np.polyfit, at noise levels on both sides
+    # of FIT_RESIDUAL_LIMIT, on each ladder and its refit slice [2:]
+    for n in (2, 4, 7, 12):
+        taus = np.logspace(-1, -3, n)
+        for noise in (0.01, 0.3):
+            errs = 2.0 * taus**1.5 * np.exp(noise * rng.standard_normal(n))
+            pairs = list(zip(taus, errs))
+            _assert_fit_matches_polyfit(pairs)
+            if n >= 4:
+                _assert_fit_matches_polyfit(pairs[2:])
 
 
 def test_estimate_order_needs_two_finite_points():
@@ -80,6 +112,61 @@ def test_estimate_order_needs_two_finite_points():
         estimate_order([(0.1, 1e-3)])
     with pytest.raises(FitDataError):
         estimate_order([(0.1, float("inf")), (0.05, float("nan")), (0.025, 0.0)])
+
+
+def test_studies_fit_orders_without_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    ladder = (2.0**-3, 2.0**-4, 2.0**-5)
+    conv = run_convergence_study(StudyConfig(schemes=(SchemeKind.ELRI1,), taus=ladder,
+                                             n_points=32, ref_tau=2.0**-9))
+    local = run_local_error_study((SchemeKind.ELRI2,), (2.0**-4, 2.0**-5), n_points=16)
+    for fit in conv.fits + local.fits:
+        assert np.isfinite(fit.fitted_order) and np.isfinite(fit.fit_residual)
+
+
+# numpy names whose use starts LAPACK or pulls in numpy.polynomial
+_LAPACK_NAMES = {"linalg", "polynomial", "polyfit", "polyval"}
+
+
+def _lapack_uses(path):
+    """(function, name) of each use of a _LAPACK_NAMES numpy name in path's code."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = node.module.split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names if a.name.startswith("numpy.")
+                     for part in a.name.split(".")]
+        else:
+            continue
+        uses += [(owner.get(node), n) for n in names if n in _LAPACK_NAMES]
+    return uses
+
+
+def test_only_the_leggauss_fallback_may_reach_lapack():
+    # a study or verify run starts no LAPACK; the one exception is the
+    # leggauss call that builds Gauss-Legendre rules other than the stored
+    # 64- and 128-node ones
+    src = pathlib.Path(studies.__file__).parent
+    uses = sorted(f"{path.name}:{fn}:{name}" for path in src.glob("*.py")
+                  for fn, name in _lapack_uses(path))
+    assert uses == ["oracles.py:_legendre_rule:polynomial"]
+    # the scan sees this file's own reference fit and stubs
+    here = _lapack_uses(pathlib.Path(__file__))
+    assert ("_polyfit_order", "polyfit") in here
+    assert ("test_studies_fit_orders_without_lapack", "linalg") in here
 
 
 def test_monotonicity_flags():
