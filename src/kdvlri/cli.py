@@ -84,7 +84,8 @@ def parse_schemes(text: str):
     return out
 
 
-def _add_data_flags(p, n=1024, theta=2.0, seed=42):
+def _add_data_flags(p, n=StudyConfig.n_points, theta=StudyConfig.theta,
+                    seed=StudyConfig.seed):
     p.add_argument("--n", type=int, default=n, help="number of grid points")
     p.add_argument(
         "--theta", type=float, default=theta, help="roughness exponent of the data"

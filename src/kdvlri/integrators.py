@@ -19,10 +19,11 @@ B members, each with its own tau and one spectrum (modes 0..N/2) every step
 updates in place, the temporaries and every view of them a step uses, so a
 step in steady state allocates no array and slices no view.  Members share
 every call, each bit for bit a run of its own.  The one stepping loop
-(_march) alone builds workspaces and BlowUpErrors: a member that turns
-non-finite leaves the batch with its error as its result, and the others
-step on.  evolve is its one-member case and step its one-step case, and
-both raise that error.  A Field is built only for samples.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
+(_march) alone builds workspaces and BlowUpErrors and applies BATCH_MAX_N to
+every batch; per member it returns a Trajectory, or the error of a member
+that turned non-finite and left as the others stepped on.  evolve is its
+one-member case and step its one-step case; both raise that error.  A Field
+is built only for samples.  The linear part e^{-tau dx^3} u is the spectrum times the symbol.
 The correction terms are formed with Grid.rfft/irfft (normalized like the
 spectrum, so no separate 1/N scaling), summed, and added to the spectrum.
 Terms that share a multiplier share a transform: the 1/18 pair is one
@@ -54,6 +55,10 @@ MEAN_TOL = 1e-12
 #: most steps one run may take.  Paper-scale references take 10^4 steps, so
 #: only a mistyped step size reaches this; it is refused before any stepping.
 MAX_STEPS = 10**7
+
+#: from this grid size up, _march steps each member as its own run: a batch
+#: stops being faster than its members stepped apart (BENCH_28.json)
+BATCH_MAX_N = 4096
 
 #: from this grid size up, stacked Grid.rfft/irfft scratch page-faults on
 #: every call until the first workspace frees a 4 MB block (none at 8192)
@@ -298,8 +303,7 @@ def step(kind: SchemeKind, u: Field, tau: float) -> Field:
     tau = 0 returns u exactly, and a non-finite result raises BlowUpError."""
     check_scheme(kind)
     require_real_field(u, f"{kind.value}_step")
-    (result,), _ = _march(kind, u.grid, [tau], [1], u.spectrum)
-    return _samples(result)[-1][1]
+    return _trajectory(_march(kind, u.grid, [tau], [1], u.spectrum)[0]).final
 
 
 @dataclass
@@ -330,7 +334,7 @@ class SolverRun:
 
 @dataclass
 class Trajectory:
-    """Recorded (t, Field) samples plus bookkeeping from one evolve call."""
+    """Recorded (t, Field) samples plus bookkeeping of one evolve or _march run."""
 
     samples: list = field(default_factory=list)
     n_steps: int = 0
@@ -349,19 +353,25 @@ def evolve(run: SolverRun) -> Trajectory:
     first sample is run.initial itself; _march handles a real mean.
     """
     u0 = run.initial
-    (result,), (drift,) = _march(run.scheme, u0.grid, [run.tau], [run.n_steps],
-                                 u0.spectrum, run.record_every)
-    return Trajectory([(0.0, u0)] + _samples(result), run.n_steps, drift)
+    traj = _trajectory(_march(run.scheme, u0.grid, [run.tau], [run.n_steps],
+                              u0.spectrum, run.record_every)[0])
+    traj.samples.insert(0, (0.0, u0))
+    return traj
 
 
 def _march(kind, grid, taus, counts, spectra, record_every=0):
-    """Step row b of spectra counts[b] times by taus[b], all rows in lockstep;
-    return per member its result, samples [(t, Field)] (every record_every-th
-    step and its last) or the BlowUpError of its first non-finite step, and
-    its largest mode-0 drift.  A member leaves at its count or at that error,
-    and the rest go on, with their bits, in a smaller workspace.
-    A member with a real mean c above MEAN_TOL steps u - c (its drift is that
-    run's), and its samples are mapped back through translate(., c t) + c."""
+    """Step row b of spectra (or the one spectrum) counts[b] times by taus[b],
+    in lockstep below BATCH_MAX_N points, member by member from it up; return
+    per member its Trajectory (samples after t = 0 at every record_every-th
+    step and its last) or the BlowUpError of its first non-finite step.  A
+    member leaves at its count or at that error, and the rest go on, with
+    their bits, in a smaller workspace.  A member with a real mean c above
+    MEAN_TOL steps u - c (its drift is that run's), and its samples are
+    mapped back through translate(., c t) + c."""
+    if grid.n >= BATCH_MAX_N and len(taus) > 1:
+        rows = np.broadcast_to(spectra, (len(taus), grid.n // 2 + 1))
+        return [_march(kind, grid, [t], [c], row, record_every)[0]
+                for t, c, row in zip(taus, counts, rows)]
     live, ends = list(range(len(taus))), set(counts)
     samples, drift = [[] for _ in live], [0.0 for _ in live]
     # a diverging iterate overflows (an infinite tau's symbol is NaN) before
@@ -407,13 +417,13 @@ def _march(kind, grid, taus, counts, spectra, record_every=0):
                 ws = _Workspace(kind, grid, [taus[b] for b in live])
                 s = ws.load(kept)
                 mode0 = s[:, 0]
-    return [run if isinstance(run, BlowUpError) else
-            [(t, _add_constant(translate(f, c * t), c) if c else f) for t, f in run]
-            for run, c in zip(samples, shift)], drift
+    return [run if isinstance(run, BlowUpError) else Trajectory(
+        [(t, _add_constant(translate(f, c * t), c) if c else f) for t, f in run],
+        count, d) for run, c, count, d in zip(samples, shift, counts, drift)]
 
 
-def _samples(result):
-    """The samples of a _march member's result; raise it if a BlowUpError."""
+def _trajectory(result):
+    """The Trajectory of a _march member's result; raise it if a BlowUpError."""
     if isinstance(result, BlowUpError):
         raise result
     return result

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrators import BlowUpError, SchemeKind, SolverRun, check_positive, evolve
-from .integrators import _march, _raise_malloc_thresholds, _samples, check_step_count
+from .integrators import _march, _raise_malloc_thresholds, _trajectory, check_step_count
 from .integrators import require_zero_mean
 from .rough_data import splitmix64_uniform
 from .spectral import (
@@ -739,8 +739,8 @@ def _check_embedded_equivalence():
             # each result times its own part; verification_suite splits the rest
             for r, kind, oracle in zip(results, kinds, oracles):
                 start = time.perf_counter()
-                runs, _ = _march(kind, grid, [tau] * 10, [1] * 10, vs.spectrum)
-                finals = [_samples(x)[-1][1].spectrum for x in runs]
+                runs = _march(kind, grid, [tau] * 10, [1] * 10, vs.spectrum)
+                finals = [_trajectory(x).final.spectrum for x in runs]
                 direct = Field.from_spectrum(grid, finals)
                 oracle = Field.from_spectrum(grid, [o.spectrum for o in oracle])
                 num = sobolev_distance(direct, oracle)
@@ -756,9 +756,9 @@ def _check_reference_cross():
     u0 = Field.from_values(grid, np.cos(grid.x))
     t_final, steps = 0.25, 500
     tau_ref = t_final / steps  # 5e-4
-    runs, _ = _march(SchemeKind.ELRI2, grid, [tau_ref, 2 * tau_ref],
-                     [steps, steps // 2], u0.spectrum)
-    fine, coarse = (_samples(x)[-1][1] for x in runs)
+    runs = _march(SchemeKind.ELRI2, grid, [tau_ref, 2 * tau_ref],
+                  [steps, steps // 2], u0.spectrum)
+    fine, coarse = (_trajectory(x).final for x in runs)
     est = sobolev_distance(fine, coarse) / 3.0
     other = ifrk4_solve(u0, t_final, t_final / (steps // 10))  # step 5e-3
     disagreement = sobolev_distance(fine, other)

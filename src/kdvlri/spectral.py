@@ -305,9 +305,9 @@ def read_field(path) -> Field:
             )
         values = np.frombuffer(raw, "<f8", offset=_BINARY_HEADER.size).astype(float)
     else:
-        header, *lines = raw.decode().splitlines() or [""]
+        header, *lines = raw.decode(errors="replace").splitlines() or [""]
         header = header.strip()
-        if not header.startswith("# n="):
+        if not header.startswith("# n="):  # bytes not UTF-8 read as U+FFFD
             raise ValueError(f"{path}: missing field header, got {header!r}")
         try:
             n_part, length_part = header[2:].split()

@@ -1,16 +1,16 @@
 """Convergence and local-error studies with machine-readable reports.
 
-A study takes a scheme list and a descending tau ladder.  A convergence
-study steps each scheme's ladder to t_final as the members of one batch
-(integrators._march; one per rung from BATCH_MAX_N points up) against a
-shared high-accuracy reference, a local-error study one step per (scheme,
-tau) against per-tau references.  Both fit log-log slopes, by the closed-form
-least-squares line on centered log tau (estimate_order; no LAPACK call), and
-emit a deterministic report: CSV rows, or JSON carrying the same rows plus the
-fitted orders.  ``COLUMNS`` is the one definition of
-a row: the CSV header, writer and parser, the JSON rows and the row keys of
-the tests' JSON schema all derive from it.  Identical configs produce
-byte-identical CSV and JSON files.
+A study takes a scheme list and a descending tau ladder and steps each
+scheme's ladder as the members of one integrators._march, which applies the
+integrators' grid-size cap to every batch: a convergence study to t_final
+against a shared high-accuracy reference, a local-error study one step per
+tau against per-tau references (their ELRI2 checks one more batch).  Both
+fit log-log slopes, by the closed-form least-squares line on centered log tau
+(estimate_order; no LAPACK call), and emit a deterministic report: CSV rows,
+or JSON carrying the same rows plus the fitted orders.  ``COLUMNS`` is the
+one definition of a row: the CSV header, writer and parser, the JSON rows and
+the row keys of the tests' JSON schema all derive from it.  Identical configs
+produce byte-identical CSV and JSON files.
 """
 
 from __future__ import annotations
@@ -24,22 +24,15 @@ import numpy as np
 from .integrators import (
     BlowUpError,
     SchemeKind,
-    SolverRun,
     _march,
-    _samples,
+    _trajectory,
     check_positive,
     check_scheme,
     check_step_count,
-    evolve,
-    step,
 )
 from .oracles import ifrk4_solve, reference_solution
 from .rough_data import RoughSpec, generate_rough
 from .spectral import Field, Grid, sobolev_distance, sobolev_norm
-
-#: from this grid size up, each rung of a ladder is its own _march: a batched
-#: ladder stops being faster than its rungs stepped apart (BENCH_28.json)
-BATCH_MAX_N = 4096
 
 #: one report row: column names, and the type each CSV cell parses back to
 COLUMNS = (
@@ -160,14 +153,13 @@ def estimate_order(pairs):
     """Least-squares slope of log(err) vs log(tau); returns (slope, residual).
 
     residual is the RMS deviation of the fit in log space.  Points with
-    non-finite or non-positive error are discarded; fewer than two usable
-    points raise FitDataError.
+    non-finite or non-positive error are discarded; usable points at fewer
+    than two distinct taus raise FitDataError.
     """
     usable = [(t, e) for t, e in pairs if math.isfinite(e) and e > 0]
-    if len(usable) < 2:
+    if len({t for t, _ in usable}) < 2:  # one tau alone leaves the slope 0/0
         raise FitDataError(
-            f"order fit needs >= 2 finite error points, got {len(usable)}"
-        )
+            f"order fit needs finite error points at >= 2 distinct taus, got {usable}")
     # the normal equations on centered log tau, in elementwise sums: a fit of
     # a few points needs no LAPACK solve, whose first call adds ~1.1 MB of RSS
     lt = np.log([t for t, _ in usable])
@@ -214,14 +206,12 @@ def _monotonicity_flags(rows, schemes):
     return flags
 
 
-def _run_row(scheme, tau, solve, ref, gamma_err, ref_norm):
-    """Row of the run solve() by its H^gamma_err error relative to ref: a
-    BlowUpError or an error that is not finite (finite values too large to
-    measure) is 'diverged' with error inf, so 'ok' rows carry finite errors."""
-    try:
-        err = sobolev_distance(solve(), ref, gamma_err) / ref_norm
-    except BlowUpError:
-        err = math.inf
+def _run_row(scheme, tau, result, ref, gamma_err, ref_norm):
+    """Row of a _march member's result by its H^gamma_err error relative to
+    ref: a BlowUpError or an error that is not finite (finite values too large
+    to measure) is 'diverged' with error inf, so 'ok' rows carry finite errors."""
+    err = (math.inf if isinstance(result, BlowUpError)
+           else sobolev_distance(result.final, ref, gamma_err) / ref_norm)
     ok = math.isfinite(err)
     return RunResult(scheme, tau, err if ok else math.inf, "ok" if ok else "diverged")
 
@@ -234,7 +224,7 @@ def _report(metadata, schemes, rows, flags, kind):
 
 def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     """Rough data once, reference once, then each scheme's tau ladder as the
-    members of one _march (one _march per rung from BATCH_MAX_N points up).
+    members of one _march.
 
     A member that diverged keeps a row (_run_row) but is excluded from slope
     fits, and the other members keep their bits.  Relative errors are
@@ -244,14 +234,12 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     u0 = generate_rough(RoughSpec(cfg.n_points, cfg.theta, cfg.seed))
     ref = reference_solution(u0, cfg.t_final, cfg.ref_tau)
     ref_norm = sobolev_norm(ref, cfg.gamma_err)
-    ladders = [cfg.taus] if cfg.n_points < BATCH_MAX_N else [(t,) for t in cfg.taus]
+    counts = [check_step_count("tau", t, cfg.t_final) for t in cfg.taus]
     rows = []
     for scheme in cfg.schemes:
-        for taus in ladders:
-            counts = [check_step_count("tau", t, cfg.t_final) for t in taus]
-            results, _ = _march(scheme, u0.grid, taus, counts, u0.spectrum)
-            rows += [_run_row(scheme, t, lambda: _samples(r)[-1][1], ref, cfg.gamma_err,
-                              ref_norm) for t, r in zip(taus, results)]
+        results = _march(scheme, u0.grid, cfg.taus, counts, u0.spectrum)
+        rows += [_run_row(scheme, t, r, ref, cfg.gamma_err, ref_norm)
+                 for t, r in zip(cfg.taus, results)]
     metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
                     gamma=cfg.gamma_err, t_final=cfg.t_final, ref_tau=cfg.ref_tau)
     flags = _monotonicity_flags(rows, cfg.schemes)
@@ -268,28 +256,28 @@ def run_local_error_study(
 ) -> ConvergenceReport:
     """One-step errors of each scheme on smooth data across the tau ladder.
 
-    The one-step reference at each tau is the integrating-factor RK4 with
-    64 substeps, cross-checked against an ELRI2 run with 256 substeps; a
-    disagreement above 5% of the smallest scheme error is flagged.  A step
+    Each scheme's ladder is one _march of one step per tau.  The one-step
+    reference at each tau is the integrating-factor RK4 with 64 substeps,
+    cross-checked against an ELRI2 run with 256 substeps (one more _march);
+    a disagreement above 5% of the smallest scheme error is flagged.  A step
     that blows up keeps a 'diverged' row, as in a convergence study.
     """
     schemes, taus = _check_study(schemes, taus, n_points, gamma_err)
     u0 = smooth_test_data(Grid(n_points))
+    checks = _march(SchemeKind.ELRI2, u0.grid, [t / 256.0 for t in taus],
+                    [check_step_count("tau", t / 256.0, t) for t in taus], u0.spectrum)
+    runs = [_march(s, u0.grid, taus, [1] * len(taus), u0.spectrum) for s in schemes]
     flags = []
     rows = []
 
-    for tau in taus:
+    for i, (tau, check) in enumerate(zip(taus, checks)):
         ref = ifrk4_solve(u0, tau, tau / 64.0)
-        ref_check = evolve(SolverRun(SchemeKind.ELRI2, tau / 256.0, tau, u0)).final
         ref_norm = sobolev_norm(ref, gamma_err)
-        dual_gap = sobolev_distance(ref, ref_check, gamma_err)
-        tau_errors = []
-        for scheme in schemes:
-            row = _run_row(scheme, tau, lambda: step(scheme, u0, tau), ref, gamma_err,
-                           ref_norm)
-            tau_errors.append(row.error_rel)
-            rows.append(row)
-        smallest = min(tau_errors)
+        dual_gap = sobolev_distance(ref, _trajectory(check).final, gamma_err)
+        tau_rows = [_run_row(s, tau, r[i], ref, gamma_err, ref_norm)
+                    for s, r in zip(schemes, runs)]
+        rows += tau_rows
+        smallest = min(r.error_rel for r in tau_rows)
         if dual_gap / ref_norm > 0.05 * smallest:
             flags.append(
                 f"tau={tau:g}: one-step references disagree by "

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from kdvlri import oracles
-from kdvlri.cli import main, parse_schemes, parse_tau_ladder, parse_tau_token
+from kdvlri.cli import build_parser, main, parse_schemes, parse_tau_ladder, parse_tau_token
 from kdvlri.integrators import SchemeKind
 from kdvlri.rough_data import RoughSpec, generate_rough
 from kdvlri.spectral import Field, Grid, read_field, write_field
@@ -170,8 +171,9 @@ def test_solve_rejects_non_finite_input(tmp_path, capsys, args, named):
         ("empty.csv", "# n=8 length=6.283185307179586\n"),
         ("text.csv", "# n=4 length=6.283185307179586\nx\n0\n0\n0\n"),
         ("three.bin", b"KDVF" + (3).to_bytes(4, "little") + bytes(8) + bytes(24)),
+        ("garbage.bin", b"\xff\xfe\x00garbage"),
     ],
-    ids=["odd-n", "header-only", "non-numeric", "binary-n3"],
+    ids=["odd-n", "header-only", "non-numeric", "binary-n3", "not-utf8"],
 )
 def test_solve_refuses_bad_field_file_by_name(tmp_path, capsys, recwarn, name, content):
     path = tmp_path / name
@@ -217,6 +219,12 @@ def test_converge_leaves_unset_values_to_study_config(monkeypatch):
     keys = ("n_points", "t_final", "theta", "seed")
     assert not set(keys) & set(given[0])
     assert [given[1][k] for k in keys] == [64, 0.5, 3.0, 7]
+    # solve and gen-data take StudyConfig's defaults as their own
+    defaults = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
+    for argv in (["solve", "--scheme", "elri1", "--tau", "1"], ["gen-data", "--output", "u"]):
+        args = build_parser().parse_args(argv)
+        assert (args.n, args.theta, args.seed) == (
+            defaults["n_points"], defaults["theta"], defaults["seed"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """One-step maps, the evolution loop, blow-up detection, mean shifting."""
 
+import ast
 import functools
 import os
 import pathlib
@@ -515,9 +516,10 @@ def test_member_runs_are_bitwise_separate_runs(n):
     us, spectra, taus = members(n, 3, theta=3.0)
     counts = [5, 8, 3]
     for kind in SchemeKind:
-        got, drift = integrators._march(kind, us[0].grid, taus, counts, spectra,
-                                        record_every=2)
-        for u, tau, count, samples, d in zip(us, taus, counts, got, drift):
+        got = integrators._march(kind, us[0].grid, taus, counts, spectra,
+                                 record_every=2)
+        for u, tau, count, traj in zip(us, taus, counts, got):
+            samples, d = traj.samples, traj.max_mean_drift
             want = evolve(SolverRun(kind, tau, count * tau, u, record_every=2))
             assert [t for t, _ in samples] == [t for t, _ in want.samples[1:]]
             assert [f.spectrum.tobytes() for _, f in samples] == [
@@ -538,16 +540,17 @@ def test_diverging_member_raises_with_its_own_step(first):
     taus, counts = [0.5, 0.01, 0.02], [10, 40, 15]
     if not first:
         taus, counts, spectra = taus[::-1], counts[::-1], spectra[::-1]
-    got, _ = integrators._march(SchemeKind.ELRI1, base.grid, taus, counts,
-                                np.array(spectra), record_every=4)
+    got = integrators._march(SchemeKind.ELRI1, base.grid, taus, counts,
+                             np.array(spectra), record_every=4)
     wild = got.pop(0 if first else -1)
     assert isinstance(wild, BlowUpError) and wild.step == 6
     assert "after step 6 of 10 (t = 3, scheme ELRI1)" in str(wild)
     with pytest.raises(BlowUpError) as info:
-        integrators._samples(wild)
+        integrators._trajectory(wild)
     assert info.value is wild
     calm = [(t, c, s) for t, c, s in zip(taus, counts, spectra) if t < 0.5]
-    for samples, (tau, count, spectrum) in zip(got, calm):
+    for traj, (tau, count, spectrum) in zip(got, calm):
+        samples = traj.samples
         u = Field.from_spectrum(base.grid, spectrum)
         want = evolve(SolverRun(SchemeKind.ELRI1, tau, count * tau, u, record_every=4))
         assert [(t, f.spectrum.tobytes()) for t, f in samples] == [
@@ -568,11 +571,38 @@ def test_members_that_all_diverge_end_the_march(monkeypatch):
         update(ws)
 
     monkeypatch.setattr(integrators, "_update", counted)
-    got, _ = integrators._march(SchemeKind.ELRI1, base.grid, taus, counts,
-                                50.0 * base.spectrum)
+    got = integrators._march(SchemeKind.ELRI1, base.grid, taus, counts,
+                             50.0 * base.spectrum)
     assert [e.step for e in got] == [6, 7]
     assert "after step 7 of 10000 (t = 0.4375" in str(got[1])
     assert len(steps) == 7 and steps[-1] == (33,)
+
+
+def test_only_the_stepping_loop_steps_and_batches():
+    # a scan of the package source: _march alone builds a workspace and calls
+    # _update, and it and the RK4 oracle alone build a BlowUpError; only
+    # integrators reads BATCH_MAX_N, so every batch takes the one cap; and
+    # studies steps only through _march
+    calls, reads = {}, set()  # name -> {(module, function)}; modules naming the cap
+    for path in sorted(pathlib.Path(integrators.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, set()).add((path.stem, owner.get(node)))
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", getattr(node, "attr", None))])
+            if "BATCH_MAX_N" in names:
+                reads.add(path.stem)
+    assert calls["_Workspace"] == calls["_update"] == {("integrators", "_march")}
+    assert calls["BlowUpError"] == {("integrators", "_march"), ("oracles", "ifrk4_solve")}
+    assert reads == {"integrators"}
+    in_studies = {n for n, where in calls.items() if "studies" in {m for m, _ in where}}
+    assert not in_studies & {"step", "evolve", "SolverRun"}
 
 
 # a fresh interpreter: 1 warm-up elri2 step at N = 2^14, then the minor page
@@ -851,9 +881,10 @@ def test_members_of_different_means_are_their_separate_runs():
     us = [Field.from_values(base.grid, base.values + m) for m in means]
     spectra = np.array([u.spectrum for u in us])
     for kind in SchemeKind:
-        got, drift = integrators._march(kind, base.grid, taus, counts, spectra,
-                                        record_every=2)
-        for u, tau, count, samples, d in zip(us, taus, counts, got, drift):
+        got = integrators._march(kind, base.grid, taus, counts, spectra,
+                                 record_every=2)
+        for u, tau, count, traj in zip(us, taus, counts, got):
+            samples, d = traj.samples, traj.max_mean_drift
             want = evolve(SolverRun(kind, tau, count * tau, u, record_every=2))
             assert [(t, f.spectrum.tobytes()) for t, f in samples] == [
                 (t, f.spectrum.tobytes()) for t, f in want.samples[1:]

@@ -3,6 +3,7 @@
 import ast
 import json
 import pathlib
+import warnings
 
 import jsonschema
 import numpy as np
@@ -112,6 +113,11 @@ def test_estimate_order_needs_two_finite_points():
         estimate_order([(0.1, 1e-3)])
     with pytest.raises(FitDataError):
         estimate_order([(0.1, float("inf")), (0.05, float("nan")), (0.025, 0.0)])
+    # two points at one tau leave the slope 0/0: refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitDataError, match="at >= 2 distinct taus"):
+            estimate_order([(0.1, 1e-2), (0.1, 2e-2)])
 
 
 def test_studies_fit_orders_without_lapack(monkeypatch):
@@ -308,9 +314,11 @@ def per_rung_study(cfg):
     ref_norm = sobolev_norm(ref, cfg.gamma_err)
 
     def one(scheme, tau):
-        run = SolverRun(scheme, tau, cfg.t_final, u0)
-        return studies._run_row(scheme, tau, lambda: evolve(run).final, ref,
-                                cfg.gamma_err, ref_norm)
+        try:
+            result = evolve(SolverRun(scheme, tau, cfg.t_final, u0))
+        except BlowUpError as exc:
+            result = exc
+        return studies._run_row(scheme, tau, result, ref, cfg.gamma_err, ref_norm)
 
     rows = [one(s, t) for s in cfg.schemes for t in cfg.taus]
     metadata = dict(n_points=cfg.n_points, theta=cfg.theta, seed=cfg.seed,
@@ -329,7 +337,7 @@ def test_batched_ladder_is_bytewise_per_rung_runs(scheme, gamma):
     # that of one evolve per rung
     cfg = StudyConfig(schemes=(scheme,), taus=tuple(2.0**-k for k in range(4, 11)),
                       n_points=1024, theta=3.0, gamma_err=gamma, ref_tau=2.0**-14)
-    assert cfg.n_points < studies.BATCH_MAX_N
+    assert cfg.n_points < integrators.BATCH_MAX_N
     got = run_convergence_study(cfg)
     assert all(r.status == "ok" for r in got.rows)
     for fmt in ("csv", "json"):
@@ -356,23 +364,27 @@ def test_diverged_rungs_leave_the_ladder_alone(monkeypatch):
     assert fit.fitted_order is not None and fit.excluded_taus == ()
 
 
-@pytest.mark.parametrize("n_points", [studies.BATCH_MAX_N // 2, studies.BATCH_MAX_N])
+@pytest.mark.parametrize("n_points", [integrators.BATCH_MAX_N // 2,
+                                      integrators.BATCH_MAX_N])
 def test_ladders_batch_below_the_grid_size_cap(monkeypatch, n_points):
-    # one _march per scheme below BATCH_MAX_N points, one per rung from it up
+    # one lockstep workspace per scheme below BATCH_MAX_N points (shrinking
+    # as rungs reach their counts), one per rung from it up
     calls = []
 
-    def counted(kind, grid, taus, *args):
-        calls.append((kind, tuple(taus)))
-        return march(kind, grid, taus, *args)
+    class Counted(integrators._Workspace):
+        def __init__(self, kind, grid, taus):
+            calls.append((kind, tuple(np.ravel(taus).tolist())))
+            super().__init__(kind, grid, taus)
 
-    march = studies._march
-    monkeypatch.setattr(studies, "_march", counted)
+    monkeypatch.setattr(integrators, "_Workspace", Counted)
     taus = (2.0**-7, 2.0**-8, 2.0**-9)
     cfg = tiny_config(schemes=(SchemeKind.LRI1, SchemeKind.ELRI2), taus=taus,
                       n_points=n_points, t_final=2.0**-6, ref_tau=2.0**-13)
     got = run_convergence_study(cfg)
-    ladders = [taus] if n_points < studies.BATCH_MAX_N else [(t,) for t in taus]
-    assert calls == [(s, ladder) for s in cfg.schemes for ladder in ladders]
+    ladders = ([taus[j:] for j in range(len(taus))] if n_points < integrators.BATCH_MAX_N
+               else [(t,) for t in taus])
+    rungs = [c for c in calls if c[1] != (cfg.ref_tau,)]  # not the reference
+    assert rungs == [(s, ladder) for s in cfg.schemes for ladder in ladders]
     assert render_report(got, "csv") == render_report(per_rung_study(cfg), "csv")
 
 
@@ -422,12 +434,13 @@ def test_local_error_study_runs_fine_ladders():
 def test_local_error_step_that_blows_up_is_a_diverged_row(monkeypatch):
     taus = (2.0**-6, 2.0**-7, 2.0**-8)
 
-    def step(kind, u, tau):
-        if tau == taus[0]:
-            raise BlowUpError("non-finite field after step 1 of 1", step=1)
-        return integrators.step(kind, u, tau)
+    def march(kind, grid, taus_, counts, spectra):
+        runs = integrators._march(kind, grid, taus_, counts, spectra)
+        if kind is SchemeKind.ELRI1 and tuple(taus_) == taus:  # the scheme's ladder
+            runs[0] = BlowUpError("non-finite field after step 1 of 1", step=1)
+        return runs
 
-    monkeypatch.setattr("kdvlri.studies.step", step)
+    monkeypatch.setattr("kdvlri.studies._march", march)
     rep = run_local_error_study((SchemeKind.ELRI1,), taus, n_points=32)
     assert (rep.rows[0].status, rep.rows[0].error_rel) == ("diverged", np.inf)
     assert all(r.status == "ok" for r in rep.rows[1:])
